@@ -40,7 +40,7 @@ report() {
   echo "  (<=2 lets unprivileged perf_event_open count user-space events;"
   echo "   --perf_stat degrades to software/TSC tiers otherwise)"
   echo "thp enabled:          $(read_file /sys/kernel/mm/transparent_hugepage/enabled)"
-  echo "  (AltOptions::use_huge_pages needs 'always' or 'madvise')"
+  echo "  (the BulkLoad slot slab gets huge pages under 'always' or 'madvise')"
   echo "turbo (intel no_turbo): $(read_file /sys/devices/system/cpu/intel_pstate/no_turbo)"
   echo "boost (acpi cpufreq):   $(read_file /sys/devices/system/cpu/cpufreq/boost)"
   gov="/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor"
@@ -74,7 +74,7 @@ tune() {
   else
     echo "skip turbo/boost (knob absent or need root)"; skipped=$((skipped+1))
   fi
-  # Huge pages for AltOptions::use_huge_pages benchmarking.
+  # Huge pages for the BulkLoad slot slab.
   if write_file madvise /sys/kernel/mm/transparent_hugepage/enabled; then
     echo "set thp=madvise"; ok=$((ok+1))
   else

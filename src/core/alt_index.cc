@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <new>
+#include <system_error>
+#include <thread>
 
+#include "common/aligned_mem.h"
 #include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/spinlock.h"
@@ -50,6 +54,12 @@ void DedupeSortedTail(std::vector<std::pair<Key, Value>>* v, size_t begin) {
            v->end());
 }
 
+// Smallest BulkLoad slab worth a helper thread for the slot fill (about 860k
+// keys at the default gap factor). Below 35MB the helper lost in every timed
+// run; from 47MB up it won or lost with the host's load (EXPERIMENTS.md "Slot
+// slab: helper-thread cutoff").
+constexpr size_t kFillThreadBytes = size_t{64} << 20;
+
 // Terminal accounting for lookups the learned layer answers by itself.
 inline bool FinishLearnedHit(ServedBy* served) {
   metrics::Inc(Counter::kLearnedHits);
@@ -74,7 +84,11 @@ AltIndex::AltIndex(AltOptions options)
   if (options_.enable_fast_pointers) art_.SetListener(&fp_buffer_);
 }
 
-AltIndex::~AltIndex() = default;
+AltIndex::~AltIndex() {
+  // Models keep the slab mapped until the last of them (possibly one still in
+  // an epoch retire queue) is freed.
+  if (slab_ != nullptr) slab_->Unref();
+}
 
 // ---------------------------------------------------------------------------
 // Bulk load
@@ -106,8 +120,7 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
     const uint32_t slots = options_.tail_model_slots;
     const double slope =
         static_cast<double>(slots) / static_cast<double>(~Key{0});
-    auto* model = new GplModel(0, slope, slots, slots / 2, ~Key{0},
-                               options_.use_huge_pages);
+    auto* model = new GplModel(0, slope, slots, slots / 2);
     if (options_.enable_fast_pointers) {
       const int32_t slot = fp_buffer_.AddPointer(art_.root(), 0, 0);
       model->set_fp_index(slot);
@@ -126,10 +139,11 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   epsilon_ = options_.EffectiveErrorBound(n);
   const std::vector<Segment> segments = GplSegment(keys, n, epsilon_);
 
-  std::vector<GplModel*> models;
-  models.reserve(segments.size());
-  std::vector<std::pair<Key, Value>> conflicts;
-
+  // Slot counts first: they size the one slab every bulk-loaded slot array
+  // is carved from (DESIGN.md §10.2).
+  std::vector<uint32_t> slot_counts;
+  slot_counts.reserve(segments.size());
+  size_t slab_bytes = 0;
   for (const Segment& seg : segments) {
     const Key first = keys[seg.start];
     const Key last = keys[seg.start + seg.length - 1];
@@ -145,33 +159,81 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
         static_cast<uint64_t>(options_.gap_factor * static_cast<double>(seg.length)) +
         2 * static_cast<uint64_t>(epsilon_) + 16;
     if (slots > cap) slots = cap;
-    auto* model = new GplModel(first, scaled_slope, static_cast<uint32_t>(slots),
-                               static_cast<uint32_t>(seg.length), ~Key{0},
-                               options_.use_huge_pages);
-    for (size_t i = 0; i < seg.length; ++i) {
-      const Key k = keys[seg.start + i];
-      const Value v = values[seg.start + i];
-      GplSlot& s = model->slot(model->Predict(k));
-      // Bulk load is single-threaded, but writing under the slot lock keeps
-      // the key/value stores inside the capability the analysis checks (the
-      // uncontended CAS costs nothing next to the O(n) load itself).
-      const uint32_t lw = s.word.Lock();
-      if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
-        s.key.store(k, std::memory_order_relaxed);
-        s.value.store(v, std::memory_order_relaxed);
-        s.word.Unlock(lw, SlotState::kOccupied);
-      } else {
-        s.word.Unlock(lw, SlotWord::StateOf(lw));
-        // Prediction conflict: peeled out to ART-OPT (§III-A).
-        conflicts.emplace_back(k, v);
+    slot_counts.push_back(static_cast<uint32_t>(slots));
+    slab_bytes += SlotSlab::SliceFootprint(sizeof(GplSlot) * slots);
+  }
+  slab_ = SlotSlab::Create(slab_bytes);
+  if (slab_ == nullptr) throw std::bad_alloc();
+
+  std::vector<GplModel*> models;
+  // Which keys lose their slot to a prediction conflict (§III-A) follows from
+  // the predictions alone: Predict is monotone in the key, so a key conflicts
+  // exactly when its predecessor in the same model predicted the same slot.
+  // The slot fill and the ART-OPT inserts therefore need nothing from each
+  // other and run side by side.
+  auto for_each_key = [&](auto&& visit) {
+    for (size_t m = 0; m < segments.size(); ++m) {
+      const Segment& seg = segments[m];
+      uint32_t prev = 0;
+      for (size_t i = 0; i < seg.length; ++i) {
+        const uint32_t p = models[m]->Predict(keys[seg.start + i]);
+        visit(models[m], p, i > 0 && p == prev, keys[seg.start + i], values[seg.start + i]);
+        prev = p;
       }
     }
-    models.push_back(model);
-  }
-
-  for (const auto& [k, v] : conflicts) {
-    EpochGuard g(*epoch_);
-    art_.Insert(k, v);
+  };
+  // The slab is a fresh mapping, so the fill also faults it in.
+  auto fill = [&] {
+    for_each_key([](GplModel* model, uint32_t p, bool conflict, Key k, Value v) {
+      if (conflict) return;
+      GplSlot& s = model->slot(p);
+      // Bulk load owns the index, but writing under the slot lock keeps the
+      // key/value stores inside the capability the analysis checks (the
+      // uncontended CAS costs nothing next to the O(n) load itself).
+      const uint32_t lw = s.word.Lock();
+      s.key.store(k, std::memory_order_relaxed);
+      s.value.store(v, std::memory_order_relaxed);
+      s.word.Unlock(lw, SlotState::kOccupied);
+    });
+  };
+  std::thread filler;
+  try {
+    models.reserve(segments.size());
+    for (size_t m = 0; m < segments.size(); ++m) {
+      const Segment& seg = segments[m];
+      models.push_back(new GplModel(keys[seg.start], seg.slope * options_.gap_factor,
+                                    slot_counts[m], static_cast<uint32_t>(seg.length),
+                                    ~Key{0}, slab_));
+    }
+    // From kFillThreadBytes on, a helper thread fills the slab while this one
+    // inserts the conflicts into ART-OPT. The fill allocates nothing, so no
+    // malloc arena opens for the helper, and the helper inherits this
+    // thread's CPU affinity. Without a thread to spare the fill runs inline.
+    if (slab_->capacity() >= kFillThreadBytes) {
+      try {
+        filler = std::thread(fill);
+      } catch (const std::system_error&) {
+      }
+    }
+    {
+      EpochGuard g(*epoch_);
+      for_each_key([this](GplModel*, uint32_t, bool conflict, Key k, Value v) {
+        if (conflict) art_.Insert(k, v);
+      });
+    }
+    if (filler.joinable()) {
+      filler.join();
+    } else {
+      fill();
+    }
+  } catch (...) {
+    // An allocation failed: stop the helper before its models go, and leave
+    // no slab behind on an index with an empty directory.
+    if (filler.joinable()) filler.join();
+    for (GplModel* model : models) delete model;
+    slab_->Unref();
+    slab_ = nullptr;
+    throw;
   }
 
   directory_.Build(std::move(models), options_.upper_radix_bits);
@@ -1099,8 +1161,7 @@ void AltIndex::MaybeTriggerExpansion(GplModel* model) {
   }
   auto* new_model =
       new GplModel(model->first_key(), new_slope, static_cast<uint32_t>(new_slots),
-                   model->build_size() + model->insert_count(), coverage,
-                   options_.use_huge_pages);
+                   model->build_size() + model->insert_count(), coverage);
   new_model->set_fp_index(model->fp_index());
   // Until the finish sweep writes eligible ART keys back, EMPTY temporal
   // slots do not prove absence.
@@ -1208,8 +1269,7 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) {
   if (tail_first == ~Key{0}) return;  // infinite coverage: nothing to take over
   if (tail_first <= snap->first_keys[n - 1]) return;
   auto* tail = new GplModel(tail_first, published->slope(), options_.tail_model_slots,
-                            options_.tail_model_slots / 2, ~Key{0},
-                            options_.use_huge_pages);
+                            options_.tail_model_slots / 2);
   if (options_.enable_fast_pointers) {
     const int32_t slot = fp_buffer_.AddPointer(art_.root(), 0, 0);
     tail->set_fp_index(slot);

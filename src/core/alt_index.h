@@ -185,7 +185,8 @@ class AltIndex {
     size_t num_models = 0;
     size_t expanding_models = 0;  ///< models with an expansion installed
     size_t tail_models = 0;       ///< models with the zero-error invariant suspended
-    size_t huge_backed_models = 0;  ///< slot arrays on 2MB pages (DESIGN.md §10)
+    size_t slab_models = 0;  ///< slot arrays in the BulkLoad slab (DESIGN.md §10.2)
+    size_t slab_bytes = 0;   ///< the slab's size; 0 without one (empty load)
     size_t total_slots = 0;
     size_t slot_states[4] = {};  ///< by SlotState: empty/occupied/tombstone/migrated
     uint32_t min_segment = 0;    ///< smallest model build_size
@@ -314,6 +315,9 @@ class AltIndex {
   // Resolved before directory_/art_ (declaration order): both retire through
   // this manager.
   EpochManager* epoch_ = nullptr;
+  /// Holds every bulk-loaded slot array; nullptr until a non-empty BulkLoad.
+  /// The index's reference is dropped in the destructor (see SlotSlab).
+  SlotSlab* slab_ = nullptr;
   ModelDirectory directory_;
   art::ArtTree art_;
   FastPointerBuffer fp_buffer_;

@@ -52,12 +52,6 @@ struct AltOptions {
   /// shorter searches (the §III-B design-choice ablation).
   int upper_radix_bits = 0;
 
-  /// Back GPL slot arrays spanning >= 2MB with transparent huge pages
-  /// (MADV_HUGEPAGE), shrinking the dTLB footprint of large models
-  /// (DESIGN.md §10). Graceful 4KB fallback when THP is unavailable; smaller
-  /// arrays always use the ordinary 64-byte-aligned heap path.
-  bool use_huge_pages = false;
-
   /// In-flight lookups per group in LookupBatch (AMAC-style pipelining).
   /// Values past the CPU's miss-level parallelism (~10-16 outstanding L1
   /// misses) add bookkeeping without hiding more latency. Clamped to

@@ -1,6 +1,7 @@
 #include "core/gpl_model.h"
 
 #include <cstddef>
+#include <cstdlib>
 #include <new>
 #include <type_traits>
 
@@ -21,17 +22,29 @@ static_assert(alignof(GplModel) == 64,
               "hot header must start on a cache-line boundary");
 // The dtor releases the slot array without running per-slot destructors.
 static_assert(std::is_trivially_destructible_v<GplSlot>,
-              "FreeHotArray skips slot destructors");
+              "slot arrays are released without slot destructors");
+// A slab slice is used as a slot array without a constructor pass: GplSlot is
+// an implicit-lifetime aggregate whose all-zero bytes are its initial state.
+static_assert(std::is_aggregate_v<GplSlot>,
+              "slab slices rely on implicit slot lifetimes");
 
 GplModel::GplModel(Key first_key, double slope, uint32_t num_slots, uint32_t build_size,
-                   Key coverage_end, bool use_huge_pages)
+                   Key coverage_end, SlotSlab* slab)
     : first_key_(first_key),
       slope_(slope),
       coverage_end_(coverage_end),
       num_slots_(num_slots == 0 ? 1 : num_slots),
-      build_size_(build_size) {
+      build_size_(build_size),
+      slab_(slab) {
   const size_t bytes = sizeof(GplSlot) * static_cast<size_t>(num_slots_);
-  void* mem = AllocateHotArray(bytes, use_huge_pages, &slots_huge_);
+  if (slab_ != nullptr) {
+    // No constructor pass: it would fault the slice in on this thread, while
+    // BulkLoad leaves that to the thread that fills the slots.
+    slots_ = static_cast<GplSlot*>(slab_->Carve(bytes));
+    if (slots_ == nullptr) throw std::bad_alloc();
+    return;
+  }
+  void* mem = AllocateHotArray(bytes);
   if (mem == nullptr) throw std::bad_alloc();
   slots_ = static_cast<GplSlot*>(mem);
   // The region is already zero-filled; the placement news formally start the
@@ -47,8 +60,11 @@ Expansion::~Expansion() {
 GplModel::~GplModel() {
   Expansion* e = expansion_.load(std::memory_order_acquire);
   delete e;
-  FreeHotArray(slots_, sizeof(GplSlot) * static_cast<size_t>(num_slots_),
-               slots_huge_);
+  if (slab_ != nullptr) {
+    slab_->ReleaseSlice(slots_, sizeof(GplSlot) * static_cast<size_t>(num_slots_));
+  } else {
+    std::free(slots_);
+  }
 }
 
 uint32_t GplModel::CountOccupied() const ALT_REQUIRES_EPOCH {

@@ -15,6 +15,8 @@
 
 namespace alt {
 
+class SlotSlab;
+
 /// Slot occupancy states (§III-B / §III-F).
 enum class SlotState : uint32_t {
   kEmpty = 0,      ///< never written: the searched key is provably absent
@@ -179,11 +181,11 @@ class alignas(64) GplModel {
   ///        last one; they live exclusively in ART (no slot state), so a
   ///        later tail-model append (§III-F) can take over their range by
   ///        sweeping ART alone.
-  /// \param use_huge_pages back the slot array with 2MB transparent huge
-  ///        pages when it spans at least one (AltOptions::use_huge_pages;
-  ///        graceful 4KB fallback, see aligned_mem.h).
+  /// \param slab carve the slot array from this BulkLoad slab (aligned_mem.h)
+  ///        instead of the heap; the model holds a slab reference until it is
+  ///        destroyed. The slice is zero-filled but may not be resident yet.
   GplModel(Key first_key, double slope, uint32_t num_slots, uint32_t build_size,
-           Key coverage_end = ~Key{0}, bool use_huge_pages = false);
+           Key coverage_end = ~Key{0}, SlotSlab* slab = nullptr);
 
   GplModel(const GplModel&) = delete;
   GplModel& operator=(const GplModel&) = delete;
@@ -251,8 +253,8 @@ class alignas(64) GplModel {
   /// Approximate heap footprint of this model (slots + header).
   size_t MemoryBytes() const { return sizeof(GplModel) + sizeof(GplSlot) * num_slots_; }
 
-  /// True iff the slot array is 2MB-huge-page backed (stats / bench headers).
-  bool slots_huge_backed() const { return slots_huge_; }
+  /// The BulkLoad slab holding the slot array, or nullptr for a heap array.
+  const SlotSlab* slab() const { return slab_; }
 
   ~GplModel();
 
@@ -274,7 +276,7 @@ class alignas(64) GplModel {
   // Cold tail (second line): write-path and teardown bookkeeping only.
   const uint32_t build_size_;
   std::atomic<uint32_t> insert_count_{0};
-  bool slots_huge_ = false;  ///< set once in the ctor; how slots_ is freed
+  SlotSlab* const slab_;  ///< nullptr: slots_ is a heap array
 };
 
 }  // namespace alt

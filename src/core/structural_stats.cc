@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/aligned_mem.h"
 #include "common/epoch.h"
 #include "common/json.h"
 #include "core/alt_index.h"
@@ -59,6 +60,7 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
   EpochGuard g(*epoch_);
 
   st.header_bytes = sizeof(AltIndex);
+  if (slab_ != nullptr) st.slab_bytes = slab_->capacity();
   st.fast_pointer_bytes = fp_buffer_.MemoryBytes();
 
   const ModelDirectory::Snapshot* snap = directory_.snapshot();
@@ -78,7 +80,7 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
       st.total_slots += model->num_slots();
       model->CountSlotStates(st.slot_states);
       if (!model->strict_empty()) st.tail_models++;
-      if (model->slots_huge_backed()) st.huge_backed_models++;
+      if (model->slab() != nullptr) st.slab_models++;
 
       const uint32_t seg = model->build_size();
       st.min_segment = std::min(st.min_segment, seg);
@@ -135,7 +137,8 @@ std::string AltIndex::StructureJson() const {
   AppendKv("num_models", st.num_models, false, &out);
   AppendKv("expanding_models", st.expanding_models, false, &out);
   AppendKv("tail_models", st.tail_models, false, &out);
-  AppendKv("huge_backed_models", st.huge_backed_models, false, &out);
+  AppendKv("slab_models", st.slab_models, false, &out);
+  AppendKv("slab_bytes", st.slab_bytes, false, &out);
   AppendKv("total_slots", st.total_slots, false, &out);
   AppendKv("slots_empty", st.slot_states[0], false, &out);
   AppendKv("slots_occupied", st.slot_states[1], false, &out);

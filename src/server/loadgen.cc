@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <thread>
 
@@ -32,6 +33,10 @@ constexpr Key kPrivateKeyBase = 0xF000000000000000ull;
 /// Abort a run when no response arrives for this long (dead server).
 constexpr uint64_t kStallNs = 60ull * 1000000000ull;
 
+/// Longest single wait for socket readiness (also bounds how late the stall
+/// check runs).
+constexpr uint64_t kMaxWaitNs = 100ull * 1000000ull;
+
 struct PendingReq {
   uint64_t sched_ns;  ///< open loop: scheduled arrival; closed loop: == send
   Op op;
@@ -48,6 +53,7 @@ struct LgConn {
 };
 
 struct ThreadResult {
+  uint64_t op_digest = 0;
   uint64_t sent = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
@@ -64,7 +70,7 @@ class LoadThread {
         tid_(tid),
         quota_(quota),
         result_(result),
-        rng_(Mix64(0x10adull + static_cast<uint64_t>(tid) * 7919)),
+        rng_(Mix64(Mix64(opt.seed ^ 0x10adull) + static_cast<uint64_t>(tid) * 7919)),
         next_put_key_(kPrivateKeyBase +
                       (static_cast<uint64_t>(tid) << 40)) {}
 
@@ -108,17 +114,19 @@ class LoadThread {
             POLLIN | (conns_[i].out.size() > conns_[i].out_off ? POLLOUT : 0));
         pfds[i].revents = 0;
       }
-      int timeout_ms = 100;
+      // Sleep until the next scheduled arrival at nanosecond resolution: a
+      // millisecond timeout rounds every sub-millisecond gap down to a
+      // zero-timeout poll, and the thread spins.
+      uint64_t wait_ns = kMaxWaitNs;
       if (opt_.open_loop && result_->sent < quota_) {
         const uint64_t now2 = NowNanos();
-        timeout_ms = next_sched_ns > now2
-                         ? static_cast<int>(
-                               std::min<uint64_t>((next_sched_ns - now2) / 1000000, 100))
-                         : 0;
+        wait_ns = next_sched_ns > now2 ? std::min(next_sched_ns - now2, kMaxWaitNs) : 0;
       }
-      const int n = poll(pfds.data(), pfds.size(), timeout_ms);
+      const timespec timeout{static_cast<time_t>(wait_ns / 1000000000),
+                             static_cast<long>(wait_ns % 1000000000)};
+      const int n = ppoll(pfds.data(), pfds.size(), &timeout, nullptr);
       if (n < 0 && errno != EINTR) {
-        result_->error = std::string("poll() failed: ") + std::strerror(errno);
+        result_->error = std::string("ppoll() failed: ") + std::strerror(errno);
         break;
       }
       bool progressed = false;
@@ -174,7 +182,7 @@ class LoadThread {
   }
 
   void QueueOp(LgConn& c, uint64_t sched_ns) {
-    const uint64_t dice = rng_.NextBounded(100);
+    const uint64_t dice = Draw(100);
     PendingReq req{sched_ns, Op::kGet, 0};
     if (dice < opt_.put_pct) {
       req.op = Op::kPut;
@@ -188,14 +196,14 @@ class LoadThread {
       } else {
         // Nothing deletable yet (no PUT completed on this connection):
         // degrade to GET so the SCAN share stays at scan_pct exactly.
-        req.key = keys_[rng_.NextBounded(keys_.size())];
+        req.key = keys_[Draw(keys_.size())];
       }
     } else if (dice < opt_.put_pct + opt_.del_pct + opt_.scan_pct) {
       req.op = Op::kScan;
-      req.key = keys_[rng_.NextBounded(keys_.size())];
+      req.key = keys_[Draw(keys_.size())];
     } else {
       req.op = Op::kGet;
-      req.key = keys_[rng_.NextBounded(keys_.size())];
+      req.key = keys_[Draw(keys_.size())];
     }
     const uint64_t id = next_id_++;
     switch (req.op) {
@@ -208,6 +216,13 @@ class LoadThread {
     c.pending.push_back(req);
     result_->sent += 1;
     FlushOut(c);
+  }
+
+  /// One draw from the op stream, folded into the run's op digest.
+  uint64_t Draw(uint64_t bound) {
+    const uint64_t v = rng_.NextBounded(bound);
+    result_->op_digest = Mix64(result_->op_digest ^ v);
+    return v;
   }
 
   void FlushOut(LgConn& c) {
@@ -338,6 +353,7 @@ LoadgenResult RunLoadgen(const LoadgenOptions& options) {
 
   result.ok = true;
   for (const ThreadResult& tr : per_thread) {
+    result.op_digest += tr.op_digest;
     result.ops_sent += tr.sent;
     result.ops_completed += tr.completed;
     result.failed_ops += tr.failed;
@@ -376,6 +392,7 @@ std::string LoadgenResultJson(const LoadgenOptions& options,
   raw("rate_ops_per_sec", options.open_loop ? buf : "0");
   raw("keyspace", std::to_string(options.keyspace));
   raw("ok", result.ok ? "true" : "false");
+  raw("op_digest", std::to_string(result.op_digest));
   raw("ops_sent", std::to_string(result.ops_sent));
   raw("ops_completed", std::to_string(result.ops_completed));
   raw("failed_ops", std::to_string(result.failed_ops));

@@ -58,6 +58,7 @@ struct LoadgenOptions {
   /// Keyset the server preloaded: GenerateKeys(dataset, keyspace, seed).
   Dataset dataset = Dataset::kFb;
   size_t keyspace = 200000;
+  /// Also seeds each thread's op stream (mix draws and GET/SCAN keys).
   uint64_t seed = 99;
   /// Verify GET payloads against ValueFor(key) (off when PUTs may overwrite
   /// seeded keys; the built-in mix never does).
@@ -67,6 +68,11 @@ struct LoadgenOptions {
 struct LoadgenResult {
   bool ok = false;            ///< transport-level success of the whole run
   std::string error;          ///< first transport/protocol error, if any
+  /// Digest of the op stream's random draws (op mix and key picks, in order
+  /// per thread, summed over threads). Runs with the same options and seed
+  /// report the same digest when del_pct is 0; with DELs, how many draws are
+  /// made depends on which connection each PUT went to.
+  uint64_t op_digest = 0;
   uint64_t ops_sent = 0;
   uint64_t ops_completed = 0;
   /// Wrong status, GET miss on a seeded key, value mismatch, or unordered

@@ -642,6 +642,8 @@ void KvServer::Stop() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& w : workers_) w->Join();
+  stopped_ = CollectStats();
+  stopped_.open_connections = 0;  // joined workers closed all of theirs
   workers_.clear();
   if (listen_fd_ >= 0) {
     close(listen_fd_);
@@ -659,7 +661,7 @@ void KvServer::Stop() {
 }
 
 ServerStats KvServer::CollectStats() const {
-  ServerStats s;
+  ServerStats s = stopped_;
   s.accepts = accepts_.load(std::memory_order_relaxed);
   s.occupancy_hist.resize(kMaxBatch + 1, 0);
   for (const auto& w : workers_) {

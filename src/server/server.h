@@ -101,7 +101,8 @@ class KvServer {
   Status Start();
 
   /// Stop accepting, close every connection, join all threads. Idempotent;
-  /// also run by the destructor.
+  /// also run by the destructor. Counters survive: CollectStats/StatsJson
+  /// afterwards report the finished run.
   void Stop();
 
   /// Actual bound port (after Start(); resolves port 0).
@@ -133,6 +134,9 @@ class KvServer {
   std::atomic<bool> stopping_{false};
 
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Counters of the workers Stop() joined, so stats read after Stop() (the
+  /// alt_server exit line) still count the whole run.
+  ServerStats stopped_;
   std::thread accept_thread_;
   std::atomic<uint64_t> next_worker_{0};
   std::atomic<uint64_t> accepts_{0};

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/aligned_mem.h"
 #include "common/cpu_features.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -300,7 +299,7 @@ TEST(SlotScanTest, CollectRangeMatchesReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Memory backing: alignment contract + huge-page roundtrip
+// Memory backing: alignment contract (slab backing: slot_slab_test.cc)
 // ---------------------------------------------------------------------------
 
 TEST(AlignedMemTest, SlotArraysAre64ByteAlignedAndStraddleFree) {
@@ -314,42 +313,6 @@ TEST(AlignedMemTest, SlotArraysAre64ByteAlignedAndStraddleFree) {
       EXPECT_EQ(a / 64, (a + sizeof(GplSlot) - 1) / 64) << "slot " << i;
     }
   }
-}
-
-TEST(AlignedMemTest, AllocateRoundtripSmallAndHuge) {
-  for (const size_t bytes : {size_t{64}, size_t{4096}, 3 * kHugePageBytes}) {
-    for (const bool huge : {false, true}) {
-      bool huge_backed = true;
-      void* p = AllocateHotArray(bytes, huge, &huge_backed);
-      ASSERT_NE(p, nullptr) << "bytes=" << bytes << " huge=" << huge;
-      if (!huge || bytes < kHugePageBytes) {
-        EXPECT_FALSE(huge_backed) << "bytes=" << bytes << " huge=" << huge;
-      }
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u);
-      auto* bytes_p = static_cast<unsigned char*>(p);
-      for (size_t i = 0; i < bytes; i += 512) {
-        EXPECT_EQ(bytes_p[i], 0) << "offset " << i;  // zero-filled
-      }
-      bytes_p[0] = 0xab;
-      bytes_p[bytes - 1] = 0xcd;  // whole range writable
-      FreeHotArray(p, bytes, huge_backed);
-    }
-  }
-}
-
-TEST(AlignedMemTest, HugePageModelWorksRegardlessOfBacking) {
-  // ~2.2MB of slots: the huge-page request kicks in when THP is available and
-  // silently falls back when not — either way the model must behave.
-  const uint32_t n = 70000;
-  GplModel model(0, 1.0, n, 0, ~Key{0}, /*use_huge_pages=*/true);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(&model.slot(0)) % 64, 0u);
-  EXPECT_EQ(model.CountOccupied(), 0u);
-  GplSlot& s = model.slot(model.Predict(12345));
-  const uint32_t w = s.word.Lock();
-  s.key.store(12345, std::memory_order_relaxed);
-  s.value.store(99, std::memory_order_relaxed);
-  s.word.Unlock(w, SlotState::kOccupied);
-  EXPECT_EQ(model.CountOccupied(), 1u);
 }
 
 // ---------------------------------------------------------------------------

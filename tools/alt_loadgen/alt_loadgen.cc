@@ -34,7 +34,7 @@ void Usage(const char* argv0) {
       "  --scan_count N    keys per SCAN (default 20)\n"
       "  --dataset D       server's preload dataset (default fb)\n"
       "  --keys N          server's preload keyset size (default 200000)\n"
-      "  --seed N          server's preload seed (default 99)\n"
+      "  --seed N          server's preload seed, also seeds the op stream (default 99)\n"
       "  --no_verify       skip GET value verification\n",
       argv0);
 }

@@ -161,6 +161,7 @@ int main(int argc, char** argv) {
   }
 
   server.Stop();
+  // Stop() keeps the counters, so this line reports the whole run.
   std::fprintf(stderr, "%s\n", server.StatsJson().c_str());
   if (!trace_json.empty() && !alt::trace::WriteChromeTrace(trace_json)) {
     std::fprintf(stderr, "alt_server: failed to write %s\n", trace_json.c_str());
