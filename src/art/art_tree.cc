@@ -255,53 +255,66 @@ Node* GetOnlyChild(Node* n, uint8_t* byte_out) {
   return nullptr;
 }
 
-// Copy all (byte, child) entries of `n` into caller arrays; returns count.
-int CollectEntries(const Node* n, uint8_t* bytes, Node** children) {
+// Node4/Node16 half of CollectEntries: the key array is sorted, so the
+// window is a contiguous run.
+template <typename SortedNode>
+int CollectSortedEntries(const SortedNode* p, int cap, uint8_t blo, uint8_t bhi,
+                         uint8_t* bytes, Node** children) {
+  int cnt = p->num_children.load(std::memory_order_relaxed);
+  if (cnt > cap) cnt = cap;
   int out = 0;
+  for (int i = 0; i < cnt; ++i) {
+    const uint8_t b = p->keys[i].load(std::memory_order_relaxed);
+    if (b < blo) continue;
+    if (b > bhi) break;
+    bytes[out] = b;
+    children[out++] = p->children[i].load(std::memory_order_acquire);
+  }
+  return out;
+}
+
+// Copy the (byte, child) entries of `n` with blo <= byte <= bhi into caller
+// arrays in byte order; returns the count. Only the window's cells are read,
+// so a scan never touches children it cannot use.
+int CollectEntries(const Node* n, uint8_t* bytes, Node** children, uint8_t blo = 0,
+                   uint8_t bhi = 0xFF) {
   switch (n->type) {
-    case NodeType::kNode4: {
-      auto* p = static_cast<const Node4*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      for (int i = 0; i < cnt && i < 4; ++i) {
-        bytes[out] = p->keys[i].load(std::memory_order_relaxed);
-        children[out++] = p->children[i].load(std::memory_order_acquire);
-      }
-      break;
-    }
-    case NodeType::kNode16: {
-      auto* p = static_cast<const Node16*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      for (int i = 0; i < cnt && i < 16; ++i) {
-        bytes[out] = p->keys[i].load(std::memory_order_relaxed);
-        children[out++] = p->children[i].load(std::memory_order_acquire);
-      }
-      break;
-    }
+    case NodeType::kNode4:
+      return CollectSortedEntries(static_cast<const Node4*>(n), 4, blo, bhi, bytes,
+                                  children);
+    case NodeType::kNode16:
+      return CollectSortedEntries(static_cast<const Node16*>(n), 16, blo, bhi, bytes,
+                                  children);
     case NodeType::kNode48: {
       auto* p = static_cast<const Node48*>(n);
-      for (int b = 0; b < 256; ++b) {
-        uint8_t idx = p->child_index[b].load(std::memory_order_acquire);
+      int out = 0;
+      for (int b = blo; b <= bhi; ++b) {
+        const uint8_t idx = p->child_index[b].load(std::memory_order_acquire);
         if (idx == Node48::kEmpty) continue;
         Node* c = p->children[idx].load(std::memory_order_acquire);
         if (c == nullptr) continue;
         bytes[out] = static_cast<uint8_t>(b);
         children[out++] = c;
       }
-      break;
+      return out;
     }
     case NodeType::kNode256: {
       auto* p = static_cast<const Node256*>(n);
-      for (int b = 0; b < 256; ++b) {
+      int out = 0;
+      for (int b = blo; b <= bhi; ++b) {
         Node* c = p->children[b].load(std::memory_order_acquire);
         if (c == nullptr) continue;
         bytes[out] = static_cast<uint8_t>(b);
         children[out++] = c;
       }
-      break;
+      return out;
     }
   }
-  return out;
+  return 0;
 }
+
+// Mask of key bytes [0, n): the bytes a node at branch depth n has fixed.
+Key BytesAbove(int n) { return n == 0 ? 0 : ~Key{0} << (8 * (kKeyBytes - n)); }
 
 void CopyHeader(Node* dst, const Node* src) {
   dst->prefix_word.store(src->prefix_word.load(std::memory_order_relaxed),
@@ -954,46 +967,46 @@ bool ArtTree::Remove(Key key, Value* old_value) {
 
 // ---- Scans -------------------------------------------------------------
 
-bool ArtTree::ScanCollect(const Node* node, Key acc, Key lo, Key hi, size_t max_items,
-                          std::vector<std::pair<Key, Value>>* out, int* restarts) const {
-  bool restart = false;
+bool ArtTree::ScanCollect(const Node* node, int depth, Key acc, Key lo, Key hi,
+                          size_t max_items,
+                          std::vector<std::pair<Key, Value>>* out) const {
+  uint8_t bytes[256];
+  Node* children[256];
   for (;;) {
-    restart = false;
+    bool restart = false;
     const uint64_t v = node->ReadLockOrRestart(&restart);
-    if (restart) {
-      // Node became obsolete mid-scan: signal a full restart.
-      ++(*restarts);
-      return false;
-    }
-    // Fold the compressed path into the accumulated key prefix, so child
-    // subtrees can be pruned against [lo, hi].
-    const int depth = node->match_level.load(std::memory_order_relaxed);
+    // Obsolete: replaced by a grow/shrink or merged away.
+    if (restart) return false;
+    // `depth` is where the parent's validated branch put this node. A prefix
+    // split or merge rewrites match_level and the compressed path in place
+    // (without making the node obsolete), so a different match_level means
+    // `acc` no longer holds the bytes above this node: restart the scan.
+    if (node->match_level.load(std::memory_order_relaxed) != depth) return false;
     const int plen = node->prefix_len.load(std::memory_order_relaxed);
     const uint64_t pword = node->prefix_word.load(std::memory_order_relaxed);
-    Key folded = acc;
-    for (int i = 0; i < plen; ++i) {
-      const int pos = depth + i;
-      folded &= ~(Key{0xFF} << (8 * (kKeyBytes - 1 - pos)));
-      folded |= Key{Node::PrefixByte(pword, i)} << (8 * (kKeyBytes - 1 - pos));
-    }
     const int branch_depth = depth + plen;
-    uint8_t bytes[256];
-    Node* children[256];
-    const int cnt = CollectEntries(node, bytes, children);
-    node->CheckOrRestart(v, &restart);
-    if (restart) {
-      ++(*restarts);
-      if (*restarts > 1024) return false;
-      continue;  // re-read this node
+    // Only a torn read (a merge in flight) branches past the last key byte.
+    if (branch_depth >= kKeyBytes) return false;
+    // Fold the compressed path into the key bytes above the branch depth.
+    const Key above = BytesAbove(branch_depth);
+    const Key folded =
+        (acc & BytesAbove(depth)) | ((pword >> (8 * depth)) & above & ~BytesAbove(depth));
+    // Child-byte window: a subtree equal to lo's (hi's) bytes so far starts
+    // (ends) at lo's (hi's) next byte; one wholly outside [lo, hi] is empty.
+    int cnt = 0;
+    if (folded >= (lo & above) && folded <= (hi & above)) {
+      const uint8_t blo = folded == (lo & above) ? KeyByte(lo, branch_depth) : 0;
+      const uint8_t bhi = folded == (hi & above) ? KeyByte(hi, branch_depth) : 0xFF;
+      if (blo <= bhi) cnt = CollectEntries(node, bytes, children, blo, bhi);
     }
-    const size_t checkpoint = out->size();
+    node->CheckOrRestart(v, &restart);
+    if (restart) continue;  // re-read this node
     const int shift = 8 * (kKeyBytes - 1 - branch_depth);
-    const Key low_mask =
-        branch_depth + 1 >= kKeyBytes ? 0 : (Key{1} << (8 * (kKeyBytes - 1 - branch_depth))) - 1;
     for (int i = 0; i < cnt; ++i) {
       if (out->size() >= max_items) return true;
       Node* c = children[i];
       if (IsLeaf(c)) {
+        // Only the window's edge bytes can hold keys outside [lo, hi].
         const Leaf* leaf = ToLeaf(c);
         const Key k = leaf->key;
         if (k >= lo && k <= hi) {
@@ -1001,17 +1014,8 @@ bool ArtTree::ScanCollect(const Node* node, Key acc, Key lo, Key hi, size_t max_
         }
         continue;
       }
-      // Child subtree spans [child_acc, child_acc | low_mask]; prune it
-      // against the query window (children are byte-ordered, so subtrees
-      // beyond hi end the loop).
-      Key child_acc = folded & ~(Key{0xFF} << shift);
-      child_acc |= Key{bytes[i]} << shift;
-      const Key sub_lo = child_acc;
-      const Key sub_hi = child_acc | low_mask;
-      if (sub_hi < lo) continue;
-      if (sub_lo > hi) break;
-      if (!ScanCollect(c, child_acc, lo, hi, max_items, out, restarts)) {
-        out->resize(checkpoint);
+      if (!ScanCollect(c, branch_depth + 1, folded | (Key{bytes[i]} << shift), lo, hi,
+                       max_items, out)) {
         return false;
       }
     }
@@ -1021,31 +1025,23 @@ bool ArtTree::ScanCollect(const Node* node, Key acc, Key lo, Key hi, size_t max_
 
 size_t ArtTree::Scan(Key lo, size_t max_items,
                      std::vector<std::pair<Key, Value>>* out) const {
-  ALT_ASSERT_EPOCH_PINNED("ArtTree::Scan", epoch_);
-  if (max_items == 0) return 0;
-  for (;;) {
-    out->clear();
-    int restarts = 0;
-    // Children are visited in byte order, so collection is ascending; the
-    // sort below is a cheap safety net against torn-but-validated orders.
-    if (ScanCollect(root_, 0, lo, ~Key{0}, max_items, out, &restarts)) {
-      std::sort(out->begin(), out->end());
-      if (out->size() > max_items) out->resize(max_items);
-      return out->size();
-    }
-  }
+  return RangeQuery(lo, ~Key{0}, out, max_items);
 }
 
-size_t ArtTree::RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out) const {
+size_t ArtTree::RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
+                           size_t max_items) const {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::RangeQuery", epoch_);
-  for (;;) {
-    out->clear();
-    int restarts = 0;
-    if (ScanCollect(root_, 0, lo, hi, ~size_t{0}, out, &restarts)) {
-      std::sort(out->begin(), out->end());
-      return out->size();
-    }
-  }
+  out->clear();
+  if (lo > hi || max_items == 0) return 0;
+  // Children are visited in byte order and each node's window is collected
+  // under one validated version, so the result is ascending without a sort.
+  while (!ScanCollect(root_, 0, 0, lo, hi, max_items, out)) out->clear();
+  ALT_DEBUG_CHECK(std::adjacent_find(out->begin(), out->end(),
+                                     [](const auto& a, const auto& b) {
+                                       return a.first >= b.first;
+                                     }) == out->end(),
+                  "art-scan", "scan result not strictly ascending", this);
+  return out->size();
 }
 
 // ---- Structure utilities ----------------------------------------------------

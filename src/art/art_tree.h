@@ -140,8 +140,11 @@ class ArtTree {
   /// Collect up to `max_items` pairs with key >= lo in ascending order.
   size_t Scan(Key lo, size_t max_items, std::vector<std::pair<Key, Value>>* out) const;
 
-  /// Collect all pairs with lo <= key <= hi in ascending order.
-  size_t RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out) const;
+  /// Collect the first `max_items` pairs with lo <= key <= hi, ascending.
+  /// Only the children whose byte window can hold keys in [lo, hi] are read
+  /// (DESIGN.md §12.6).
+  size_t RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
+                    size_t max_items = ~size_t{0}) const;
 
   /// Deepest node whose subtree contains the whole range [lo, hi].
   /// Quiescent-only (used while building the fast pointer buffer).
@@ -199,8 +202,11 @@ class ArtTree {
   // Same restart-validated OLC escape as InsertImpl above.
   OpResult RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_PATH;
 
-  bool ScanCollect(const Node* node, Key acc, Key lo, Key hi, size_t max_items,
-                   std::vector<std::pair<Key, Value>>* out, int* restarts) const;
+  // Appends `node`'s in-window pairs to *out. `depth` is the match_level the
+  // parent's branch implies and `acc` holds the key bytes above it. \return
+  // false when the scan must restart from the root.
+  bool ScanCollect(const Node* node, int depth, Key acc, Key lo, Key hi,
+                   size_t max_items, std::vector<std::pair<Key, Value>>* out) const;
 
   Node* root_;  // fixed Node256, never replaced, never obsolete
   EpochManager* epoch_;  // resolved at construction, never null

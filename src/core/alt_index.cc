@@ -973,11 +973,30 @@ size_t AltIndex::Scan(Key start, size_t count,
                       std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
+  ScanRange(start, ~Key{0}, count, out);
+  if (out->empty()) metrics::Inc(Counter::kEmptyScans);
+  return out->size();
+}
+
+size_t AltIndex::RangeQuery(Key lo, Key hi,
+                            std::vector<std::pair<Key, Value>>* out) const {
+  out->clear();
+  if (hi < lo) return 0;
+  return ScanRange(lo, hi, ~size_t{0}, out);
+}
+
+size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
+                           std::vector<std::pair<Key, Value>>* out) const {
   EpochGuard g(*epoch_);
   metrics::Inc(Counter::kScanOps);
 
+  // Sized once, so neither a retry nor a typical (<= kScanReserve) scan
+  // reallocates; an unbounded `limit` must not reserve unboundedly.
+  constexpr size_t kScanReserve = 256;
   std::vector<std::pair<Key, Value>> learned;
   std::vector<std::pair<Key, Value>> art_items;
+  learned.reserve(std::min(limit, kScanReserve));
+  art_items.reserve(std::min(limit, kScanReserve));
   for (;;) {
     // Write-back seqlock read side: a concurrent ART→slot write-back could
     // move a key out of ART after its (EMPTY) slot was already collected,
@@ -993,24 +1012,25 @@ size_t AltIndex::Scan(Key start, size_t count,
     art_items.clear();
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
     const size_t num_models = snap->first_keys.size();
-    for (size_t i = ModelDirectory::Locate(*snap, start);
-         i < num_models && learned.size() < count; ++i) {
+    for (size_t i = ModelDirectory::Locate(*snap, lo);
+         i < num_models && learned.size() < limit; ++i) {
+      if (snap->first_keys[i] > hi) break;
       GplModel* model = snap->models[i].load(std::memory_order_acquire);
       const size_t before = learned.size();
-      model->CollectRange(start, ~Key{0}, &learned, count);
+      model->CollectRange(lo, hi, &learned, limit);
       bool expanded = false;
       // Walk the whole §III-F expansion chain, not just one level: under
       // churn the temporal buffer may itself be expanding (its old slots are
       // marked kMigrated, so they no longer show up as occupied), and a
       // one-level walk would skip every key already migrated to the second
       // level. The chain passes also run uncapped — their `limit` counts
-      // pairs appended per call, so a `count` cap would drop migrated keys
-      // inside the window whenever a buffer holds more than `count`
-      // residents; cost is bounded by the chain's residents, and excess is
-      // truncated downstream.
+      // pairs appended per call, so a cap would drop migrated keys inside
+      // the window whenever a buffer holds more than `limit` residents; cost
+      // is bounded by the chain's residents, and excess is truncated
+      // downstream.
       for (Expansion* e = model->expansion(); e != nullptr;
            e = e->new_model->expansion()) {
-        e->new_model->CollectRange(start, ~Key{0}, &learned);
+        e->new_model->CollectRange(lo, hi, &learned);
         expanded = true;
       }
       if (expanded) {
@@ -1021,64 +1041,15 @@ size_t AltIndex::Scan(Key start, size_t count,
       }
     }
     // Keys in the learned layer are slot-ordered per model and models are
-    // disjoint and ascending, so `learned` is sorted.
-    const Key hi = learned.size() >= count ? learned[count - 1].first : ~Key{0};
+    // disjoint and ascending, so `learned` is sorted. Once it holds `limit`
+    // keys, ART keys past the limit-th one cannot reach the merged result.
+    const Key art_hi = learned.size() >= limit ? learned[limit - 1].first : hi;
 
-    art_.RangeQuery(start, hi, &art_items);
+    art_.RangeQuery(lo, art_hi, &art_items, limit);
     if (write_back_gen_.load(std::memory_order_acquire) == wb_gen) break;
   }
 
-  MergePairs(learned, art_items, count, out);
-  if (out->empty()) metrics::Inc(Counter::kEmptyScans);
-  return out->size();
-}
-
-size_t AltIndex::RangeQuery(Key lo, Key hi,
-                            std::vector<std::pair<Key, Value>>* out) const {
-  out->clear();
-  if (hi < lo) return 0;
-  EpochGuard g(*epoch_);
-  metrics::Inc(Counter::kScanOps);
-
-  std::vector<std::pair<Key, Value>> learned;
-  std::vector<std::pair<Key, Value>> art_items;
-  for (;;) {
-    // See Scan: validate the composite models∪ART read against concurrent
-    // ART→slot write-backs.
-    const uint64_t wb_gen = write_back_gen_.load(std::memory_order_acquire);
-    if (write_backs_active_.load(std::memory_order_acquire) != 0) {
-      CpuRelax();
-      continue;
-    }
-    learned.clear();
-    art_items.clear();
-    const ModelDirectory::Snapshot* snap = directory_.snapshot();
-    const size_t num_models = snap->first_keys.size();
-    for (size_t i = ModelDirectory::Locate(*snap, lo); i < num_models; ++i) {
-      if (snap->first_keys[i] > hi) break;
-      GplModel* model = snap->models[i].load(std::memory_order_acquire);
-      const size_t before = learned.size();
-      model->CollectRange(lo, hi, &learned);
-      bool expanded = false;
-      // See Scan: follow the whole expansion chain or keys migrated past the
-      // first temporal buffer are silently dropped.
-      for (Expansion* e = model->expansion(); e != nullptr;
-           e = e->new_model->expansion()) {
-        e->new_model->CollectRange(lo, hi, &learned);
-        expanded = true;
-      }
-      if (expanded) {
-        std::sort(learned.begin() + static_cast<ptrdiff_t>(before), learned.end());
-        // See Scan: drop the second copy of keys caught mid-migration.
-        DedupeSortedTail(&learned, before);
-      }
-    }
-
-    art_.RangeQuery(lo, hi, &art_items);
-    if (write_back_gen_.load(std::memory_order_acquire) == wb_gen) break;
-  }
-
-  MergePairs(learned, art_items, ~size_t{0}, out);
+  MergePairs(learned, art_items, limit, out);
   return out->size();
 }
 

@@ -101,55 +101,6 @@ class AltIndex {
   /// Approximate live key count (maintained with relaxed counters).
   size_t Size() const { return size_.load(std::memory_order_relaxed); }
 
-  /// \brief Forward cursor over the merged key space (batched on top of
-  /// Scan). Not a stable snapshot: concurrent inserts/removes may or may not
-  /// appear, but keys arrive in strictly ascending order and each observed
-  /// (key, value) pair was live at some point during the iteration.
-  ///
-  ///   AltIndex::Iterator it(index);
-  ///   for (it.Seek(lo); it.Valid() && it.key() <= hi; it.Next()) { ... }
-  class Iterator {
-   public:
-    explicit Iterator(const AltIndex& index) : index_(&index) {}
-
-    /// Position at the first key >= `key`.
-    void Seek(Key key) {
-      exhausted_ = false;
-      Refill(key);
-    }
-
-    bool Valid() const { return pos_ < batch_.size(); }
-    Key key() const { return batch_[pos_].first; }
-    Value value() const { return batch_[pos_].second; }
-
-    void Next() {
-      if (++pos_ >= batch_.size() && !exhausted_) {
-        const Key last = batch_.empty() ? 0 : batch_.back().first;
-        if (last == ~Key{0}) {
-          exhausted_ = true;
-          batch_.clear();
-          pos_ = 0;
-          return;
-        }
-        Refill(last + 1);
-      }
-    }
-
-   private:
-    static constexpr size_t kBatch = 128;
-
-    void Refill(Key from) {
-      index_->Scan(from, kBatch, &batch_);
-      pos_ = 0;
-      if (batch_.size() < kBatch) exhausted_ = true;
-    }
-
-    const AltIndex* index_;
-    std::vector<std::pair<Key, Value>> batch_;
-    size_t pos_ = 0;
-    bool exhausted_ = true;
-  };
-
   /// Structural / behavioural statistics. Quiescent-only.
   struct Stats {
     size_t num_models = 0;          ///< GPL models in the directory
@@ -246,6 +197,11 @@ class AltIndex {
 
   bool LookupInternal(Key key, Value* out,
                       ServedBy* served = nullptr) const ALT_REQUIRES_EPOCH;
+
+  /// The one collection core behind Scan and RangeQuery: the first `limit`
+  /// pairs with lo <= key <= hi, merged across both layers (pins the epoch).
+  size_t ScanRange(Key lo, Key hi, size_t limit,
+                   std::vector<std::pair<Key, Value>>* out) const;
 
   /// Batched read path internals (defined in lookup_batch.cc).
   struct BatchCursor;

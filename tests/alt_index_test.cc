@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "core/alt_index.h"
 #include "datasets/dataset.h"
+#include "shard/merge_iterator.h"
 
 namespace alt {
 namespace {
@@ -307,6 +308,65 @@ TEST_F(AltIndexTest, RangeQueryInclusiveBounds) {
   EXPECT_EQ(index.RangeQuery(1000, 500, &out), 0u);  // inverted range
 }
 
+// Scan counts 0, 1 and SIZE_MAX and the full RangeQuery against the loaded
+// set, before, during and after §III-F expansions.
+TEST_F(AltIndexTest, ScanCountEdgesAndFullRangeAcrossExpansion) {
+  AltOptions opts;
+  opts.retrain_trigger_ratio = 0.5;
+  opts.gap_factor = 1.2;  // dense: conflicts put keys in ART too
+  AltIndex index(opts);
+  constexpr Key kBulk = 10000;
+  std::vector<Key> oracle;
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 0; k < kBulk; ++k) {
+    pairs.emplace_back(k * 8, ValueFor(k * 8));
+    oracle.push_back(k * 8);
+  }
+  ASSERT_TRUE(index.BulkLoad(pairs).ok());
+
+  std::vector<std::pair<Key, Value>> out;
+  auto check = [&](const char* phase) {
+    std::sort(oracle.begin(), oracle.end());
+    auto same_as_suffix = [&](size_t from) {
+      if (out.size() != oracle.size() - from) return false;
+      for (size_t i = 0; i < out.size(); ++i) {
+        if (out[i].first != oracle[from + i] || out[i].second != ValueFor(oracle[from + i])) {
+          return false;
+        }
+      }
+      return true;
+    };
+    EXPECT_EQ(index.Scan(0, 0, &out), 0u) << phase;
+    EXPECT_TRUE(out.empty()) << phase;
+    const size_t mid = oracle.size() / 2;
+    ASSERT_EQ(index.Scan(oracle[mid] - 1, 1, &out), 1u) << phase;
+    EXPECT_EQ(out[0].first, oracle[mid]) << phase;
+    EXPECT_EQ(index.Scan(0, SIZE_MAX, &out), oracle.size()) << phase;
+    EXPECT_TRUE(same_as_suffix(0)) << phase;
+    EXPECT_EQ(index.Scan(oracle[mid], SIZE_MAX, &out), oracle.size() - mid) << phase;
+    EXPECT_TRUE(same_as_suffix(mid)) << phase;
+    EXPECT_EQ(index.RangeQuery(0, ~Key{0}, &out), oracle.size()) << phase;
+    EXPECT_TRUE(same_as_suffix(0)) << phase;
+  };
+  check("bulk-loaded");
+
+  bool saw_expanding = false;
+  for (Key k = 0; k < kBulk; ++k) {
+    for (Key d = 2; d <= 6; d += 2) {
+      ASSERT_TRUE(index.Insert(k * 8 + d, ValueFor(k * 8 + d)));
+      oracle.push_back(k * 8 + d);
+    }
+    if (!saw_expanding && k % 50 == 0 &&
+        index.CollectStructuralStats().expanding_models > 0) {
+      saw_expanding = true;
+      check("mid-expansion");
+    }
+  }
+  ASSERT_TRUE(saw_expanding) << "the inserts must leave an expansion in flight";
+  ASSERT_GT(index.CollectStats().retrain_finished, 0u);
+  check("after expansions");
+}
+
 // ---------------------------------------------------------------------------
 // Option ablations
 // ---------------------------------------------------------------------------
@@ -416,53 +476,60 @@ TEST_F(AltIndexTest, KeyZeroIsALegalKey) {
 }
 
 
-TEST_F(AltIndexTest, IteratorWalksEverything) {
+// The batched scan cursor (shard::AltIndexScanCursor, also the per-shard
+// source of the cross-shard merge) over a single index.
+TEST_F(AltIndexTest, ScanCursorWalksEverything) {
   AltIndex index;
   auto keys = GenerateKeys(Dataset::kFb, 20000, 3);
   auto pairs = MakePairs(keys);
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  AltIndex::Iterator it(index);
+  shard::AltIndexScanCursor cursor(&index, 0);
+  std::pair<Key, Value> kv;
   size_t i = 0;
-  for (it.Seek(0); it.Valid(); it.Next(), ++i) {
+  for (; cursor.Next(&kv); ++i) {
     ASSERT_LT(i, keys.size());
-    ASSERT_EQ(it.key(), keys[i]);
-    ASSERT_EQ(it.value(), ValueFor(keys[i]));
+    ASSERT_EQ(kv.first, keys[i]);
+    ASSERT_EQ(kv.second, ValueFor(keys[i]));
   }
   EXPECT_EQ(i, keys.size());
 }
 
-TEST_F(AltIndexTest, IteratorSeekMidAndBounded) {
+TEST_F(AltIndexTest, ScanCursorSeekMidAndBounded) {
   AltIndex index;
   std::vector<std::pair<Key, Value>> pairs;
   for (Key k = 0; k < 3000; ++k) pairs.emplace_back(k * 5, k);
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  AltIndex::Iterator it(index);
-  // Seek between keys lands on the next one.
-  it.Seek(501);
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.key(), 505u);
+  std::pair<Key, Value> kv;
+  // Starting between keys lands on the next one.
+  shard::AltIndexScanCursor mid(&index, 501);
+  ASSERT_TRUE(mid.Next(&kv));
+  EXPECT_EQ(kv.first, 505u);
   // Bounded walk.
   size_t n = 0;
-  for (it.Seek(1000); it.Valid() && it.key() <= 2000; it.Next()) ++n;
+  shard::AltIndexScanCursor bounded(&index, 1000);
+  while (bounded.Next(&kv) && kv.first <= 2000) ++n;
   EXPECT_EQ(n, 201u);  // 1000, 1005, ..., 2000
-  // Seek past the end.
-  it.Seek(3000 * 5);
-  EXPECT_FALSE(it.Valid());
+  // Starting past the end.
+  shard::AltIndexScanCursor past(&index, 3000 * 5);
+  EXPECT_FALSE(past.Next(&kv));
 }
 
-TEST_F(AltIndexTest, IteratorCrossesModelAndLayerBoundaries) {
+TEST_F(AltIndexTest, ScanCursorCrossesModelAndLayerBoundaries) {
   AltIndex index;
   auto keys = GenerateKeys(Dataset::kLonglat, 30000, 9);
   auto pairs = MakePairs(keys);
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
   // Mutate: remove some, insert others, so both layers contribute.
   for (size_t i = 0; i < keys.size(); i += 9) index.Remove(keys[i]);
-  AltIndex::Iterator it(index);
+  shard::AltIndexScanCursor cursor(&index, 0);
+  std::pair<Key, Value> kv;
   Key prev = 0;
   size_t count = 0;
-  for (it.Seek(0); it.Valid(); it.Next()) {
-    if (count > 0) ASSERT_GT(it.key(), prev);
-    prev = it.key();
+  while (cursor.Next(&kv)) {
+    if (count > 0) {
+      ASSERT_GT(kv.first, prev);
+    }
+    prev = kv.first;
     ++count;
   }
   EXPECT_EQ(count, index.Size());

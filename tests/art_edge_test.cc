@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <map>
+#include <thread>
 #include <vector>
 
 #include "art/art_tree.h"
@@ -203,6 +208,167 @@ TEST_F(ArtEdgeTest, RangeQueryTightWindows) {
   EXPECT_EQ(tree.RangeQuery(5001, 5999, &out), 0u);       // between keys
   EXPECT_EQ(tree.RangeQuery(0, 0, &out), 1u);             // smallest key
   EXPECT_EQ(tree.RangeQuery(999000, ~Key{0}, &out), 1u);  // largest key
+}
+
+// Ranged collection against a std::map oracle. The tree holds all four node
+// types, compressed paths that diverge from the query bounds (subtrees wholly
+// below lo or above hi), and leaves that differ only in the last byte.
+TEST_F(ArtEdgeTest, RangedCollectionMatchesMapOracle) {
+  ArtTree tree;
+  EpochGuard g;
+  std::map<Key, Value> oracle;
+  Rng rng(42);
+  auto add = [&](Key k) {
+    if (oracle.emplace(k, k ^ 0x5A5A).second) tree.Insert(k, k ^ 0x5A5A);
+  };
+  // A cluster fixes the bytes of `base` above a branch position chosen up
+  // to three bytes below `depth` (the skipped bytes become a compressed
+  // path), then fans out there with a fanout sized for one node type. Some
+  // branches nest a further cluster.
+  const uint64_t kFanouts[][2] = {{2, 4}, {5, 16}, {17, 48}, {49, 256}};
+  std::function<void(Key, int, int)> cluster = [&](Key base, int depth, int levels) {
+    const int pos = std::min(kKeyBytes - 1, depth + static_cast<int>(rng.NextBounded(4)));
+    const int shift = 8 * (kKeyBytes - 1 - pos);
+    const auto& f = kFanouts[rng.NextBounded(4)];
+    const uint64_t fan = f[0] + rng.NextBounded(f[1] - f[0] + 1);
+    const uint64_t stride = 256 / fan;
+    for (uint64_t i = 0; i < fan; ++i) {
+      const Key k = (base & ~(Key{0xFF} << shift)) | (Key{i * stride} << shift);
+      if (pos + 1 < kKeyBytes && levels > 0 && rng.NextBounded(6) == 0) {
+        const Key low = shift == 0 ? 0 : (Key{1} << shift) - 1;
+        cluster((k & ~low) | (rng.Next() & low), pos + 1, levels - 1);
+      } else {
+        add(k);
+      }
+    }
+  };
+  for (int c = 0; c < 24; ++c) cluster(rng.Next(), 1, 2);
+  // Keys that differ only in the last byte, next to a cluster.
+  const Key tail_base = oracle.begin()->first & ~Key{0xFF};
+  for (Key b = 0; b < 256; b += 5) add(tail_base | b);
+  // Removals merge nodes, concatenating prefixes, and shrink fanouts.
+  for (auto it = oracle.begin(); it != oracle.end();) {
+    if (rng.NextBounded(5) == 0) {
+      ASSERT_TRUE(tree.Remove(it->first));
+      it = oracle.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  const auto stats = tree.CollectStats();
+  ASSERT_GT(stats.n4, 0u);
+  ASSERT_GT(stats.n16, 0u);
+  ASSERT_GT(stats.n48, 0u);
+  ASSERT_GT(stats.n256, 1u) << "a Node256 besides the root";
+  ASSERT_EQ(tree.Size(), oracle.size());
+
+  // Bounds: leaf keys and their neighbours, the extremes, random keys, and
+  // keys that leave a leaf's path at some byte (one up with the lower bytes
+  // cleared, one down with them set, or one bit flipped), so whole subtrees,
+  // some behind compressed prefixes, fall outside the window.
+  std::vector<Key> leaves;
+  for (const auto& kv : oracle) leaves.push_back(kv.first);
+  auto bound = [&]() -> Key {
+    const Key k = leaves[rng.NextBounded(leaves.size())];
+    const int pos = 1 + static_cast<int>(rng.NextBounded(kKeyBytes - 1));
+    const int shift = 8 * (kKeyBytes - 1 - pos);
+    const Key low = shift == 0 ? 0 : (Key{1} << shift) - 1;
+    switch (rng.NextBounded(8)) {
+      case 0: return k;
+      case 1: return k + 1;
+      case 2: return k - 1;
+      case 3: return rng.Next();
+      case 4: return rng.NextBounded(2) == 0 ? 0 : ~Key{0};
+      case 5: return ((k & ~low) + (Key{1} << shift)) & ~low;
+      case 6: return ((k & ~low) - (Key{1} << shift)) | low;
+      default: return k ^ (Key{1} << (8 * (kKeyBytes - 1) - 8 * pos));
+    }
+  };
+  std::vector<std::pair<Key, Value>> out, expect;
+  auto expect_range = [&](Key lo, Key hi, size_t max_items) {
+    expect.clear();
+    if (lo > hi) return;
+    for (auto it = oracle.lower_bound(lo);
+         it != oracle.end() && it->first <= hi && expect.size() < max_items; ++it) {
+      expect.emplace_back(*it);
+    }
+  };
+  const size_t kLimits[] = {0, 1, 7, 100, SIZE_MAX};
+  for (int q = 0; q < 300; ++q) {
+    Key lo = bound();
+    Key hi = q % 10 == 0 ? lo : bound();  // lo == hi; otherwise either order
+    if (q % 25 == 0) {
+      lo = 0;
+      hi = ~Key{0};
+    }
+    expect_range(lo, hi, SIZE_MAX);
+    tree.RangeQuery(lo, hi, &out);
+    ASSERT_EQ(out, expect) << std::hex << "RangeQuery " << lo << " " << hi;
+    for (size_t limit : kLimits) {
+      expect_range(lo, ~Key{0}, limit);
+      tree.Scan(lo, limit, &out);
+      ASSERT_EQ(out, expect) << std::hex << "Scan " << lo << " limit " << std::dec << limit;
+      expect_range(lo, hi, limit);
+      tree.RangeQuery(lo, hi, &out, limit);
+      ASSERT_EQ(out, expect) << std::hex << "RangeQuery " << lo << " " << hi << " limit "
+                             << std::dec << limit;
+    }
+  }
+}
+
+// A prefix split (insert diverging inside a compressed path) or merge
+// (remove leaving one child) rewrites a node's match_level and prefix in
+// place. A scanner that validated the parent and then entered the moved child
+// without noticing would fold the wrong key bytes and prune whole subtrees of
+// keys that are present throughout.
+TEST_F(ArtEdgeTest, RangeScanRacingPrefixSplitKeepsStableKeys) {
+  ArtTree tree;
+  std::vector<Key> stable;
+  for (Key a : {Key{0x10}, Key{0x20}}) {
+    for (Key b = 0; b < 8; ++b) stable.push_back(0x0011223344551000ULL | (a << 8) | b);
+  }
+  std::sort(stable.begin(), stable.end());
+  {
+    EpochGuard g;
+    for (Key k : stable) ASSERT_TRUE(tree.Insert(k, k));
+  }
+  // Diverges from the stable keys' shared path at byte 3, so each insert
+  // splits the node holding bytes 1..5 and each remove merges it back.
+  const Key racer = 0x0011229900000000ULL;
+  const Key lo = 0x0011223344550000ULL;
+  const Key hi = 0x00112233445FFFFFULL;
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EpochGuard g;
+      tree.Insert(racer, 1);
+      tree.Remove(racer);
+    }
+  });
+  size_t range_misses = 0, scan_misses = 0, rounds = 0;
+  std::vector<std::pair<Key, Value>> out;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (std::chrono::steady_clock::now() < deadline) {
+    EpochGuard g;
+    tree.RangeQuery(lo, hi, &out);
+    if (out.size() != stable.size()) ++range_misses;
+    tree.Scan(lo, stable.size(), &out);
+    if (out.size() != stable.size()) {
+      ++scan_misses;
+    } else {
+      for (size_t i = 0; i < stable.size(); ++i) {
+        if (out[i].first != stable[i]) {
+          ++scan_misses;
+          break;
+        }
+      }
+    }
+    ++rounds;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(range_misses, 0u) << "of " << rounds << " RangeQuery calls";
+  EXPECT_EQ(scan_misses, 0u) << "of " << rounds << " Scan calls";
 }
 
 // ---------------------------------------------------------------------------
