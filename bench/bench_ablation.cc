@@ -80,12 +80,12 @@ int main(int argc, char** argv) {
     std::vector<Value> vals(setup.loaded.size());
     for (size_t i = 0; i < vals.size(); ++i) vals[i] = ValueFor(setup.loaded[i]);
     probe.BulkLoad(setup.loaded.data(), vals.data(), setup.loaded.size());
-    const auto st = probe.CollectStats();
+    const auto st = probe.CollectStructuralStats();
     PrintRow({Fmt(gap, 1), Fmt(r.throughput_mops),
               Fmt(static_cast<double>(st.art_keys) /
-                      static_cast<double>(st.art_keys + st.learned_layer_keys),
+                      static_cast<double>(st.art_keys + st.learned_layer_keys()),
                   3),
-              Fmt(static_cast<double>(st.memory_bytes) /
+              Fmt(static_cast<double>(st.total_bytes) /
                       static_cast<double>(setup.loaded.size()),
                   1)});
   }

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     std::vector<Value> vals(setup.loaded.size());
     for (size_t i = 0; i < vals.size(); ++i) vals[i] = ValueFor(setup.loaded[i]);
     index.BulkLoad(setup.loaded.data(), vals.data(), setup.loaded.size());
-    const auto st = index.CollectStats();
+    const auto st = index.CollectStructuralStats();
     const double reduction =
         st.fast_pointer_adds > 0
             ? 1.0 - static_cast<double>(st.fast_pointers) /
@@ -71,10 +71,10 @@ int main(int argc, char** argv) {
     std::vector<Value> vals(setup.loaded.size());
     for (size_t i = 0; i < vals.size(); ++i) vals[i] = ValueFor(setup.loaded[i]);
     index.BulkLoad(setup.loaded.data(), vals.data(), setup.loaded.size());
-    const auto st = index.CollectStats();
-    const double total = static_cast<double>(st.learned_layer_keys + st.art_keys);
+    const auto st = index.CollectStructuralStats();
+    const double total = static_cast<double>(st.learned_layer_keys() + st.art_keys);
     PrintRow({DatasetName(d),
-              Fmt(100.0 * static_cast<double>(st.learned_layer_keys) / total, 1),
+              Fmt(100.0 * static_cast<double>(st.learned_layer_keys()) / total, 1),
               Fmt(100.0 * static_cast<double>(st.art_keys) / total, 1),
               std::to_string(st.num_models)});
   }

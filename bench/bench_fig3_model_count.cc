@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
     std::vector<Value> vals(setup.loaded.size());
     for (size_t i = 0; i < vals.size(); ++i) vals[i] = ValueFor(setup.loaded[i]);
     probe.BulkLoad(setup.loaded.data(), vals.data(), setup.loaded.size());
-    const auto st = probe.CollectStats();
+    const auto st = probe.CollectStructuralStats();
     const double share = static_cast<double>(st.art_keys) /
-                         static_cast<double>(st.art_keys + st.learned_layer_keys);
+                         static_cast<double>(st.art_keys + st.learned_layer_keys());
     PrintRow({Fmt(eps, 0), Fmt(r.throughput_mops), std::to_string(st.num_models),
               Fmt(share, 3)});
   }

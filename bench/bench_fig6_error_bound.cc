@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       std::vector<Value> vals(setup.loaded.size());
       for (size_t i = 0; i < vals.size(); ++i) vals[i] = ValueFor(setup.loaded[i]);
       index.BulkLoad(setup.loaded.data(), vals.data(), setup.loaded.size());
-      row.push_back(std::to_string(index.CollectStats().num_models));
+      row.push_back(std::to_string(index.CollectStructuralStats().num_models));
     }
     PrintRow(row);
   }

@@ -51,9 +51,11 @@ int main() {
   index.Lookup(fresh, &v);
   std::printf("after update, value = %llu\n", static_cast<unsigned long long>(v));
 
-  // 6. Upsert either inserts or overwrites.
-  std::printf("upsert existing -> %s\n",
-              index.Upsert(fresh, 43) ? "inserted" : "updated");
+  // 6. Insert-or-overwrite: Insert refuses an existing key, Update then
+  //    overwrites it.
+  const bool inserted = index.Insert(fresh, 43);
+  if (!inserted) index.Update(fresh, 43);
+  std::printf("insert-or-overwrite existing -> %s\n", inserted ? "inserted" : "updated");
 
   // 7. Remove, and verify it is gone.
   index.Remove(fresh);
@@ -70,15 +72,15 @@ int main() {
   std::printf("\n");
 
   // 9. Peek inside: the hybrid two-layer structure (paper Fig. 10(c)).
-  const AltIndex::Stats stats = index.CollectStats();
+  const AltIndex::StructuralStats stats = index.CollectStructuralStats();
   std::printf(
       "\nstructure: %zu GPL models, %zu keys in the learned layer (%.1f%%), "
       "%zu conflict keys in ART-OPT,\n%zu fast pointers (merged from %zu), "
       "%.1f MB total\n",
-      stats.num_models, stats.learned_layer_keys,
-      100.0 * static_cast<double>(stats.learned_layer_keys) /
-          static_cast<double>(stats.learned_layer_keys + stats.art_keys),
+      stats.num_models, stats.learned_layer_keys(),
+      100.0 * static_cast<double>(stats.learned_layer_keys()) /
+          static_cast<double>(stats.learned_layer_keys() + stats.art_keys),
       stats.art_keys, stats.fast_pointers, stats.fast_pointer_adds,
-      static_cast<double>(stats.memory_bytes) / 1048576.0);
+      static_cast<double>(stats.total_bytes) / 1048576.0);
   return 0;
 }

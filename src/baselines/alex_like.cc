@@ -147,7 +147,7 @@ Status AlexLike::BulkLoad(const Key* keys, const Value* values, size_t n) {
   return Status::OK();
 }
 
-bool AlexLike::Lookup(Key key, Value* out) {
+bool AlexLike::Lookup(Key key, Value* out, ServedBy*) const {
   EpochGuard g;
   for (;;) {
     const auto* snap = dir_.snapshot();
@@ -173,7 +173,7 @@ bool AlexLike::Lookup(Key key, Value* out) {
 
 // Optimistic escape: per-node version locks are re-validated before any
 // observed state is trusted; a mismatch restarts the whole operation.
-bool AlexLike::Insert(Key key, Value value) ALT_OPTIMISTIC_PATH {
+bool AlexLike::Insert(Key key, Value value, ServedBy*) ALT_OPTIMISTIC_PATH {
   EpochGuard g;
   for (;;) {
     const auto* snap = dir_.snapshot();
@@ -309,7 +309,7 @@ void AlexLike::SplitNode(DataNode* node) ALT_OPTIMISTIC_PATH {
 }
 
 // Same version-validated restart loop as Insert.
-bool AlexLike::Update(Key key, Value value) ALT_OPTIMISTIC_PATH {
+bool AlexLike::Update(Key key, Value value, ServedBy*) ALT_OPTIMISTIC_PATH {
   EpochGuard g;
   for (;;) {
     const auto* snap = dir_.snapshot();
@@ -333,7 +333,7 @@ bool AlexLike::Update(Key key, Value value) ALT_OPTIMISTIC_PATH {
 }
 
 // Same version-validated restart loop as Insert.
-bool AlexLike::Remove(Key key) ALT_OPTIMISTIC_PATH {
+bool AlexLike::Remove(Key key, ServedBy*) ALT_OPTIMISTIC_PATH {
   EpochGuard g;
   for (;;) {
     const auto* snap = dir_.snapshot();
@@ -363,7 +363,7 @@ bool AlexLike::Remove(Key key) ALT_OPTIMISTIC_PATH {
 }
 
 size_t AlexLike::Scan(Key start, size_t count,
-                      std::vector<std::pair<Key, Value>>* out) {
+                      std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
   EpochGuard g;

@@ -15,28 +15,28 @@ Status ArtIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   return Status::OK();
 }
 
-bool ArtIndex::Lookup(Key key, Value* out) {
+bool ArtIndex::Lookup(Key key, Value* out, ServedBy*) const {
   EpochGuard g;
   return tree_.Lookup(key, out);
 }
 
-bool ArtIndex::Insert(Key key, Value value) {
+bool ArtIndex::Insert(Key key, Value value, ServedBy*) {
   EpochGuard g;
   return tree_.Insert(key, value);
 }
 
-bool ArtIndex::Update(Key key, Value value) {
+bool ArtIndex::Update(Key key, Value value, ServedBy*) {
   EpochGuard g;
   return tree_.Update(key, value);
 }
 
-bool ArtIndex::Remove(Key key) {
+bool ArtIndex::Remove(Key key, ServedBy*) {
   EpochGuard g;
   return tree_.Remove(key);
 }
 
 size_t ArtIndex::Scan(Key start, size_t count,
-                      std::vector<std::pair<Key, Value>>* out) {
+                      std::vector<std::pair<Key, Value>>* out) const {
   EpochGuard g;
   return tree_.Scan(start, count, out);
 }

@@ -13,12 +13,12 @@ class ArtIndex : public ConcurrentIndex {
   std::string Name() const override { return "ART"; }
 
   Status BulkLoad(const Key* keys, const Value* values, size_t n) override;
-  bool Lookup(Key key, Value* out) override;
-  bool Insert(Key key, Value value) override;
-  bool Update(Key key, Value value) override;
-  bool Remove(Key key) override;
+  bool Lookup(Key key, Value* out, ServedBy* served = nullptr) const override;
+  bool Insert(Key key, Value value, ServedBy* served = nullptr) override;
+  bool Update(Key key, Value value, ServedBy* served = nullptr) override;
+  bool Remove(Key key, ServedBy* served = nullptr) override;
   size_t Scan(Key start, size_t count,
-              std::vector<std::pair<Key, Value>>* out) override;
+              std::vector<std::pair<Key, Value>>* out) const override;
   size_t MemoryUsage() const override { return tree_.MemoryUsage(); }
   size_t Size() const override { return tree_.Size(); }
 

@@ -27,7 +27,7 @@ class BTreeIndex : public ConcurrentIndex {
     return Status::OK();
   }
 
-  bool Lookup(Key key, Value* out) override {
+  bool Lookup(Key key, Value* out, ServedBy* served = nullptr) const override {
     ReadLockGuard lock(mu_);
     auto it = map_.find(key);
     if (it == map_.end()) return false;
@@ -35,12 +35,12 @@ class BTreeIndex : public ConcurrentIndex {
     return true;
   }
 
-  bool Insert(Key key, Value value) override {
+  bool Insert(Key key, Value value, ServedBy* served = nullptr) override {
     WriteLockGuard lock(mu_);
     return map_.emplace(key, value).second;
   }
 
-  bool Update(Key key, Value value) override {
+  bool Update(Key key, Value value, ServedBy* served = nullptr) override {
     WriteLockGuard lock(mu_);
     auto it = map_.find(key);
     if (it == map_.end()) return false;
@@ -48,13 +48,13 @@ class BTreeIndex : public ConcurrentIndex {
     return true;
   }
 
-  bool Remove(Key key) override {
+  bool Remove(Key key, ServedBy* served = nullptr) override {
     WriteLockGuard lock(mu_);
     return map_.erase(key) > 0;
   }
 
   size_t Scan(Key start, size_t count,
-              std::vector<std::pair<Key, Value>>* out) override {
+              std::vector<std::pair<Key, Value>>* out) const override {
     ReadLockGuard lock(mu_);
     out->clear();
     for (auto it = map_.lower_bound(start); it != map_.end() && out->size() < count;

@@ -3,20 +3,20 @@
 #include <cstdlib>
 
 #include "baselines/alex_like.h"
-#include "baselines/alt_adapter.h"
 #include "baselines/art_index.h"
 #include "baselines/btree_index.h"
 #include "baselines/finedex_like.h"
 #include "baselines/lipp_like.h"
 #include "baselines/olc_btree.h"
 #include "baselines/xindex_like.h"
+#include "core/alt_index.h"
 #include "shard/sharded_alt_index.h"
 
 namespace alt {
 
 std::unique_ptr<ConcurrentIndex> MakeIndex(const std::string& name,
                                            const AltOptions& alt_options) {
-  if (name == "alt") return std::make_unique<AltIndexAdapter>(alt_options);
+  if (name == "alt") return std::make_unique<AltIndex>(alt_options);
   // "alt-shardedN" (e.g. alt-sharded4): range-partitioned sharded front-end
   // with N shards, each on its own epoch manager (src/shard/).
   if (name.rfind("alt-sharded", 0) == 0) {

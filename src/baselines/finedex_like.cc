@@ -108,7 +108,7 @@ FinedexLike::Bin::Slot* FinedexLike::FindInBins(Bin* head, Key key) {
   return nullptr;
 }
 
-bool FinedexLike::Lookup(Key key, Value* out) {
+bool FinedexLike::Lookup(Key key, Value* out, ServedBy*) const {
   Model* m = LocateModel(key);
   const size_t pos = m->LowerBound(key);
   if (pos < m->keys.size() && m->keys[pos] == key) {
@@ -126,7 +126,7 @@ bool FinedexLike::Lookup(Key key, Value* out) {
   return true;
 }
 
-bool FinedexLike::Insert(Key key, Value value) {
+bool FinedexLike::Insert(Key key, Value value, ServedBy*) {
   Model* m = LocateModel(key);
   const size_t pos = m->LowerBound(key);
   const bool in_array = pos < m->keys.size() && m->keys[pos] == key;
@@ -160,7 +160,7 @@ bool FinedexLike::Insert(Key key, Value value) {
   return true;
 }
 
-bool FinedexLike::Update(Key key, Value value) {
+bool FinedexLike::Update(Key key, Value value, ServedBy*) {
   Model* m = LocateModel(key);
   const size_t pos = m->LowerBound(key);
   if (pos < m->keys.size() && m->keys[pos] == key && !m->Tombstoned(pos)) {
@@ -174,7 +174,7 @@ bool FinedexLike::Update(Key key, Value value) {
   return true;
 }
 
-bool FinedexLike::Remove(Key key) {
+bool FinedexLike::Remove(Key key, ServedBy*) {
   Model* m = LocateModel(key);
   const size_t pos = m->LowerBound(key);
   SpinLockGuard lg(m->bin_locks[pos]);
@@ -208,7 +208,7 @@ void FinedexLike::CollectBins(Bin* head, Key lo, Key hi,
 }
 
 size_t FinedexLike::Scan(Key start, size_t count,
-                         std::vector<std::pair<Key, Value>>* out) {
+                         std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
   // Locate the starting model index.

@@ -74,7 +74,7 @@ Status LippLike::BulkLoad(const Key* keys, const Value* values, size_t n) {
   return Status::OK();
 }
 
-bool LippLike::Lookup(Key key, Value* out) {
+bool LippLike::Lookup(Key key, Value* out, ServedBy*) const {
   EpochGuard g;
 restart:
   Node* node = root_;
@@ -111,7 +111,7 @@ restart:
 
 // Optimistic escape: descent re-validates node versions and restarts on any
 // concurrent structure change (goto restart), under an EpochGuard.
-bool LippLike::Insert(Key key, Value value) ALT_OPTIMISTIC_PATH {
+bool LippLike::Insert(Key key, Value value, ServedBy*) ALT_OPTIMISTIC_PATH {
   EpochGuard g;
   int depth = 0;
 restart:
@@ -190,7 +190,7 @@ restart:
 }
 
 // Same version-validated restart descent as Insert.
-bool LippLike::Update(Key key, Value value) ALT_OPTIMISTIC_PATH {
+bool LippLike::Update(Key key, Value value, ServedBy*) ALT_OPTIMISTIC_PATH {
   EpochGuard g;
 restart:
   Node* node = root_;
@@ -235,7 +235,7 @@ restart:
 }
 
 // Same version-validated restart descent as Insert.
-bool LippLike::Remove(Key key) ALT_OPTIMISTIC_PATH {
+bool LippLike::Remove(Key key, ServedBy*) ALT_OPTIMISTIC_PATH {
   EpochGuard g;
 restart:
   Node* node = root_;
@@ -312,7 +312,7 @@ bool LippLike::ScanCollect(const Node* node, Key lo, size_t max_items,
 }
 
 size_t LippLike::Scan(Key start, size_t count,
-                      std::vector<std::pair<Key, Value>>* out) {
+                      std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
   EpochGuard g;

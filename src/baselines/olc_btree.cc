@@ -186,7 +186,7 @@ void OlcBTree::SplitChild(Inner* parent, uint64_t pv, Node* child, uint64_t cv,
 // Point operations
 // ---------------------------------------------------------------------------
 
-bool OlcBTree::Lookup(Key key, Value* out) {
+bool OlcBTree::Lookup(Key key, Value* out, ServedBy*) const {
   for (;;) {
     bool restart = false;
     uint64_t mv = meta_lock_.ReadLockOrRestart(&restart);
@@ -291,7 +291,7 @@ OlcBTree::Op OlcBTree::InsertImpl(Key key, Value value) ALT_OPTIMISTIC_PATH {
   return Op::kDone;
 }
 
-bool OlcBTree::Insert(Key key, Value value) {
+bool OlcBTree::Insert(Key key, Value value, ServedBy*) {
   for (;;) {
     const Op r = InsertImpl(key, value);
     if (r == Op::kDone) {
@@ -303,7 +303,7 @@ bool OlcBTree::Insert(Key key, Value value) {
 }
 
 // Same restart-validated OLC coupling as InsertImpl.
-bool OlcBTree::Update(Key key, Value value) ALT_OPTIMISTIC_PATH {
+bool OlcBTree::Update(Key key, Value value, ServedBy*) ALT_OPTIMISTIC_PATH {
   for (;;) {
     bool restart = false;
     uint64_t mv = meta_lock_.ReadLockOrRestart(&restart);
@@ -384,7 +384,7 @@ OlcBTree::Op OlcBTree::RemoveImpl(Key key) ALT_OPTIMISTIC_PATH {
   return Op::kDone;
 }
 
-bool OlcBTree::Remove(Key key) {
+bool OlcBTree::Remove(Key key, ServedBy*) {
   for (;;) {
     const Op r = RemoveImpl(key);
     if (r == Op::kDone) {
@@ -396,7 +396,7 @@ bool OlcBTree::Remove(Key key) {
 }
 
 size_t OlcBTree::Scan(Key start, size_t count,
-                      std::vector<std::pair<Key, Value>>* out) {
+                      std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
   Key resume = start;

@@ -132,7 +132,7 @@ XIndexLike::Group* XIndexLike::LocateGroup(Key key) const {
   return groups_[idx].get();
 }
 
-bool XIndexLike::Lookup(Key key, Value* out) {
+bool XIndexLike::Lookup(Key key, Value* out, ServedBy*) const {
   EpochGuard g;
   Group* grp = LocateGroup(key);
   {
@@ -151,7 +151,7 @@ bool XIndexLike::Lookup(Key key, Value* out) {
   return true;
 }
 
-bool XIndexLike::Insert(Key key, Value value) {
+bool XIndexLike::Insert(Key key, Value value, ServedBy*) {
   EpochGuard g;
   Group* grp = LocateGroup(key);
   WriteLockGuard lock(grp->buffer_mu);
@@ -170,7 +170,7 @@ bool XIndexLike::Insert(Key key, Value value) {
   return true;
 }
 
-bool XIndexLike::Update(Key key, Value value) {
+bool XIndexLike::Update(Key key, Value value, ServedBy*) {
   EpochGuard g;
   Group* grp = LocateGroup(key);
   WriteLockGuard lock(grp->buffer_mu);
@@ -188,7 +188,7 @@ bool XIndexLike::Update(Key key, Value value) {
   return true;
 }
 
-bool XIndexLike::Remove(Key key) {
+bool XIndexLike::Remove(Key key, ServedBy*) {
   EpochGuard g;
   Group* grp = LocateGroup(key);
   WriteLockGuard lock(grp->buffer_mu);
@@ -213,7 +213,7 @@ bool XIndexLike::Remove(Key key) {
 }
 
 size_t XIndexLike::Scan(Key start, size_t count,
-                        std::vector<std::pair<Key, Value>>* out) {
+                        std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
   EpochGuard g;

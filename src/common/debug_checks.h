@@ -6,10 +6,10 @@
 ///
 /// Two checkers live on top of these helpers (see DESIGN.md "Locking
 /// protocol"):
-///  - the *version-lock protocol checker* (version_lock.h, gpl_model.h,
-///    spinlock.h): detects unlock-without-lock, same-thread double-lock (which
-///    would otherwise spin forever), stale unlock tokens, and writer-side
-///    even/odd version publication mistakes;
+///  - the *version-lock protocol checker* (gpl_model.h, spinlock.h): detects
+///    unlock-without-lock, same-thread double-lock (which would otherwise spin
+///    forever), stale unlock tokens, and writer-side even/odd version
+///    publication mistakes;
 ///  - the *epoch-guard validator* (epoch.h): detects hot paths that
 ///    dereference epoch-retired-capable shared pointers outside an EpochGuard.
 ///
@@ -38,7 +38,7 @@ namespace debug {
 
 #if defined(ALT_DEBUG_CHECKS)
 
-/// Per-thread registry of version locks (SpinLock / SlotWord / SlotVersion)
+/// Per-thread registry of version locks (SpinLock / SlotWord)
 /// currently held by this thread. Critical sections in this codebase are a
 /// handful of stores, so the held set is tiny; linear scans are fine.
 struct HeldLockSet {

@@ -28,14 +28,23 @@ class ConcurrentIndex {
   /// Build from sorted, duplicate-free data.
   virtual Status BulkLoad(const Key* keys, const Value* values, size_t n) = 0;
 
+  // -- Point operations ------------------------------------------------------
+  //
+  // Each takes an optional path-attribution out-param (observability,
+  // DESIGN.md §9.2). Indexes with internal path structure (ALT-index: learned
+  // slot vs ART-OPT vs fast pointer vs expansion) write the terminal path that
+  // served the op through it; an index that does not attribute leaves
+  // *served untouched, so callers that want a tag preset it to kUnattributed.
+  // `served` may be null everywhere.
+
   /// \return true and set *out if `key` is present.
-  virtual bool Lookup(Key key, Value* out) = 0;
+  virtual bool Lookup(Key key, Value* out, ServedBy* served = nullptr) const = 0;
 
   /// Batched point lookups: found[i] is set for every key, out[i] only when
   /// found[i]. Indexes with a pipelined read path (ALT-index) override this;
   /// the default is the scalar loop, so every index accepts batched reads.
   /// \return the number of keys found.
-  virtual size_t LookupBatch(const Key* keys, size_t n, Value* out, bool* found) {
+  virtual size_t LookupBatch(const Key* keys, size_t n, Value* out, bool* found) const {
     size_t hits = 0;
     for (size_t i = 0; i < n; ++i) {
       found[i] = Lookup(keys[i], &out[i]);
@@ -45,39 +54,13 @@ class ConcurrentIndex {
   }
 
   /// \return false if the key already exists (no change).
-  virtual bool Insert(Key key, Value value) = 0;
+  virtual bool Insert(Key key, Value value, ServedBy* served = nullptr) = 0;
 
   /// Overwrite an existing key; \return false if absent.
-  virtual bool Update(Key key, Value value) = 0;
+  virtual bool Update(Key key, Value value, ServedBy* served = nullptr) = 0;
 
   /// \return true if the key was present.
-  virtual bool Remove(Key key) = 0;
-
-  // -- Path attribution (observability, DESIGN.md §9.2) ---------------------
-  //
-  // ServedBy-reporting variants of the four point operations. Indexes with
-  // internal path structure (ALT-index: learned slot vs ART-OPT vs fast
-  // pointer vs expansion) override these to tag each op with the terminal
-  // path that served it; the defaults delegate to the plain operation and
-  // report kUnattributed, so baselines need no changes and the runner can
-  // call the Served variants unconditionally.
-
-  virtual bool LookupServed(Key key, Value* out, ServedBy* served) {
-    SetServed(served, ServedBy::kUnattributed);
-    return Lookup(key, out);
-  }
-  virtual bool InsertServed(Key key, Value value, ServedBy* served) {
-    SetServed(served, ServedBy::kUnattributed);
-    return Insert(key, value);
-  }
-  virtual bool UpdateServed(Key key, Value value, ServedBy* served) {
-    SetServed(served, ServedBy::kUnattributed);
-    return Update(key, value);
-  }
-  virtual bool RemoveServed(Key key, ServedBy* served) {
-    SetServed(served, ServedBy::kUnattributed);
-    return Remove(key);
-  }
+  virtual bool Remove(Key key, ServedBy* served = nullptr) = 0;
 
   // -- Structural introspection (observability, DESIGN.md §9.3) -------------
 
@@ -113,7 +96,7 @@ class ConcurrentIndex {
 
   /// Up to `count` pairs with key >= start, ascending. \return pairs written.
   virtual size_t Scan(Key start, size_t count,
-                      std::vector<std::pair<Key, Value>>* out) = 0;
+                      std::vector<std::pair<Key, Value>>* out) const = 0;
 
   /// Approximate heap footprint in bytes (quiescent).
   virtual size_t MemoryUsage() const = 0;

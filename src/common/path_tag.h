@@ -75,7 +75,7 @@ inline ServedBy FpDepthTag(int depth) {
 }
 
 /// Write `v` through an optional attribution out-param (no-op when null).
-inline void SetServed(ServedBy* s, ServedBy v) {
+inline void SetServedBy(ServedBy* s, ServedBy v) {
   if (s != nullptr) *s = v;
 }
 

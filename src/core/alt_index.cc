@@ -63,13 +63,13 @@ constexpr size_t kFillThreadBytes = size_t{64} << 20;
 // Terminal accounting for lookups the learned layer answers by itself.
 inline bool FinishLearnedHit(ServedBy* served) {
   metrics::Inc(Counter::kLearnedHits);
-  SetServed(served, ServedBy::kLearnedSlot);
+  SetServedBy(served, ServedBy::kLearnedSlot);
   return true;
 }
 
 inline bool FinishLearnedNegative(ServedBy* served) {
   metrics::Inc(Counter::kLearnedNegatives);
-  SetServed(served, ServedBy::kLearnedNegative);
+  SetServedBy(served, ServedBy::kLearnedNegative);
   return false;
 }
 
@@ -318,19 +318,19 @@ bool AltIndex::ArtLookup(const GplModel* model, Key key, Value* out,
         found = true;
         metrics::Inc(Counter::kFastPointerHits);
         metrics::FpDepthHit(ref.depth);
-        SetServed(served, FpDepthTag(ref.depth));
+        SetServedBy(served, FpDepthTag(ref.depth));
       } else {
         // Miss within the hinted subtree is not authoritative under races
         // (an SMO may have momentarily moved the key above the hint).
         metrics::Inc(Counter::kArtRootFallbacks);
         found = art_.Lookup(key, out, &steps);
-        SetServed(served, found ? ServedBy::kArtRoot : ServedBy::kArtNegative);
+        SetServedBy(served, found ? ServedBy::kArtRoot : ServedBy::kArtNegative);
       }
     }
   }
   if (!used_hint) {
     found = art_.Lookup(key, out, &steps);
-    SetServed(served, found ? ServedBy::kArtRoot : ServedBy::kArtNegative);
+    SetServedBy(served, found ? ServedBy::kArtRoot : ServedBy::kArtNegative);
   }
   metrics::Inc(Counter::kArtLookups);
   metrics::Inc(Counter::kArtLookupSteps, static_cast<uint64_t>(steps));
@@ -361,11 +361,6 @@ bool AltIndex::ArtInsert(GplModel* model, Key key,
 // ---------------------------------------------------------------------------
 // Lookup
 // ---------------------------------------------------------------------------
-
-bool AltIndex::Lookup(Key key, Value* out) const {
-  EpochGuard g(*epoch_);
-  return LookupInternal(key, out);
-}
 
 bool AltIndex::Lookup(Key key, Value* out, ServedBy* served) const {
   EpochGuard g(*epoch_);
@@ -467,30 +462,11 @@ bool AltIndex::LookupInternal(Key key, Value* out, ServedBy* served) const {
 }
 
 // ---------------------------------------------------------------------------
-// Insert / Upsert
+// Insert
 // ---------------------------------------------------------------------------
-
-bool AltIndex::Insert(Key key, Value value) {
-  EpochGuard g(*epoch_);
-  return InsertInternal(key, value);
-}
 
 bool AltIndex::Insert(Key key, Value value, ServedBy* served) {
   EpochGuard g(*epoch_);
-  return InsertInternal(key, value, served);
-}
-
-bool AltIndex::Upsert(Key key, Value value) {
-  EpochGuard g(*epoch_);
-  for (;;) {
-    if (InsertInternal(key, value)) return true;   // newly inserted
-    if (UpdateInternal(key, value)) return false;  // overwrote existing
-    // The key vanished between the exists check and the update; retry.
-  }
-}
-
-bool AltIndex::InsertInternal(Key key, Value value, ServedBy* served) {
-  ALT_ASSERT_EPOCH_PINNED("AltIndex::InsertInternal", *epoch_);
   for (;;) {
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
     const size_t idx = ModelDirectory::Locate(*snap, key);
@@ -501,13 +477,13 @@ bool AltIndex::InsertInternal(Key key, Value value, ServedBy* served) {
       bool retry = false;
       const bool ok = InsertExpanding(model, exp, key, value, &retry);
       if (retry) continue;
-      SetServed(served, ServedBy::kExpansionPath);
+      SetServedBy(served, ServedBy::kExpansionPath);
       return ok;
     }
 
     if (key >= model->coverage_end()) {
       // Out-of-coverage keys live exclusively in ART (no slot state).
-      SetServed(served, ServedBy::kConflictInsert);
+      SetServedBy(served, ServedBy::kConflictInsert);
       if (!ArtInsert(model, key, value)) return false;
       size_.fetch_add(1, std::memory_order_relaxed);
       model->BumpInsertCount();
@@ -527,7 +503,7 @@ bool AltIndex::InsertInternal(Key key, Value value, ServedBy* served) {
           Value existing = 0;
           if (ArtLookup(model, key, &existing)) {
             if (!s.word.Validate(w)) continue;
-            SetServed(served, ServedBy::kArtRoot);
+            SetServedBy(served, ServedBy::kArtRoot);
             return false;  // exists in ART
           }
           if (!s.word.Validate(w)) continue;
@@ -555,18 +531,18 @@ bool AltIndex::InsertInternal(Key key, Value value, ServedBy* served) {
         size_.fetch_add(1, std::memory_order_relaxed);
         model->BumpInsertCount();
         MaybeTriggerExpansion(model);
-        SetServed(served, ServedBy::kSlotInsert);
+        SetServedBy(served, ServedBy::kSlotInsert);
         return true;
       }
       case SlotState::kOccupied: {
         const Key k = s.OptimisticKey();
         if (!s.word.Validate(w)) continue;
         if (k == key) {
-          SetServed(served, ServedBy::kLearnedSlot);
+          SetServedBy(served, ServedBy::kLearnedSlot);
           return false;  // exists in place
         }
         // Conflict: the key belongs in ART-OPT.
-        SetServed(served, ServedBy::kConflictInsert);
+        SetServedBy(served, ServedBy::kConflictInsert);
         if (ArtInsert(model, key, value)) {
           size_.fetch_add(1, std::memory_order_relaxed);
           model->BumpInsertCount();
@@ -579,7 +555,7 @@ bool AltIndex::InsertInternal(Key key, Value value, ServedBy* served) {
       case SlotState::kTombstone: {
         // Tombstone inserts route to ART (ART's insert is atomic w.r.t.
         // duplicates; writing in place here would race the write-back).
-        SetServed(served, ServedBy::kConflictInsert);
+        SetServedBy(served, ServedBy::kConflictInsert);
         if (ArtInsert(model, key, value)) {
           size_.fetch_add(1, std::memory_order_relaxed);
           model->BumpInsertCount();
@@ -766,18 +742,8 @@ bool AltIndex::InsertIntoNewModel(GplModel* old_model, Expansion* exp, Key key,
 // Update / Remove
 // ---------------------------------------------------------------------------
 
-bool AltIndex::Update(Key key, Value value) {
-  EpochGuard g(*epoch_);
-  return UpdateInternal(key, value);
-}
-
 bool AltIndex::Update(Key key, Value value, ServedBy* served) {
   EpochGuard g(*epoch_);
-  return UpdateInternal(key, value, served);
-}
-
-bool AltIndex::UpdateInternal(Key key, Value value, ServedBy* served) {
-  ALT_ASSERT_EPOCH_PINNED("AltIndex::UpdateInternal", *epoch_);
   for (;;) {
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
     const size_t idx = ModelDirectory::Locate(*snap, key);
@@ -816,7 +782,7 @@ bool AltIndex::UpdateInternal(Key key, Value value, ServedBy* served) {
             }
             s.value.store(value, std::memory_order_relaxed);
             s.word.Unlock(lw, SlotState::kOccupied);
-            SetServed(served, ServedBy::kLearnedSlot);
+            SetServedBy(served, ServedBy::kLearnedSlot);
             return true;
           }
           routed_slot = &s;
@@ -834,7 +800,7 @@ bool AltIndex::UpdateInternal(Key key, Value value, ServedBy* served) {
         // kEmpty:
         if (t == model && exp != nullptr) break;  // check temporal buffer
         if (t->strict_empty()) {
-          SetServed(served, ServedBy::kLearnedNegative);
+          SetServedBy(served, ServedBy::kLearnedNegative);
           return false;  // authoritative absence
         }
         routed_slot = &s;
@@ -847,7 +813,7 @@ bool AltIndex::UpdateInternal(Key key, Value value, ServedBy* served) {
     if (!decided) continue;  // slot changed underneath or all-migrated: retry
 
     if (art_.Update(key, value)) {
-      SetServed(served, ServedBy::kArtRoot);
+      SetServedBy(served, ServedBy::kArtRoot);
       return true;
     }
     if (routed_slot != nullptr) {
@@ -859,23 +825,13 @@ bool AltIndex::UpdateInternal(Key key, Value value, ServedBy* served) {
         continue;  // routing changed (tail appended); retry
       }
     }
-    SetServed(served, ServedBy::kArtNegative);
+    SetServedBy(served, ServedBy::kArtNegative);
     return false;
   }
 }
 
-bool AltIndex::Remove(Key key) {
-  EpochGuard g(*epoch_);
-  return RemoveInternal(key);
-}
-
 bool AltIndex::Remove(Key key, ServedBy* served) {
   EpochGuard g(*epoch_);
-  return RemoveInternal(key, served);
-}
-
-bool AltIndex::RemoveInternal(Key key, ServedBy* served) {
-  ALT_ASSERT_EPOCH_PINNED("AltIndex::RemoveInternal", *epoch_);
   for (;;) {
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
     const size_t idx = ModelDirectory::Locate(*snap, key);
@@ -916,7 +872,7 @@ bool AltIndex::RemoveInternal(Key key, ServedBy* served) {
             // in ART rely on this slot staying non-empty.
             s.word.Unlock(lw, SlotState::kTombstone);
             size_.fetch_sub(1, std::memory_order_relaxed);
-            SetServed(served, ServedBy::kLearnedSlot);
+            SetServedBy(served, ServedBy::kLearnedSlot);
             return true;
           }
           routed_slot = &s;
@@ -934,7 +890,7 @@ bool AltIndex::RemoveInternal(Key key, ServedBy* served) {
         // kEmpty:
         if (t == model && exp != nullptr) break;
         if (t->strict_empty()) {
-          SetServed(served, ServedBy::kLearnedNegative);
+          SetServedBy(served, ServedBy::kLearnedNegative);
           return false;  // authoritative absence
         }
         routed_slot = &s;
@@ -948,7 +904,7 @@ bool AltIndex::RemoveInternal(Key key, ServedBy* served) {
 
     if (art_.Remove(key)) {
       size_.fetch_sub(1, std::memory_order_relaxed);
-      SetServed(served, ServedBy::kArtRoot);
+      SetServedBy(served, ServedBy::kArtRoot);
       return true;
     }
     if (routed_slot != nullptr) {
@@ -960,7 +916,7 @@ bool AltIndex::RemoveInternal(Key key, ServedBy* served) {
         continue;  // routing changed (tail appended); retry
       }
     }
-    SetServed(served, ServedBy::kArtNegative);
+    SetServedBy(served, ServedBy::kArtNegative);
     return false;
   }
 }
@@ -1095,7 +1051,7 @@ void AltIndex::EnsureArtKeyVisible(Key key) {
   if (st != SlotState::kEmpty) return;
   WriteBackSection wb(this);
   const uint32_t lw = s->word.Lock();
-  // TOCTOU guard (see InsertInternal): if an expansion appeared on `t` since
+  // TOCTOU guard (see Insert): if an expansion appeared on `t` since
   // it was chosen, leave the key in ART — the suspended invariant keeps it
   // reachable, and the finish sweep owns the write-back from here.
   if (SlotWord::StateOf(lw) == SlotState::kEmpty && t->expansion() == nullptr) {
@@ -1265,7 +1221,7 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) {
   for (const auto& [k, unused_v] : strays) {
     GplSlot& s = tail->slot(tail->Predict(k));
     const uint32_t lw = s.word.Lock();
-    // TOCTOU guard (see InsertInternal): the tail is already published, so
+    // TOCTOU guard (see Insert): the tail is already published, so
     // an insert storm could have started expanding it; its sweep owns the
     // remaining write-backs then.
     if (tail->expansion() != nullptr) {
@@ -1285,33 +1241,6 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) {
     s.word.Unlock(lw, SlotWord::StateOf(lw));
   }
   tail->set_strict_empty(true);
-}
-
-// ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
-
-AltIndex::Stats AltIndex::CollectStats() const {
-  Stats st;
-  EpochGuard g(*epoch_);
-  const ModelDirectory::Snapshot* snap = directory_.snapshot();
-  if (snap != nullptr) {
-    st.num_models = snap->first_keys.size();
-    for (const auto& m : snap->models) {
-      const GplModel* model = m.load(std::memory_order_acquire);
-      st.learned_layer_keys += model->CountOccupied();
-      const Expansion* exp = model->expansion();
-      if (exp != nullptr) st.learned_layer_keys += exp->new_model->CountOccupied();
-    }
-  }
-  st.art_keys = art_.Size();
-  st.fast_pointers = fp_buffer_.Size();
-  st.fast_pointer_adds = fp_buffer_.UnmergedCount();
-  st.retrain_started = retrain_started_.load(std::memory_order_relaxed);
-  st.retrain_finished = retrain_finished_.load(std::memory_order_relaxed);
-  st.memory_bytes = MemoryUsage();
-  st.error_bound = epsilon_;
-  return st;
 }
 
 size_t AltIndex::MemoryUsage() const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "art/art_tree.h"
+#include "common/index_interface.h"
 #include "common/key_codec.h"
 #include "common/path_tag.h"
 #include "common/status.h"
@@ -42,27 +43,32 @@ namespace alt {
 /// atomic snapshots (keys may be concurrently inserted/removed mid-scan).
 ///
 /// Thread-safety exception: BulkLoad must complete before concurrent use, and
-/// CollectStats / MemoryUsage expect a quiescent index.
-class AltIndex {
+/// CollectStructuralStats / MemoryUsage expect a quiescent index.
+///
+/// AltIndex is itself the ConcurrentIndex the benchmark harness drives.
+/// `final` keeps calls through an `AltIndex*` / `const AltIndex&` direct
+/// (devirtualised), e.g. every per-shard call in ShardedAltIndex.
+class AltIndex final : public ConcurrentIndex {
  public:
   explicit AltIndex(AltOptions options = AltOptions{});
-  ~AltIndex();
+  ~AltIndex() override;
 
   AltIndex(const AltIndex&) = delete;
   AltIndex& operator=(const AltIndex&) = delete;
 
   /// Build the index from sorted, duplicate-free data. Must be called exactly
   /// once, before any concurrent operation. O(n).
-  Status BulkLoad(const Key* keys, const Value* values, size_t n);
+  Status BulkLoad(const Key* keys, const Value* values, size_t n) override;
   Status BulkLoad(const std::vector<std::pair<Key, Value>>& sorted_pairs);
 
-  /// \return true and set *out if present.
-  bool Lookup(Key key, Value* out) const;
+  /// "ALT-index" (benchmark table rows).
+  std::string Name() const override { return "ALT-index"; }
 
-  /// Lookup with per-path attribution: *served reports the terminal path that
-  /// answered (learned slot, fast-pointer ART hit by depth, root fallback,
-  /// negative; see common/path_tag.h). Same result contract as Lookup.
-  bool Lookup(Key key, Value* out, ServedBy* served) const;
+  /// \return true and set *out if present. `served` (optional) receives the
+  /// terminal path that answered (learned slot, fast-pointer ART hit by
+  /// depth, root fallback, negative; see common/path_tag.h); likewise for the
+  /// `served` of Insert / Update / Remove.
+  bool Lookup(Key key, Value* out, ServedBy* served = nullptr) const override;
 
   /// \brief Batched point lookups: resolve `n` independent keys with their
   /// cache misses overlapped (AMAC-style group prefetching; see
@@ -74,50 +80,30 @@ class AltIndex {
   /// during the call (per-key linearizability; no cross-key snapshot).
   /// `keys` may contain duplicates and need not be sorted.
   /// \return the number of keys found.
-  size_t LookupBatch(const Key* keys, size_t n, Value* out, bool* found) const;
+  size_t LookupBatch(const Key* keys, size_t n, Value* out,
+                     bool* found) const override;
 
   /// Insert a new key. \return false (no change) if the key already exists.
-  bool Insert(Key key, Value value);
-  bool Insert(Key key, Value value, ServedBy* served);
+  bool Insert(Key key, Value value, ServedBy* served = nullptr) override;
 
   /// Overwrite an existing key's value. \return false if absent.
-  bool Update(Key key, Value value);
-  bool Update(Key key, Value value, ServedBy* served);
-
-  /// Insert or overwrite. \return true if the key was newly inserted.
-  bool Upsert(Key key, Value value);
+  bool Update(Key key, Value value, ServedBy* served = nullptr) override;
 
   /// Delete a key. \return true if it was present.
-  bool Remove(Key key);
-  bool Remove(Key key, ServedBy* served);
+  bool Remove(Key key, ServedBy* served = nullptr) override;
 
   /// Collect up to `count` pairs with key >= start, ascending (merged across
   /// the learned layer and ART-OPT, paper §III-G "Range Query").
-  size_t Scan(Key start, size_t count, std::vector<std::pair<Key, Value>>* out) const;
+  size_t Scan(Key start, size_t count,
+              std::vector<std::pair<Key, Value>>* out) const override;
 
   /// All pairs with lo <= key <= hi, ascending.
   size_t RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out) const;
 
   /// Approximate live key count (maintained with relaxed counters).
-  size_t Size() const { return size_.load(std::memory_order_relaxed); }
+  size_t Size() const override { return size_.load(std::memory_order_relaxed); }
 
-  /// Structural / behavioural statistics. Quiescent-only.
-  struct Stats {
-    size_t num_models = 0;          ///< GPL models in the directory
-    size_t learned_layer_keys = 0;  ///< keys resident at predicted slots
-    size_t art_keys = 0;            ///< conflict keys in ART-OPT
-    size_t fast_pointers = 0;       ///< merged fast pointer entries
-    size_t fast_pointer_adds = 0;   ///< entries without the merge scheme
-    size_t retrain_started = 0;     ///< expansions triggered (§III-F)
-    size_t retrain_finished = 0;    ///< expansions completed & published
-    size_t memory_bytes = 0;        ///< models + directory + buffer + ART
-    double error_bound = 0;         ///< effective epsilon
-  };
-  // Traffic counters (ART lookups, fast-pointer hits, conflict inserts, ...)
-  // live in the always-on metrics registry; see common/metrics.h.
-  Stats CollectStats() const;
-
-  /// \brief Deep structural introspection (quiescent-only; defined in
+  /// \brief Structural / behavioural statistics (quiescent-only; defined in
   /// structural_stats.cc, DESIGN.md §9.3). The component byte fields are
   /// computed from the same accessors as MemoryUsage(), so
   /// `header_bytes + directory_bytes + model_bytes + expansion_bytes +
@@ -155,14 +141,31 @@ class AltIndex {
     double conflict_ratio = 0;
 
     art::ArtTree::Census art;
+
+    // --- fast pointers and retraining -------------------------------------
+    size_t fast_pointers = 0;      ///< merged fast pointer entries
+    size_t fast_pointer_adds = 0;  ///< entries without the merge scheme
+    size_t retrain_started = 0;    ///< expansions triggered (§III-F)
+    size_t retrain_finished = 0;   ///< expansions completed & published
+
+    /// Keys resident at their predicted slots (occupied learned-layer slots).
+    size_t learned_layer_keys() const {
+      return slot_states[static_cast<size_t>(SlotState::kOccupied)];
+    }
   };
+  // Traffic counters (ART lookups, fast-pointer hits, conflict inserts, ...)
+  // live in the always-on metrics registry; see common/metrics.h.
   StructuralStats CollectStructuralStats() const;
+
+  /// CollectStructuralStats mapped onto the harness's coarse components;
+  /// totals match MemoryUsage() at a quiescent point.
+  MemoryBreakdown CollectMemoryBreakdown() const override;
 
   /// CollectStructuralStats serialized as a single JSON object (pretty, 2-space
   /// indent) — the payload behind the `--dump_structure` bench flag.
-  std::string StructureJson() const;
+  std::string StructureJson() const override;
 
-  size_t MemoryUsage() const;
+  size_t MemoryUsage() const override;
 
   const AltOptions& options() const { return options_; }
   double effective_error_bound() const { return epsilon_; }
@@ -210,11 +213,6 @@ class AltIndex {
   /// the cursor reached a terminal state (result written).
   bool BatchStep(BatchCursor& c, Value* out, bool* found,
                  BatchStatsDelta* st) const ALT_REQUIRES_EPOCH;
-  bool InsertInternal(Key key, Value value,
-                      ServedBy* served = nullptr) ALT_REQUIRES_EPOCH;
-  bool RemoveInternal(Key key, ServedBy* served = nullptr) ALT_REQUIRES_EPOCH;
-  bool UpdateInternal(Key key, Value value,
-                      ServedBy* served = nullptr) ALT_REQUIRES_EPOCH;
 
   /// Slow path: model under §III-F expansion. \return true if inserted,
   /// false if the key exists; sets *retry when the caller must re-run.

@@ -1,13 +1,14 @@
 // Structural introspection (DESIGN.md §9.3): CollectStructuralStats walks the
 // model directory and ART-OPT and reports what the index *looks like* — the
 // memory decomposition behind Fig. 8a, per-model segment/occupancy
-// distributions, the conflict ratio, and the ART node census.
+// distributions, the conflict ratio, the ART node census, and the fast pointer
+// and retraining counters.
 //
-// Quiescent-only, like CollectStats / MemoryUsage: the walkers read per-slot
-// words and node headers without retry loops, so run them while no writer is
-// active. The component byte fields reuse the exact expressions MemoryUsage()
-// sums, so `total_bytes == MemoryUsage()` at a quiescent point by
-// construction (the --dump_structure acceptance check).
+// Quiescent-only, like MemoryUsage: the walkers read per-slot words and node
+// headers without retry loops, so run them while no writer is active. The
+// component byte fields reuse the exact expressions MemoryUsage() sums, so
+// `total_bytes == MemoryUsage()` at a quiescent point by construction (the
+// --dump_structure acceptance check).
 
 #include <algorithm>
 #include <cstdio>
@@ -106,17 +107,28 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
   st.art = art_.CollectCensus();
   st.art_bytes = st.art.total_bytes;
   st.art_keys = art_.Size();
+  st.fast_pointers = fp_buffer_.Size();
+  st.fast_pointer_adds = fp_buffer_.UnmergedCount();
+  st.retrain_started = retrain_started_.load(std::memory_order_relaxed);
+  st.retrain_finished = retrain_finished_.load(std::memory_order_relaxed);
 
   st.total_bytes = st.header_bytes + st.directory_bytes + st.model_bytes +
                    st.expansion_bytes + st.fast_pointer_bytes + st.art_bytes;
 
-  const size_t occupied_slots =
-      st.slot_states[static_cast<size_t>(SlotState::kOccupied)];
-  const size_t resident = st.art_keys + occupied_slots;
+  const size_t resident = st.art_keys + st.learned_layer_keys();
   st.conflict_ratio =
       resident == 0 ? 0.0
                     : static_cast<double>(st.art_keys) / static_cast<double>(resident);
   return st;
+}
+
+ConcurrentIndex::MemoryBreakdown AltIndex::CollectMemoryBreakdown() const {
+  const StructuralStats st = CollectStructuralStats();
+  MemoryBreakdown b;
+  b.model_bytes = st.model_bytes;
+  b.delta_bytes = st.art_bytes + st.expansion_bytes;
+  b.auxiliary_bytes = st.fast_pointer_bytes + st.directory_bytes + st.header_bytes;
+  return b;
 }
 
 std::string AltIndex::StructureJson() const {

@@ -51,7 +51,7 @@ class AltIndexScanCursor {
 };
 
 /// \brief K-way merge over pull cursors producing ascending (key, value)
-/// streams — the cross-shard Scan/RangeQuery engine (DESIGN.md §12), written
+/// streams — the cross-shard Scan engine (DESIGN.md §12), written
 /// against a cursor concept (`bool Next(std::pair<Key,Value>*)`) so the
 /// serving layer can reuse it over remote-partition cursors later.
 ///

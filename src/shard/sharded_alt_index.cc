@@ -180,40 +180,24 @@ Status ShardedAltIndex::BulkLoad(const Key* keys, const Value* values, size_t n)
   return Status::OK();
 }
 
-bool ShardedAltIndex::Lookup(Key key, Value* out) {
-  return shards_[ShardIndexOf(key)].index->Lookup(key, out);
-}
-
-bool ShardedAltIndex::Insert(Key key, Value value) {
-  return shards_[ShardIndexOf(key)].index->Insert(key, value);
-}
-
-bool ShardedAltIndex::Update(Key key, Value value) {
-  return shards_[ShardIndexOf(key)].index->Update(key, value);
-}
-
-bool ShardedAltIndex::Remove(Key key) {
-  return shards_[ShardIndexOf(key)].index->Remove(key);
-}
-
-bool ShardedAltIndex::LookupServed(Key key, Value* out, ServedBy* served) {
+bool ShardedAltIndex::Lookup(Key key, Value* out, ServedBy* served) const {
   return shards_[ShardIndexOf(key)].index->Lookup(key, out, served);
 }
 
-bool ShardedAltIndex::InsertServed(Key key, Value value, ServedBy* served) {
+bool ShardedAltIndex::Insert(Key key, Value value, ServedBy* served) {
   return shards_[ShardIndexOf(key)].index->Insert(key, value, served);
 }
 
-bool ShardedAltIndex::UpdateServed(Key key, Value value, ServedBy* served) {
+bool ShardedAltIndex::Update(Key key, Value value, ServedBy* served) {
   return shards_[ShardIndexOf(key)].index->Update(key, value, served);
 }
 
-bool ShardedAltIndex::RemoveServed(Key key, ServedBy* served) {
+bool ShardedAltIndex::Remove(Key key, ServedBy* served) {
   return shards_[ShardIndexOf(key)].index->Remove(key, served);
 }
 
 size_t ShardedAltIndex::LookupBatch(const Key* keys, size_t n, Value* out,
-                                    bool* found) {
+                                    bool* found) const {
   if (shards_.size() == 1) {
     return shards_[0].index->LookupBatch(keys, n, out, found);
   }
@@ -272,7 +256,7 @@ size_t ShardedAltIndex::ScanMerged(
 }
 
 size_t ShardedAltIndex::Scan(Key start, size_t count,
-                             std::vector<std::pair<Key, Value>>* out) {
+                             std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
   return options_.partition == Partition::kRange
@@ -280,41 +264,15 @@ size_t ShardedAltIndex::Scan(Key start, size_t count,
              : ScanMerged(start, count, out);
 }
 
-size_t ShardedAltIndex::RangeQuery(Key lo, Key hi,
-                                   std::vector<std::pair<Key, Value>>* out) {
-  out->clear();
-  if (hi < lo) return 0;
-  if (options_.partition == Partition::kRange) {
-    std::vector<std::pair<Key, Value>> tmp;
-    Key cursor = lo;
-    const size_t last = ShardIndexOf(hi);
-    for (size_t i = ShardIndexOf(lo); i <= last; ++i) {
-      shards_[i].index->RangeQuery(cursor, hi, &tmp);
-      out->insert(out->end(), tmp.begin(), tmp.end());
-      if (i + 1 < shards_.size()) cursor = starts_[i + 1];
-    }
-    return out->size();
-  }
-  std::vector<AltIndexScanCursor> cursors;
-  cursors.reserve(shards_.size());
-  for (const Shard& s : shards_) {
-    cursors.emplace_back(s.index.get(), lo, options_.scan_batch);
-  }
-  KWayMerger<AltIndexScanCursor> merger(std::move(cursors));
-  std::pair<Key, Value> kv;
-  while (merger.Next(&kv) && kv.first <= hi) out->push_back(kv);
-  return out->size();
-}
-
 ConcurrentIndex::MemoryBreakdown ShardedAltIndex::CollectMemoryBreakdown()
     const {
   MemoryBreakdown b;
   for (const Shard& s : shards_) {
-    const AltIndex::StructuralStats st = s.index->CollectStructuralStats();
-    b.model_bytes += st.model_bytes;
-    b.delta_bytes += st.art_bytes + st.expansion_bytes;
-    b.auxiliary_bytes +=
-        st.fast_pointer_bytes + st.directory_bytes + st.header_bytes;
+    const MemoryBreakdown sb = s.index->CollectMemoryBreakdown();
+    b.model_bytes += sb.model_bytes;
+    b.delta_bytes += sb.delta_bytes;
+    b.auxiliary_bytes += sb.auxiliary_bytes;
+    b.other_bytes += sb.other_bytes;
   }
   return b;
 }

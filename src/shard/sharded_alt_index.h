@@ -69,7 +69,7 @@ struct ShardedOptions {
 /// thread-safe. Point operations dispatch to exactly one shard and inherit
 /// its per-key linearizability. Cross-shard Scan merges per-shard cursors
 /// (merge_iterator.h) and matches AltIndex::Scan's per-slot-atomic contract.
-class ShardedAltIndex : public ConcurrentIndex {
+class ShardedAltIndex final : public ConcurrentIndex {
  public:
   explicit ShardedAltIndex(ShardedOptions options = ShardedOptions{});
   ~ShardedAltIndex() override;
@@ -84,24 +84,27 @@ class ShardedAltIndex : public ConcurrentIndex {
   /// per shard when parallel_load is set.
   Status BulkLoad(const Key* keys, const Value* values, size_t n) override;
 
-  bool Lookup(Key key, Value* out) override;
-  size_t LookupBatch(const Key* keys, size_t n, Value* out, bool* found) override;
-  bool Insert(Key key, Value value) override;
-  bool Update(Key key, Value value) override;
-  bool Remove(Key key) override;
+  bool Lookup(Key key, Value* out, ServedBy* served = nullptr) const override;
+  size_t LookupBatch(const Key* keys, size_t n, Value* out,
+                     bool* found) const override;
+  bool Insert(Key key, Value value, ServedBy* served = nullptr) override;
+  bool Update(Key key, Value value, ServedBy* served = nullptr) override;
+  bool Remove(Key key, ServedBy* served = nullptr) override;
 
-  bool LookupServed(Key key, Value* out, ServedBy* served) override;
-  bool InsertServed(Key key, Value value, ServedBy* served) override;
-  bool UpdateServed(Key key, Value value, ServedBy* served) override;
-  bool RemoveServed(Key key, ServedBy* served) override;
+  // Forwards kept only for perfbench/src/served_bench.cc, which predates the
+  // single-method API; drop them with the next change to the benchmark.
+  bool LookupServed(Key key, Value* out, ServedBy* served) const {
+    return Lookup(key, out, served);
+  }
+  bool InsertServed(Key key, Value value, ServedBy* served) {
+    return Insert(key, value, served);
+  }
 
   /// Up to `count` pairs with key >= start, ascending, merged across shards.
   size_t Scan(Key start, size_t count,
-              std::vector<std::pair<Key, Value>>* out) override;
+              std::vector<std::pair<Key, Value>>* out) const override;
 
-  /// All pairs with lo <= key <= hi, ascending, merged across shards.
-  size_t RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out);
-
+  /// Sum of the shards' breakdowns.
   MemoryBreakdown CollectMemoryBreakdown() const override;
   std::string StructureJson() const override;
   size_t MemoryUsage() const override;

@@ -286,13 +286,11 @@ RunResult RunWorkload(ConcurrentIndex* index,
       switch (op.type) {
         case OpType::kRead: {
           Value v;
-          ok = sp != nullptr ? index->LookupServed(op.key, &v, sp)
-                             : index->Lookup(op.key, &v);
+          ok = index->Lookup(op.key, &v, sp);
           break;
         }
         case OpType::kInsert:
-          ok = sp != nullptr ? index->InsertServed(op.key, ValueFor(op.key), sp)
-                             : index->Insert(op.key, ValueFor(op.key));
+          ok = index->Insert(op.key, ValueFor(op.key), sp);
           break;
         case OpType::kScan:
           // A scan that finds nothing hit the end of the keyspace (every
@@ -301,13 +299,10 @@ RunResult RunWorkload(ConcurrentIndex* index,
           if (index->Scan(op.key, scan_length, &scan_buf) == 0) ++empty;
           break;
         case OpType::kUpdate:
-          ok = sp != nullptr
-                   ? index->UpdateServed(op.key, ValueFor(op.key) ^ 0x5a5a, sp)
-                   : index->Update(op.key, ValueFor(op.key) ^ 0x5a5a);
+          ok = index->Update(op.key, ValueFor(op.key) ^ 0x5a5a, sp);
           break;
         case OpType::kRemove:
-          ok = sp != nullptr ? index->RemoveServed(op.key, sp)
-                             : index->Remove(op.key);
+          ok = index->Remove(op.key, sp);
           break;
       }
       if (!ok) ++failed;

@@ -79,9 +79,8 @@ struct RunOptions {
   std::string metrics_label;
   /// Collect per-(op × serving path) latency attribution into
   /// RunResult::path_stats (and the "paths" array of the final metrics JSON
-  /// line). Off by default: attribution routes ops through the Served*
-  /// interface variants and keeps one extra histogram per (op, path) pair
-  /// per thread.
+  /// line). Off by default: attribution keeps one extra histogram per
+  /// (op, path) pair per thread.
   bool path_breakdown = false;
   /// Sample micro-architectural counters per worker thread (perf_event_open;
   /// see common/perf_counters.h for the hardware/software/unavailable tiers)

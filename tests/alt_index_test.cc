@@ -104,9 +104,9 @@ TEST_F(AltIndexTest, LayerSplitAccountsForAllKeys) {
   AltIndex index;
   auto pairs = MakePairs(GenerateKeys(Dataset::kLonglat, 80000, 29));
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  const auto st = index.CollectStats();
-  EXPECT_EQ(st.learned_layer_keys + st.art_keys, pairs.size());
-  EXPECT_GT(st.learned_layer_keys, pairs.size() / 2)
+  const auto st = index.CollectStructuralStats();
+  EXPECT_EQ(st.learned_layer_keys() + st.art_keys, pairs.size());
+  EXPECT_GT(st.learned_layer_keys(), pairs.size() / 2)
       << "most keys should be absorbed by the learned layer (Fig. 10(c))";
 }
 
@@ -171,21 +171,6 @@ TEST_F(AltIndexTest, UpdateChangesValueInBothLayers) {
   EXPECT_FALSE(index.Update(pairs.back().first + 12345, 1));
 }
 
-TEST_F(AltIndexTest, UpsertInsertsThenOverwrites) {
-  AltIndex index;
-  auto pairs = MakePairs(GenerateKeys(Dataset::kUniform, 10000, 3));
-  ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  const Key fresh = pairs.back().first + 999;
-  EXPECT_TRUE(index.Upsert(fresh, 1));
-  EXPECT_FALSE(index.Upsert(fresh, 2));
-  Value v;
-  ASSERT_TRUE(index.Lookup(fresh, &v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(index.Upsert(pairs[0].first, 42));
-  ASSERT_TRUE(index.Lookup(pairs[0].first, &v));
-  EXPECT_EQ(v, 42u);
-}
-
 TEST_F(AltIndexTest, RemoveFromLearnedLayerLeavesTombstone) {
   AltIndex index;
   auto pairs = MakePairs(GenerateKeys(Dataset::kLibio, 30000, 7));
@@ -222,7 +207,7 @@ TEST_F(AltIndexTest, WriteBackReclaimsTombstones) {
   AltIndex index;
   auto pairs = MakePairs(GenerateKeys(Dataset::kLonglat, 50000, 13));
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  const auto before = index.CollectStats();
+  const auto before = index.CollectStructuralStats();
   ASSERT_GT(before.art_keys, 0u);
   // Remove every learned-layer resident, then look up every key twice: the
   // first pass write-backs eligible ART keys, the second verifies.
@@ -239,7 +224,7 @@ TEST_F(AltIndexTest, WriteBackReclaimsTombstones) {
     ASSERT_TRUE(index.Lookup(pairs[i].first, &got)) << i;
     EXPECT_EQ(got, pairs[i].second);
   }
-  const auto after = index.CollectStats();
+  const auto after = index.CollectStructuralStats();
   EXPECT_LT(after.art_keys, before.art_keys)
       << "write-back should drain some conflicts out of ART";
 }
@@ -363,7 +348,7 @@ TEST_F(AltIndexTest, ScanCountEdgesAndFullRangeAcrossExpansion) {
     }
   }
   ASSERT_TRUE(saw_expanding) << "the inserts must leave an expansion in flight";
-  ASSERT_GT(index.CollectStats().retrain_finished, 0u);
+  ASSERT_GT(index.CollectStructuralStats().retrain_finished, 0u);
   check("after expansions");
 }
 
@@ -426,7 +411,7 @@ TEST_F(AltIndexTest, ModelCountInverseToErrorBound) {
     o.error_bound = eps;
     AltIndex index(o);
     ASSERT_TRUE(index.BulkLoad(pairs).ok());
-    const size_t models = index.CollectStats().num_models;
+    const size_t models = index.CollectStructuralStats().num_models;
     EXPECT_LE(models, prev) << "eps=" << eps;
     prev = models;
   }
@@ -442,7 +427,7 @@ TEST_F(AltIndexTest, ArtShareGrowsWithErrorBound) {
     o.error_bound = eps;
     AltIndex index(o);
     ASSERT_TRUE(index.BulkLoad(pairs).ok());
-    const auto st = index.CollectStats();
+    const auto st = index.CollectStructuralStats();
     shares.push_back(static_cast<double>(st.art_keys) /
                      static_cast<double>(pairs.size()));
   }

@@ -3,16 +3,13 @@
 #include <cmath>
 #include <map>
 #include <set>
-#include <thread>
 #include <vector>
 
-#include "common/bitmap.h"
 #include "common/key_codec.h"
 #include "common/latency_recorder.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/timer.h"
-#include "common/version_lock.h"
 #include "common/zipf.h"
 
 namespace alt {
@@ -212,80 +209,6 @@ TEST(ZipfTest, ScrambledSpreadsHotKeys) {
   }
   EXPECT_GT(best_count, 100);  // still skewed...
   EXPECT_GT(best, 100u);       // ...but the hottest item is not rank 0..100
-}
-
-// ---------------------------------------------------------------------------
-// AtomicBitmap
-// ---------------------------------------------------------------------------
-
-TEST(BitmapTest, SetTestClear) {
-  AtomicBitmap bm(200);
-  EXPECT_FALSE(bm.Test(63));
-  bm.Set(63);
-  bm.Set(64);
-  bm.Set(199);
-  EXPECT_TRUE(bm.Test(63));
-  EXPECT_TRUE(bm.Test(64));
-  EXPECT_TRUE(bm.Test(199));
-  EXPECT_EQ(bm.CountSet(), 3u);
-  bm.Clear(64);
-  EXPECT_FALSE(bm.Test(64));
-  EXPECT_EQ(bm.CountSet(), 2u);
-}
-
-TEST(BitmapTest, NextSetSkipsEmptyWords) {
-  AtomicBitmap bm(1000);
-  bm.Set(5);
-  bm.Set(700);
-  EXPECT_EQ(bm.NextSet(0), 5u);
-  EXPECT_EQ(bm.NextSet(5), 5u);
-  EXPECT_EQ(bm.NextSet(6), 700u);
-  EXPECT_EQ(bm.NextSet(701), 1000u);
-  EXPECT_EQ(bm.NextSet(2000), 1000u);
-}
-
-TEST(BitmapTest, ConcurrentSetsAllLand) {
-  AtomicBitmap bm(4096);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&bm, t] {
-      for (size_t i = static_cast<size_t>(t); i < 4096; i += 4) bm.Set(i);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bm.CountSet(), 4096u);
-}
-
-// ---------------------------------------------------------------------------
-// SlotVersion
-// ---------------------------------------------------------------------------
-
-TEST(SlotVersionTest, ReadValidateDetectsWriter) {
-  SlotVersion v;
-  const uint32_t r = v.ReadLock();
-  EXPECT_TRUE(v.ReadValidate(r));
-  v.WriteLock();
-  v.WriteUnlock();
-  EXPECT_FALSE(v.ReadValidate(r));
-}
-
-TEST(SlotVersionTest, WriteLockIsExclusive) {
-  SlotVersion v;
-  std::atomic<int> in_critical{0};
-  std::atomic<bool> overlap{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 2000; ++i) {
-        v.WriteLock();
-        if (in_critical.fetch_add(1) != 0) overlap.store(true);
-        in_critical.fetch_sub(1);
-        v.WriteUnlock();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(overlap.load());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #include "common/epoch.h"
 #include "common/optlock.h"
 #include "common/spinlock.h"
-#include "common/version_lock.h"
 #include "core/alt_index.h"
 #include "core/gpl_model.h"
 
@@ -80,30 +79,6 @@ TEST_F(DebugChecksDeathTest, SlotWordReadWhileWriteHeldAborts) {
   // Read() spins until the lock bit clears; self-read would hang forever.
   EXPECT_DEATH(s.word.Read(), "slot-word: Read while this thread holds");
   s.word.Unlock(w, SlotState::kOccupied);
-}
-
-// --- version-lock protocol checker: SlotVersion (§III-E version lock) ---
-
-TEST_F(DebugChecksDeathTest, SlotVersionUnlockWithoutLockAborts) {
-  SlotVersion v;
-  EXPECT_DEATH(v.WriteUnlock(), "slot-version: unlock-without-lock");
-}
-
-TEST_F(DebugChecksDeathTest, SlotVersionDoubleLockAborts) {
-  SlotVersion v;
-  v.WriteLock();
-  EXPECT_DEATH(v.WriteLock(), "slot-version: double-lock");
-  v.WriteUnlock();
-}
-
-TEST_F(DebugChecksDeathTest, SlotVersionWrongParityPublicationAborts) {
-  SlotVersion v;
-  // Seed the writer-side parity bug directly: the thread's held-lock set says
-  // it owns the lock, but the version was never moved to odd — unlocking now
-  // would publish an odd (writer-in-flight) version and wedge every reader.
-  debug::NoteLockAcquired(&v, "slot-version");
-  EXPECT_DEATH(v.WriteUnlock(), "slot-version: WriteUnlock would publish an odd");
-  debug::NoteLockReleased(&v, "slot-version");
 }
 
 // --- version-lock protocol checker: OptLock (ART optimistic lock coupling) ---

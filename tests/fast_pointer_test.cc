@@ -115,7 +115,7 @@ TEST_F(FastPointerTest, EndToEndHintedLookupsThroughAltIndex) {
   std::vector<Value> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = ValueFor(keys[i]);
   ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
-  auto st = index.CollectStats();
+  auto st = index.CollectStructuralStats();
   ASSERT_GT(st.art_keys, 0u) << "fb dataset must produce conflicts";
   EXPECT_GT(st.fast_pointers, 0u);
   EXPECT_GE(st.fast_pointer_adds, st.fast_pointers)

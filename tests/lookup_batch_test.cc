@@ -146,7 +146,7 @@ TEST_F(LookupBatchTest, DuringInstalledExpansion) {
     const Key nk = k * 10 + 3;
     ASSERT_TRUE(index.Insert(nk, ValueFor(nk)));
     inserted.push_back(nk);
-    const auto st = index.CollectStats();
+    const auto st = index.CollectStructuralStats();
     saw_expansion = st.retrain_started > st.retrain_finished;
   }
   ASSERT_TRUE(saw_expansion) << "expansion never became observable mid-flight";
@@ -159,7 +159,7 @@ TEST_F(LookupBatchTest, DuringInstalledExpansion) {
   for (Key k = 1000; k < 2100; ++k) {
     index.Insert(k * 10 + 7, ValueFor(k * 10 + 7));
   }
-  EXPECT_GE(index.CollectStats().retrain_finished, 1u);
+  EXPECT_GE(index.CollectStructuralStats().retrain_finished, 1u);
   ExpectBatchMatchesScalar(index, queries);
 }
 

@@ -101,8 +101,8 @@ TEST_P(LayerInvariantTest, LayersPartitionTheKeySet) {
     loaded.emplace_back(keys[i], ValueFor(keys[i]));
   }
   ASSERT_TRUE(index.BulkLoad(loaded).ok());
-  auto st = index.CollectStats();
-  EXPECT_EQ(st.learned_layer_keys + st.art_keys, loaded.size());
+  auto st = index.CollectStructuralStats();
+  EXPECT_EQ(st.learned_layer_keys() + st.art_keys, loaded.size());
 
   // Insert the other half, remove a third, re-check accounting.
   size_t live = loaded.size();
@@ -114,8 +114,8 @@ TEST_P(LayerInvariantTest, LayersPartitionTheKeySet) {
     ASSERT_TRUE(index.Remove(keys[i]));
     --live;
   }
-  st = index.CollectStats();
-  EXPECT_EQ(st.learned_layer_keys + st.art_keys, live);
+  st = index.CollectStructuralStats();
+  EXPECT_EQ(st.learned_layer_keys() + st.art_keys, live);
   EXPECT_EQ(index.Size(), live);
 }
 

@@ -35,7 +35,7 @@ TEST_F(RetrainingTest, HotInsertsTriggerAndFinishExpansion) {
       ASSERT_TRUE(index.Insert(k * 4 + d, ValueFor(k * 4 + d))) << k;
     }
   }
-  const auto st = index.CollectStats();
+  const auto st = index.CollectStructuralStats();
   EXPECT_GT(st.retrain_started, 0u) << "hot inserts must trigger expansion";
   EXPECT_GT(st.retrain_finished, 0u) << "expansion must complete";
   // Every key, old and new, remains reachable.
@@ -55,7 +55,7 @@ TEST_F(RetrainingTest, DisabledRetrainingNeverExpands) {
   for (Key k = 0; k < 5000; ++k) pairs.emplace_back(k * 2, k);
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
   for (Key k = 0; k < 5000; ++k) ASSERT_TRUE(index.Insert(k * 2 + 1, k));
-  const auto st = index.CollectStats();
+  const auto st = index.CollectStructuralStats();
   EXPECT_EQ(st.retrain_started, 0u);
   for (Key k = 0; k < 10000; ++k) {
     Value v;
@@ -79,9 +79,9 @@ TEST_F(RetrainingTest, InvariantRestoredAfterFinish) {
       ASSERT_TRUE(index.Insert(k * 8 + d, ValueFor(k * 8 + d)));
     }
   }
-  const auto st = index.CollectStats();
+  const auto st = index.CollectStructuralStats();
   ASSERT_GT(st.retrain_finished, 0u);
-  EXPECT_EQ(st.learned_layer_keys + st.art_keys, kBulk * 4);
+  EXPECT_EQ(st.learned_layer_keys() + st.art_keys, kBulk * 4);
   for (Key k = 0; k < kBulk * 8; k += 2) {
     Value v;
     ASSERT_TRUE(index.Lookup(k, &v)) << k;
@@ -101,11 +101,11 @@ TEST_F(RetrainingTest, TailModelAppendedWhenLastModelRetrains) {
   std::vector<std::pair<Key, Value>> pairs;
   for (Key k = 0; k < 4000; ++k) pairs.emplace_back(1000 + k * 2, k);
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  const size_t models_before = index.CollectStats().num_models;
+  const size_t models_before = index.CollectStructuralStats().num_models;
   for (Key k = 0; k < 4000; ++k) {
     ASSERT_TRUE(index.Insert(1000 + k * 2 + 1, k));
   }
-  const auto st = index.CollectStats();
+  const auto st = index.CollectStructuralStats();
   if (st.retrain_finished > 0) {
     EXPECT_GE(st.num_models, models_before)
         << "finishing the last model appends a tail model";
@@ -190,7 +190,7 @@ TEST_F(RetrainingTest, ConcurrentInsertersDuringExpansion) {
       EXPECT_EQ(v, ValueFor(key));
     }
   }
-  const auto st = index.CollectStats();
+  const auto st = index.CollectStructuralStats();
   EXPECT_GT(st.retrain_started, 0u);
 }
 
@@ -270,7 +270,7 @@ TEST_F(RetrainingTest, ScanDuringRetrainReturnsNoDuplicates) {
       << "scan returned a duplicate/unordered key " << bad_key.load();
   EXPECT_FALSE(bad_value.load()) << "scan returned a torn value for key "
                                  << bad_key.load();
-  EXPECT_GT(index.CollectStats().retrain_started, 0u)
+  EXPECT_GT(index.CollectStructuralStats().retrain_started, 0u)
       << "workload never triggered an expansion; the race was not exercised";
 }
 

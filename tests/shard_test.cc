@@ -173,25 +173,6 @@ TEST(ShardedAltIndexTest, ScanMatchesOracleAcrossShardBoundaries) {
   }
 }
 
-TEST(ShardedAltIndexTest, RangeQueryMatchesOracle) {
-  const auto keys = MakeKeys(8000, 500, 11);
-  const auto values = ValuesFor(keys);
-  for (Partition p : {Partition::kRange, Partition::kHash}) {
-    ShardedAltIndex index(SmallOptions(4, p));
-    ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
-    const Key lo = keys[100] + 1;     // exclusive of keys[100] (not a key)
-    const Key hi = keys[6000];        // inclusive boundary hit
-    std::vector<std::pair<Key, Value>> got;
-    index.RangeQuery(lo, hi, &got);
-    ASSERT_EQ(got.size(), 5900u);
-    EXPECT_EQ(got.front().first, keys[101]);
-    EXPECT_EQ(got.back().first, keys[6000]);
-    for (size_t i = 1; i < got.size(); ++i) {
-      ASSERT_LT(got[i - 1].first, got[i].first);
-    }
-  }
-}
-
 TEST(ShardedAltIndexTest, LookupBatchScatterGather) {
   const auto keys = MakeKeys(20000);
   const auto values = ValuesFor(keys);

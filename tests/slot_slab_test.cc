@@ -256,7 +256,7 @@ TEST(SlotSlabTest, ForcedRetrainOfSlabModelKeepsLookupsAndBytesExact) {
   for (Key k = 0; k < kBulk; ++k) {
     for (Key d = 1; d <= 3; ++d) ASSERT_TRUE(index.Insert(k * 4 + d, ValueFor(k * 4 + d)));
   }
-  ASSERT_GT(index.CollectStats().retrain_finished, 0u);
+  ASSERT_GT(index.CollectStructuralStats().retrain_finished, 0u);
   epoch.DrainAll();  // frees the replaced slab models: their slices go back
 
   const AltIndex::StructuralStats st = index.CollectStructuralStats();
@@ -300,7 +300,7 @@ TEST(SlotSlabTest, RetiredSlabModelsOutliveTheirIndex) {
     for (Key k = 0; k < 4000; ++k) {
       for (Key d = 1; d <= 3; ++d) ASSERT_TRUE(index.Insert(k * 4 + d, k));
     }
-    ASSERT_GT(index.CollectStats().retrain_finished, 0u);
+    ASSERT_GT(index.CollectStructuralStats().retrain_finished, 0u);
   }
   EXPECT_GT(epoch.PendingCount(), 0u);
   epoch.DrainAll();

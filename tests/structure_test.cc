@@ -1,14 +1,16 @@
 // Structural-introspection tests (DESIGN.md §9.3): the byte decomposition of
 // AltIndex::CollectStructuralStats must sum exactly to MemoryUsage(), the ART
-// census must agree with CollectStats, and the JSON reports must be
-// well-formed and carry the expected fields.
+// census must agree with ArtTree::CollectStats, the JSON reports must be
+// well-formed and carry the expected fields, and the ConcurrentIndex facade's
+// memory breakdown and path attribution must hold for ALT-index and baselines.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "art/art_tree.h"
-#include "baselines/alt_adapter.h"
+#include "baselines/factory.h"
 #include "common/epoch.h"
 #include "common/random.h"
 #include "core/alt_index.h"
@@ -114,37 +116,61 @@ TEST_F(StructureTest, StructureJsonIsBalancedAndComplete) {
   EXPECT_EQ(depth, 0);
 }
 
-TEST_F(StructureTest, AdapterBreakdownMatchesMemoryUsage) {
-  AltIndexAdapter adapter;
+// The ConcurrentIndex facade contract, checked on ALT-index (monolithic and
+// sharded) and on a baseline that does not attribute paths: the coarse memory
+// breakdown sums to MemoryUsage(), an ALT hit is tagged with the path that
+// served it, a non-attributing index leaves the caller's tag untouched, and a
+// null `served` is accepted.
+class FacadeContractTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void TearDown() override { EpochManager::Global().DrainAll(); }
+};
+
+TEST_P(FacadeContractTest, BreakdownAndPathAttribution) {
+  const std::unique_ptr<ConcurrentIndex> index = MakeIndex(GetParam());
+  ASSERT_NE(index, nullptr);
+  const bool attributes = GetParam() != "art";
   const auto keys = DenseKeys(10000);
   std::vector<Value> vals(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) vals[i] = ValueFor(keys[i]);
-  ASSERT_TRUE(adapter.BulkLoad(keys.data(), vals.data(), keys.size()).ok());
+  ASSERT_TRUE(index->BulkLoad(keys.data(), vals.data(), keys.size()).ok());
   for (size_t i = 0; i < 5000; ++i) {
-    adapter.Insert(keys.back() + 3 * static_cast<Key>(i + 1), 1);
+    index->Insert(keys.back() + 3 * static_cast<Key>(i + 1), 1);
   }
-  const ConcurrentIndex::MemoryBreakdown mb = adapter.CollectMemoryBreakdown();
-  EXPECT_EQ(mb.total(), adapter.MemoryUsage());
-  EXPECT_GT(mb.model_bytes, 0u);
-  EXPECT_GT(mb.auxiliary_bytes, 0u);
-  EXPECT_EQ(mb.other_bytes, 0u);
+
+  const ConcurrentIndex::MemoryBreakdown mb = index->CollectMemoryBreakdown();
+  EXPECT_EQ(mb.total(), index->MemoryUsage());
+  if (attributes) {
+    EXPECT_GT(mb.model_bytes, 0u);
+    EXPECT_GT(mb.auxiliary_bytes, 0u);
+    EXPECT_EQ(mb.other_bytes, 0u);
+  }
+
+  // ALT presets kUnattributed, as the runner does, and must overwrite it; the
+  // baseline gets a tag it never reports, which must survive the call.
+  const ServedBy preset = attributes ? ServedBy::kUnattributed : ServedBy::kLearnedSlot;
+  ServedBy by = preset;
+  Value v = 0;
+  EXPECT_TRUE(index->Lookup(keys[10], &v, &by));
+  EXPECT_EQ(v, ValueFor(keys[10]));
+  if (attributes) {
+    EXPECT_NE(by, ServedBy::kUnattributed);
+  } else {
+    EXPECT_EQ(by, preset);
+  }
+  EXPECT_TRUE(index->Lookup(keys[11], &v, nullptr));
+  EXPECT_EQ(v, ValueFor(keys[11]));
 }
 
-TEST_F(StructureTest, ServedByDefaultsToUnattributedForBaselines) {
-  // The base-class Served* variants must delegate and tag kUnattributed.
-  AltIndexAdapter adapter;
-  const auto keys = DenseKeys(1000);
-  std::vector<Value> vals(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) vals[i] = ValueFor(keys[i]);
-  ASSERT_TRUE(adapter.BulkLoad(keys.data(), vals.data(), keys.size()).ok());
-  Value v = 0;
-  ServedBy served = ServedBy::kUnattributed;
-  EXPECT_TRUE(adapter.LookupServed(keys[10], &v, &served));
-  EXPECT_NE(served, ServedBy::kUnattributed);  // ALT attributes its reads
-  EXPECT_EQ(v, ValueFor(keys[10]));
-  // Null out-param is legal everywhere.
-  EXPECT_TRUE(adapter.LookupServed(keys[11], &v, nullptr));
-}
+INSTANTIATE_TEST_SUITE_P(AltAndBaseline, FacadeContractTest,
+                         ::testing::Values("alt", "alt-sharded2", "art"),
+                         [](const auto& info) {
+                           std::string n = info.param;
+                           for (auto& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
 
 }  // namespace
 }  // namespace alt
