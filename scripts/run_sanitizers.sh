@@ -41,8 +41,8 @@ run_tsan() {
   # Focus on the concurrency-heavy binaries; the full suite is slow under TSan.
   # tsan.supp covers only OlcBTree's by-design optimistic reads.
   local t
-  for t in art_test art_edge_test retraining_test concurrency_test olc_btree_test \
-           lookup_batch_test epoch_test shard_test server_test; do
+  for t in art_test art_edge_test alt_index_test retraining_test concurrency_test \
+           olc_btree_test lookup_batch_test epoch_test shard_test server_test; do
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 suppressions=$PWD/tsan.supp" \
       "./build-tsan/tests/$t"
   done

@@ -425,7 +425,8 @@ ArtTree::~ArtTree() {
 
 // ---- Lookup ----------------------------------------------------------------
 
-ArtTree::OpResult ArtTree::LookupImpl(Node* start, Key key, Value* out, int* steps) const {
+ArtTree::OpResult ArtTree::LookupImpl(Node* start, Key key, int* steps,
+                                      Found* found) const {
   bool restart = false;
   Node* node = start;
   uint64_t v = node->ReadLockOrRestart(&restart);
@@ -452,9 +453,9 @@ ArtTree::OpResult ArtTree::LookupImpl(Node* start, Key key, Value* out, int* ste
     if (restart) return OpResult::kRestart;
     if (child == nullptr) return OpResult::kNotFound;
     if (IsLeaf(child)) {
-      const Leaf* leaf = ToLeaf(child);
+      Leaf* leaf = ToLeaf(child);
       if (leaf->key != key) return OpResult::kNotFound;
-      *out = leaf->value.load(std::memory_order_acquire);
+      *found = Found{leaf, node, v};
       return OpResult::kDone;
     }
     Node* next = child;
@@ -471,8 +472,12 @@ ArtTree::OpResult ArtTree::LookupImpl(Node* start, Key key, Value* out, int* ste
 bool ArtTree::Lookup(Key key, Value* out, int* steps) const {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::Lookup", epoch_);
   for (;;) {
-    OpResult r = LookupImpl(root_, key, out, steps);
-    if (r == OpResult::kDone) return true;
+    Found f;
+    const OpResult r = LookupImpl(root_, key, steps, &f);
+    if (r == OpResult::kDone) {
+      *out = f.leaf->value.load(std::memory_order_acquire);
+      return true;
+    }
     if (r == OpResult::kNotFound) return false;
   }
 }
@@ -480,9 +485,12 @@ bool ArtTree::Lookup(Key key, Value* out, int* steps) const {
 HintOutcome ArtTree::LookupFrom(Node* hint, Key key, Value* out, int* steps) const {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::LookupFrom", epoch_);
   for (int attempt = 0; attempt < 64; ++attempt) {
-    OpResult r = LookupImpl(hint, key, out, steps);
+    Found f;
+    const OpResult r = LookupImpl(hint, key, steps, &f);
     switch (r) {
-      case OpResult::kDone: return HintOutcome::kFound;
+      case OpResult::kDone:
+        *out = f.leaf->value.load(std::memory_order_acquire);
+        return HintOutcome::kFound;
       case OpResult::kNotFound: return HintOutcome::kNotFound;
       case OpResult::kNeedRoot: return HintOutcome::kNeedRoot;
       default: break;  // kRestart: retry from the hint
@@ -743,53 +751,16 @@ HintOutcome ArtTree::InsertFrom(Node* hint, Key key, Value value) {
 bool ArtTree::Update(Key key, Value value) {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::Update", epoch_);
   for (;;) {
+    Found f;
+    const OpResult r = LookupImpl(root_, key, nullptr, &f);
+    if (r == OpResult::kNotFound) return false;
+    if (r != OpResult::kDone) continue;
+    f.leaf->value.store(value, std::memory_order_release);
+    // Validate the leaf was still reachable when we stored; else retry so we
+    // do not update a detached leaf that a remove already unlinked.
     bool restart = false;
-    Node* node = root_;
-    uint64_t v = node->ReadLockOrRestart(&restart);
-    if (restart) continue;
-    int depth = 0;
-    for (;;) {
-      const int plen = node->prefix_len.load(std::memory_order_relaxed);
-      if (plen > 0) {
-        const uint64_t pword = node->prefix_word.load(std::memory_order_relaxed);
-        bool mismatch = false;
-        for (int i = 0; i < plen; ++i) {
-          if (Node::PrefixByte(pword, i) != KeyByte(key, depth + i)) {
-            mismatch = true;
-            break;
-          }
-        }
-        if (mismatch) {
-          node->CheckOrRestart(v, &restart);
-          if (restart) break;
-          return false;
-        }
-        depth += plen;
-      }
-      const uint8_t byte = KeyByte(key, depth);
-      Node* child = GetChild(node, byte);
-      node->CheckOrRestart(v, &restart);
-      if (restart) break;
-      if (child == nullptr) return false;
-      if (IsLeaf(child)) {
-        Leaf* leaf = ToLeaf(child);
-        if (leaf->key != key) return false;
-        leaf->value.store(value, std::memory_order_release);
-        // Validate the leaf was still reachable when we stored; else retry so
-        // we do not update a detached leaf that a remove already unlinked.
-        node->CheckOrRestart(v, &restart);
-        if (restart) break;
-        return true;
-      }
-      Node* next = child;
-      uint64_t nv = next->ReadLockOrRestart(&restart);
-      if (restart) break;
-      node->CheckOrRestart(v, &restart);
-      if (restart) break;
-      node = next;
-      v = nv;
-      depth += 1;
-    }
+    f.node->CheckOrRestart(f.version, &restart);
+    if (!restart) return true;
   }
 }
 
@@ -1081,34 +1052,6 @@ Node* ArtTree::FindLcaNode(Key lo, Key hi, int* depth_out) const {
 }
 
 namespace {
-void CollectStatsRec(const Node* n, size_t depth, ArtTree::Stats* s) {
-  if (IsLeaf(n)) {
-    s->leaves++;
-    s->bytes += sizeof(Leaf);
-    if (depth > s->height) s->height = depth;
-    return;
-  }
-  switch (n->type) {
-    case NodeType::kNode4: s->n4++; break;
-    case NodeType::kNode16: s->n16++; break;
-    case NodeType::kNode48: s->n48++; break;
-    case NodeType::kNode256: s->n256++; break;
-  }
-  s->bytes += NodeBytes(n->type);
-  uint8_t bytes[256];
-  Node* children[256];
-  const int cnt = CollectEntries(n, bytes, children);
-  for (int i = 0; i < cnt; ++i) CollectStatsRec(children[i], depth + 1, s);
-}
-}  // namespace
-
-ArtTree::Stats ArtTree::CollectStats() const {
-  Stats s;
-  CollectStatsRec(root_, 0, &s);
-  return s;
-}
-
-namespace {
 void CollectCensusRec(const Node* n, size_t inner_depth, ArtTree::Census* c) {
   if (IsLeaf(n)) {
     c->leaves++;
@@ -1137,8 +1080,8 @@ void CollectCensusRec(const Node* n, size_t inner_depth, ArtTree::Census* c) {
 
 ArtTree::Census ArtTree::CollectCensus() const {
   Census c;
-  // Depth convention matches CollectStats: the root counts as depth 0, so a
-  // leaf's depth equals the number of inner nodes on its root→leaf path.
+  // The root counts as depth 0, so a leaf's depth equals the number of inner
+  // nodes on its root→leaf path.
   CollectCensusRec(root_, 0, &c);
   return c;
 }

@@ -151,16 +151,7 @@ class ArtTree {
   /// \param depth_out set to the node's match_level.
   Node* FindLcaNode(Key lo, Key hi, int* depth_out) const;
 
-  /// Structural statistics (quiescent-only traversal).
-  struct Stats {
-    size_t n4 = 0, n16 = 0, n48 = 0, n256 = 0;
-    size_t leaves = 0;
-    size_t bytes = 0;
-    size_t height = 0;
-  };
-  Stats CollectStats() const;
-
-  /// \brief Extended structural census (quiescent-only traversal) for the
+  /// \brief Structural census (quiescent-only traversal) for the
   /// flight-recorder introspection layer (DESIGN.md §9.3): memory by node
   /// type, leaf-depth distribution, and path-compression savings — the
   /// decomposition behind the Fig. 8a memory curve.
@@ -177,12 +168,14 @@ class ArtTree {
     /// Total compressed-prefix bytes. Each byte is one single-child level the
     /// tree did not materialize (≈ one Node4 of savings per byte).
     size_t prefix_bytes = 0;
-    size_t total_bytes = 0;  ///< == CollectStats().bytes
+    size_t total_bytes = 0;  ///< == MemoryUsage()
+
+    size_t count(NodeType t) const { return nodes[static_cast<size_t>(t)]; }
   };
   Census CollectCensus() const;
 
   /// Total bytes of nodes + leaves (quiescent-only).
-  size_t MemoryUsage() const { return CollectStats().bytes; }
+  size_t MemoryUsage() const { return CollectCensus().total_bytes; }
 
   size_t Size() const { return size_.load(std::memory_order_relaxed); }
   bool Empty() const { return Size() == 0; }
@@ -192,7 +185,15 @@ class ArtTree {
  private:
   enum class OpResult { kDone, kRestart, kExists, kNotFound, kNeedRoot };
 
-  OpResult LookupImpl(Node* start, Key key, Value* out, int* steps) const;
+  /// A LookupImpl hit: the leaf, and the node and version it was read under
+  /// (Update re-checks them after its store).
+  struct Found {
+    Leaf* leaf = nullptr;
+    Node* node = nullptr;
+    uint64_t version = 0;
+  };
+  /// The one read descent (Lookup, LookupFrom, Update).
+  OpResult LookupImpl(Node* start, Key key, int* steps, Found* found) const;
   // The two OLC write paths acquire node locks via conditional upgrades
   // (UpgradeToWriteLockOrRestart) that the static analysis cannot model —
   // documented ALT_OPTIMISTIC_PATH escapes; the lock protocol is enforced

@@ -264,8 +264,8 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
 // Slot probing and ART-OPT access
 // ---------------------------------------------------------------------------
 
-AltIndex::Probe AltIndex::ProbeSlot(const GplModel* model, Key key, Value* out,
-                                    const GplSlot** slot_out,
+AltIndex::Probe AltIndex::ProbeSlot(GplModel* model, Key key, Value* out,
+                                    GplSlot** slot_out,
                                     uint32_t* word_out) const ALT_REQUIRES_EPOCH {
   if (key >= model->coverage_end()) {
     // Out-of-coverage keys are never stored in slots (see GplModel ctor doc);
@@ -274,7 +274,7 @@ AltIndex::Probe AltIndex::ProbeSlot(const GplModel* model, Key key, Value* out,
     *word_out = 0;
     return Probe::kGoArt;
   }
-  const GplSlot& s = model->slot(model->Predict(key));
+  GplSlot& s = model->slot(model->Predict(key));
   *slot_out = &s;
   for (;;) {
     const uint32_t w = s.word.Read();
@@ -286,21 +286,55 @@ AltIndex::Probe AltIndex::ProbeSlot(const GplModel* model, Key key, Value* out,
         return Probe::kMigrated;
       case SlotState::kTombstone:
         return Probe::kGoArtTombstone;
-      case SlotState::kOccupied: {
-        const Key k = s.OptimisticKey();
-        const Value v = s.OptimisticValue();
-        if (!s.word.Validate(w)) break;  // writer raced; re-read
-        if (k == key) {
-          if (out != nullptr) *out = v;
-          return Probe::kHit;
-        }
-        return Probe::kGoArt;
-      }
+      case SlotState::kOccupied:
+        break;
     }
-    if (SlotWord::StateOf(w) != SlotState::kOccupied) break;
+    const Key k = s.OptimisticKey();
+    const Value v = s.OptimisticValue();
+    if (!s.word.Validate(w)) continue;  // writer raced; re-read
+    if (k != key) return Probe::kGoArt;
+    if (out != nullptr) *out = v;
+    return Probe::kHit;
   }
-  // unreachable; loop either returns or re-reads
-  return Probe::kEmpty;
+}
+
+AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
+                                        ArtRoute* route) const ALT_REQUIRES_EPOCH {
+  GplModel* model = RoutedModel(key);
+  Expansion* exp = model->expansion();
+  route->model = model;
+  for (GplModel* t = model;; t = exp->new_model) {
+    // During a §III-F expansion the old model defers to its temporal buffer
+    // for every key it no longer answers for.
+    const bool buffer_next = t == model && exp != nullptr;
+    route->target = t;
+    switch (ProbeSlot(t, key, out, &route->slot, &route->word)) {
+      case Probe::kHit:
+        return Resolve::kInSlot;
+      case Probe::kGoArtTombstone:
+        return Resolve::kGoArt;
+      case Probe::kGoArt:
+        // Coverage gap (§III-F): the temporal buffer spans slightly more key
+        // space than the old model, so a key beyond the old coverage may
+        // live in a temporal slot.
+        if (route->slot == nullptr && buffer_next) continue;
+        return Resolve::kGoArt;
+      case Probe::kEmpty:
+        // New inserts land in the temporal buffer. Otherwise the zero-error
+        // invariant: an EMPTY predicted slot proves absence — unless it is
+        // suspended (fresh tail model, temporal buffer before its sweep).
+        if (buffer_next) continue;
+        return t->strict_empty() ? Resolve::kAbsent : Resolve::kGoArt;
+      case Probe::kMigrated:
+        if (buffer_next) continue;
+        return Resolve::kRetry;  // stale snapshot: re-route
+    }
+  }
+}
+
+bool AltIndex::RouteHolds(const ArtRoute& route, Key key) const ALT_REQUIRES_EPOCH {
+  if (route.slot != nullptr) return route.slot->word.Validate(route.word);
+  return RoutedModel(key) == route.model;
 }
 
 bool AltIndex::ArtLookup(const GplModel* model, Key key, Value* out,
@@ -370,94 +404,39 @@ bool AltIndex::Lookup(Key key, Value* out, ServedBy* served) const {
 bool AltIndex::LookupInternal(Key key, Value* out, ServedBy* served) const {
   ALT_ASSERT_EPOCH_PINNED("AltIndex::LookupInternal", *epoch_);
   for (;;) {
-    const ModelDirectory::Snapshot* snap = directory_.snapshot();
-    const size_t idx = ModelDirectory::Locate(*snap, key);
-    GplModel* model = snap->models[idx].load(std::memory_order_acquire);
-    Expansion* exp = model->expansion();
-
-    const GplSlot* slot = nullptr;
-    uint32_t word = 0;
-    Probe p = ProbeSlot(model, key, out, &slot, &word);
-    if (p == Probe::kHit) return FinishLearnedHit(served);
-
-    if (slot == nullptr && exp != nullptr) {
-      // Coverage gap (§III-F): the temporal buffer spans slightly more key
-      // space than the old model (span grows by half a slot), so during an
-      // expansion a key beyond the old coverage may live in a temporal slot.
-      p = ProbeSlot(exp->new_model, key, out, &slot, &word);
-      if (p == Probe::kHit) return FinishLearnedHit(served);
-      if (p == Probe::kMigrated) continue;  // stale snapshot: re-route
-      if (p == Probe::kEmpty && exp->new_model->strict_empty()) {
+    ArtRoute route;
+    switch (ResolveSlot(key, out, &route)) {
+      case Resolve::kInSlot:
+        return FinishLearnedHit(served);
+      case Resolve::kAbsent:
         return FinishLearnedNegative(served);
-      }
-      // Otherwise fall through to ART with the temporal slot as the routed
-      // slot (or none if the key is beyond the temporal coverage too).
-    } else if (p == Probe::kEmpty) {
-      if (exp == nullptr) {
-        // Zero-error invariant: an EMPTY predicted slot proves absence —
-        // unless the model's invariant is suspended (fresh tail model).
-        if (model->strict_empty()) return FinishLearnedNegative(served);
-      } else {
-        // §III-F: new inserts land in the temporal buffer.
-        p = ProbeSlot(exp->new_model, key, out, &slot, &word);
-        if (p == Probe::kHit) return FinishLearnedHit(served);
-        if (p == Probe::kMigrated) continue;  // stale snapshot: re-route
-        if (p == Probe::kEmpty && exp->new_model->strict_empty()) {
-          return FinishLearnedNegative(served);
-        }
-        // Pre-sweep temporal slot: fall through to ART.
-      }
-    } else if (p == Probe::kMigrated) {
-      p = ProbeSlot(exp != nullptr ? exp->new_model : model, key, out, &slot,
-                    &word);
-      if (p == Probe::kHit) return FinishLearnedHit(served);
-      if (p == Probe::kMigrated) continue;  // stale snapshot: re-route
-      if (p == Probe::kEmpty &&
-          (exp == nullptr || exp->new_model->strict_empty())) {
-        return FinishLearnedNegative(served);
-      }
+      case Resolve::kRetry:
+        continue;
+      case Resolve::kGoArt:
+        break;
     }
 
     // Secondary search in ART-OPT (replaces error-correction, §III-A).
     Value art_value = 0;
-    if (ArtLookup(model, key, &art_value, served)) {
+    if (ArtLookup(route.model, key, &art_value, served)) {
       if (out != nullptr) *out = art_value;
       // Write-back scheme (Alg. 2 lines 10-13): a tombstoned predicted slot
       // re-adopts its key from ART. Skipped during expansion (§III-F owns
-      // slot transitions then).
-      if (p == Probe::kGoArtTombstone && exp == nullptr) {
-        auto* ms = const_cast<GplSlot*>(slot);
-        const uint32_t lw = ms->word.Lock();
-        if (SlotWord::StateOf(lw) == SlotState::kTombstone) {
-          Value moved = 0;
-          if (const_cast<art::ArtTree&>(art_).Remove(key, &moved)) {
-            ms->key.store(key, std::memory_order_relaxed);
-            ms->value.store(moved, std::memory_order_relaxed);
-            ms->word.Unlock(lw, SlotState::kOccupied);
-            metrics::Inc(Counter::kWriteBacks);
-            if (out != nullptr) *out = moved;
-            return true;
-          }
-        }
-        ms->word.Unlock(lw, SlotWord::StateOf(lw));
+      // slot transitions then; WriteBack re-checks under the slot lock). The
+      // write-back only moves a key between layers, so a const Lookup may
+      // perform it.
+      if (route.slot != nullptr &&
+          SlotWord::StateOf(route.word) == SlotState::kTombstone &&
+          route.model->expansion() == nullptr) {
+        WriteBackSection wb(this);
+        const_cast<AltIndex*>(this)->WriteBack(route.model, *route.slot, key,
+                                               SlotState::kTombstone, out);
       }
       return true;
     }
-
-    // ART miss: re-validate the slot we routed from; a concurrent write-back
-    // or migration may have moved the key while we searched. Out-of-coverage
-    // probes have no slot — re-validate the routing instead (a tail append
-    // may have taken over the range).
-    if (slot != nullptr) {
-      if (slot->word.Validate(word)) return false;
-    } else {
-      const ModelDirectory::Snapshot* snap2 = directory_.snapshot();
-      if (snap2->models[ModelDirectory::Locate(*snap2, key)].load(
-              std::memory_order_acquire) == model) {
-        return false;
-      }
-    }
-    // else: retry the whole lookup
+    // ART miss: a concurrent write-back, migration or tail append may have
+    // moved the key while we searched.
+    if (RouteHolds(route, key)) return false;
   }
 }
 
@@ -468,173 +447,121 @@ bool AltIndex::LookupInternal(Key key, Value* out, ServedBy* served) const {
 bool AltIndex::Insert(Key key, Value value, ServedBy* served) {
   EpochGuard g(*epoch_);
   for (;;) {
-    const ModelDirectory::Snapshot* snap = directory_.snapshot();
-    const size_t idx = ModelDirectory::Locate(*snap, key);
-    GplModel* model = snap->models[idx].load(std::memory_order_acquire);
+    GplModel* model = RoutedModel(key);
     Expansion* exp = model->expansion();
-
-    if (exp != nullptr) {
-      bool retry = false;
-      const bool ok = InsertExpanding(model, exp, key, value, &retry);
-      if (retry) continue;
-      SetServedBy(served, ServedBy::kExpansionPath);
-      return ok;
-    }
-
-    if (key >= model->coverage_end()) {
-      // Out-of-coverage keys live exclusively in ART (no slot state).
-      SetServedBy(served, ServedBy::kConflictInsert);
-      if (!ArtInsert(model, key, value)) return false;
-      size_.fetch_add(1, std::memory_order_relaxed);
-      model->BumpInsertCount();
-      MaybeTriggerExpansion(model);
-      EnsureArtKeyVisible(key);
-      return true;
-    }
-
-    GplSlot& s = model->slot(model->Predict(key));
-    const uint32_t w = s.word.Read();
-    switch (SlotWord::StateOf(w)) {
-      case SlotState::kEmpty: {
-        if (!model->strict_empty()) {
-          // Suspended invariant (fresh tail model): the key may still sit in
-          // ART; check before placing, then re-validate the slot so a racing
-          // write-back sweep is observed.
-          Value existing = 0;
-          if (ArtLookup(model, key, &existing)) {
-            if (!s.word.Validate(w)) continue;
-            SetServedBy(served, ServedBy::kArtRoot);
-            return false;  // exists in ART
-          }
-          if (!s.word.Validate(w)) continue;
-        }
-        const uint32_t lw = s.word.Lock();
-        if (SlotWord::StateOf(lw) != SlotState::kEmpty) {
-          s.word.Unlock(lw, SlotWord::StateOf(lw));
-          continue;  // slot changed underneath; retry from the top
-        }
-        // Re-check the expansion under the slot lock: if one was installed
-        // since `exp` was read, a concurrent insert may already have placed a
-        // conflicting key in the temporal buffer while this slot was EMPTY.
-        // Occupying it now would shadow that key behind the occupied → ART
-        // route and strand it (lookups would never probe the buffer). The
-        // lock acquisition is an RMW, so any install visible to a writer
-        // that saw this slot EMPTY is visible to this load too.
-        if (model->expansion() != nullptr) {
-          s.word.Unlock(lw, SlotState::kEmpty);
-          continue;  // retry routes through InsertExpanding
-        }
-        s.key.store(key, std::memory_order_relaxed);
-        s.value.store(value, std::memory_order_relaxed);
-        s.word.Unlock(lw, SlotState::kOccupied);
-        metrics::Inc(Counter::kSlotInserts);
-        size_.fetch_add(1, std::memory_order_relaxed);
-        model->BumpInsertCount();
-        MaybeTriggerExpansion(model);
-        SetServedBy(served, ServedBy::kSlotInsert);
-        return true;
-      }
-      case SlotState::kOccupied: {
-        const Key k = s.OptimisticKey();
-        if (!s.word.Validate(w)) continue;
-        if (k == key) {
-          SetServedBy(served, ServedBy::kLearnedSlot);
-          return false;  // exists in place
-        }
-        // Conflict: the key belongs in ART-OPT.
-        SetServedBy(served, ServedBy::kConflictInsert);
-        if (ArtInsert(model, key, value)) {
-          size_.fetch_add(1, std::memory_order_relaxed);
-          model->BumpInsertCount();
-          MaybeTriggerExpansion(model);
-          EnsureArtKeyVisible(key);
-          return true;
-        }
-        return false;  // exists in ART
-      }
-      case SlotState::kTombstone: {
-        // Tombstone inserts route to ART (ART's insert is atomic w.r.t.
-        // duplicates; writing in place here would race the write-back).
-        SetServedBy(served, ServedBy::kConflictInsert);
-        if (ArtInsert(model, key, value)) {
-          size_.fetch_add(1, std::memory_order_relaxed);
-          model->BumpInsertCount();
-          MaybeTriggerExpansion(model);
-          EnsureArtKeyVisible(key);
-          return true;
-        }
-        return false;
-      }
-      case SlotState::kMigrated:
-        continue;  // expansion appeared; retry picks it up
-    }
+    const Placed r = exp == nullptr ? InsertInto(model, nullptr, key, value, served)
+                                    : InsertExpanding(model, exp, key, value);
+    if (r == Placed::kRetry) continue;
+    if (exp != nullptr) SetServedBy(served, ServedBy::kExpansionPath);
+    return r == Placed::kInserted;
   }
 }
 
-bool AltIndex::InsertExpanding(GplModel* model, Expansion* exp, Key key,
-                               Value value, bool* retry) ALT_REQUIRES_EPOCH {
-  *retry = false;
-  GplModel* nm = exp->new_model;
-  if (key >= nm->coverage_end()) {
-    // The temporal buffer will not store this key; it belongs in ART. The
-    // old model's clamp slot may still hold it from before the expansion —
-    // check for a duplicate there first.
-    if (key < model->coverage_end()) {
-      const GplSlot& os = model->slot(model->Predict(key));
-      for (;;) {
-        const uint32_t ow = os.word.Read();
-        if (SlotWord::StateOf(ow) != SlotState::kOccupied) break;
-        const Key ok_key = os.OptimisticKey();
-        if (!os.word.Validate(ow)) continue;
-        if (ok_key == key) return false;  // exists in the old model
-        break;
-      }
+AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
+                                      Value value,
+                                      ServedBy* served) ALT_REQUIRES_EPOCH {
+  GplModel* t = exp != nullptr ? exp->new_model : model;
+  GplSlot* slot = nullptr;
+  uint32_t w = 0;
+  switch (ProbeSlot(t, key, nullptr, &slot, &w)) {
+    case Probe::kHit:
+      SetServedBy(served, ServedBy::kLearnedSlot);
+      return Placed::kExists;  // exists in place
+    case Probe::kMigrated:
+      // An expansion appeared, or the temporal buffer was published and is
+      // itself expanding: re-route from the top.
+      return Placed::kRetry;
+    case Probe::kGoArt:
+    case Probe::kGoArtTombstone:
+      // Conflict (§III-A), or out of coverage (no slot state): the key
+      // belongs in ART-OPT. Tombstone inserts go there too — ART's insert is
+      // atomic w.r.t. duplicates; writing in place would race the write-back.
+      SetServedBy(served, ServedBy::kConflictInsert);
+      if (!ArtInsert(t, key, value)) return Placed::kExists;  // exists in ART
+      CountInsert(model, exp);
+      EnsureArtKeyVisible(key);
+      return Placed::kInserted;
+    case Probe::kEmpty:
+      break;
+  }
+  GplSlot& s = *slot;
+  if (!t->strict_empty()) {
+    // Suspended invariant (fresh tail model, temporal buffer before its
+    // finish sweep): the key may still sit in ART; check before placing,
+    // then re-validate the slot so a racing write-back sweep is observed.
+    Value existing = 0;
+    const bool in_art = ArtLookup(t, key, &existing);
+    if (!s.word.Validate(w)) return Placed::kRetry;
+    if (in_art) {
+      SetServedBy(served, ServedBy::kArtRoot);
+      return Placed::kExists;
     }
-    if (!ArtInsert(nm, key, value)) return false;
-    size_.fetch_add(1, std::memory_order_relaxed);
-    exp->new_inserts.fetch_add(1, std::memory_order_relaxed);
-    MaybeFinishExpansion(model, exp);
-    EnsureArtKeyVisible(key);
-    return true;
+  }
+  const uint32_t lw = s.word.Lock();
+  // Re-check the expansion under the slot lock: if one was installed on `t`
+  // since it was routed, a concurrent insert may already have placed a
+  // conflicting key in the temporal buffer while this slot was EMPTY.
+  // Occupying it now would shadow that key behind the occupied → ART route
+  // and strand it (lookups would never probe the buffer). The lock
+  // acquisition is an RMW, so any install visible to a writer that saw this
+  // slot EMPTY is visible to this load too.
+  if (SlotWord::StateOf(lw) != SlotState::kEmpty || t->expansion() != nullptr) {
+    s.word.Unlock(lw, SlotWord::StateOf(lw));
+    return Placed::kRetry;
+  }
+  s.key.store(key, std::memory_order_relaxed);
+  s.value.store(value, std::memory_order_relaxed);
+  s.word.Unlock(lw, SlotState::kOccupied);
+  metrics::Inc(Counter::kSlotInserts);
+  SetServedBy(served, ServedBy::kSlotInsert);
+  CountInsert(model, exp);
+  return Placed::kInserted;
+}
+
+AltIndex::Placed AltIndex::InsertExpanding(GplModel* model, Expansion* exp,
+                                           Key key,
+                                           Value value) ALT_REQUIRES_EPOCH {
+  if (key >= exp->new_model->coverage_end()) {
+    // The temporal buffer will not store this key; InsertInto sends it to
+    // ART. The old model's clamp slot may still hold it from before the
+    // expansion — check for a duplicate there first.
+    GplSlot* slot = nullptr;
+    uint32_t w = 0;
+    if (ProbeSlot(model, key, nullptr, &slot, &w) == Probe::kHit) return Placed::kExists;
+    return InsertInto(model, exp, key, value, nullptr);
   }
   GplSlot& s = model->slot(model->Predict(key));
-  const uint32_t w = s.word.Read();
-  switch (SlotWord::StateOf(w)) {
-    case SlotState::kOccupied: {
-      const uint32_t lw = s.word.Lock();
-      if (SlotWord::StateOf(lw) != SlotState::kOccupied) {
-        s.word.Unlock(lw, SlotWord::StateOf(lw));
-        *retry = true;
-        return false;
-      }
+  const SlotState st = SlotWord::StateOf(s.word.Read());
+  if (st == SlotState::kOccupied || st == SlotState::kTombstone) {
+    const uint32_t lw = s.word.Lock();
+    if (SlotWord::StateOf(lw) != st) {
+      s.word.Unlock(lw, SlotWord::StateOf(lw));
+      return Placed::kRetry;
+    }
+    if (st == SlotState::kOccupied) {
       const Key okey = s.key.load(std::memory_order_relaxed);
-      const Value oval = s.value.load(std::memory_order_relaxed);
       if (okey == key) {
         s.word.Unlock(lw, SlotState::kOccupied);
-        return false;  // exists in place
+        return Placed::kExists;  // exists in place
       }
       // §III-F step 2: evict the old occupant to the temporal buffer, then
       // place the new key there too.
-      MigrateInto(exp->new_model, okey, oval);
-      s.word.Unlock(lw, SlotState::kMigrated);
-      return InsertIntoNewModel(model, exp, key, value, retry);
+      MigrateInto(exp->new_model, okey, s.value.load(std::memory_order_relaxed));
     }
-    case SlotState::kTombstone: {
-      const uint32_t lw = s.word.Lock();
-      if (SlotWord::StateOf(lw) != SlotState::kTombstone) {
-        s.word.Unlock(lw, SlotWord::StateOf(lw));
-        *retry = true;
-        return false;
-      }
-      s.word.Unlock(lw, SlotState::kMigrated);  // nothing to move
-      return InsertIntoNewModel(model, exp, key, value, retry);
-    }
-    case SlotState::kEmpty:
-    case SlotState::kMigrated:
-      return InsertIntoNewModel(model, exp, key, value, retry);
+    s.word.Unlock(lw, SlotState::kMigrated);  // a tombstone has nothing to move
   }
-  *retry = true;
-  return false;
+  return InsertInto(model, exp, key, value, nullptr);
+}
+
+void AltIndex::CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH {
+  size_.fetch_add(1, std::memory_order_relaxed);
+  if (exp == nullptr) {
+    model->BumpInsertCount();
+    MaybeTriggerExpansion(model);
+  } else {
+    exp->new_inserts.fetch_add(1, std::memory_order_relaxed);
+    MaybeFinishExpansion(model, exp);
+  }
 }
 
 void AltIndex::MigrateInto(GplModel* new_model, Key key,
@@ -663,261 +590,60 @@ void AltIndex::MigrateInto(GplModel* new_model, Key key,
   (void)ok;
 }
 
-bool AltIndex::InsertIntoNewModel(GplModel* old_model, Expansion* exp, Key key,
-                                  Value value, bool* retry) ALT_REQUIRES_EPOCH {
-  GplModel* nm = exp->new_model;
-  assert(key < nm->coverage_end() && "routed by InsertExpanding");
-  for (;;) {
-    GplSlot& s = nm->slot(nm->Predict(key));
-    const uint32_t w = s.word.Read();
-    switch (SlotWord::StateOf(w)) {
-      case SlotState::kEmpty: {
-        // While expanding, the zero-error invariant is suspended: the key may
-        // still sit in ART from before the expansion. Check before placing.
-        if (!nm->strict_empty()) {
-          Value existing = 0;
-          if (ArtLookup(nm, key, &existing)) {
-            // Re-validate: if the slot changed, the write-back sweep may have
-            // just moved a key here; retry to observe the final state.
-            if (!s.word.Validate(w)) continue;
-            return false;  // exists in ART
-          }
-          if (!s.word.Validate(w)) continue;
-        }
-        const uint32_t lw = s.word.Lock();
-        if (SlotWord::StateOf(lw) != SlotState::kEmpty) {
-          s.word.Unlock(lw, SlotWord::StateOf(lw));
-          continue;
-        }
-        // Same TOCTOU guard as the non-expanding insert: `nm` may have been
-        // published and started its own expansion, in which case this key
-        // must go through that expansion's routing, not occupy a slot here.
-        if (nm->expansion() != nullptr) {
-          s.word.Unlock(lw, SlotState::kEmpty);
-          *retry = true;
-          return false;
-        }
-        s.key.store(key, std::memory_order_relaxed);
-        s.value.store(value, std::memory_order_relaxed);
-        s.word.Unlock(lw, SlotState::kOccupied);
-        metrics::Inc(Counter::kSlotInserts);
-        size_.fetch_add(1, std::memory_order_relaxed);
-        exp->new_inserts.fetch_add(1, std::memory_order_relaxed);
-        MaybeFinishExpansion(old_model, exp);
-        return true;
-      }
-      case SlotState::kOccupied: {
-        const Key k = s.OptimisticKey();
-        if (!s.word.Validate(w)) continue;
-        if (k == key) return false;  // exists in place
-        if (ArtInsert(nm, key, value)) {
-          size_.fetch_add(1, std::memory_order_relaxed);
-          exp->new_inserts.fetch_add(1, std::memory_order_relaxed);
-          MaybeFinishExpansion(old_model, exp);
-          EnsureArtKeyVisible(key);
-          return true;
-        }
-        return false;
-      }
-      case SlotState::kTombstone: {
-        if (ArtInsert(nm, key, value)) {
-          size_.fetch_add(1, std::memory_order_relaxed);
-          exp->new_inserts.fetch_add(1, std::memory_order_relaxed);
-          MaybeFinishExpansion(old_model, exp);
-          EnsureArtKeyVisible(key);
-          return true;
-        }
-        return false;
-      }
-      case SlotState::kMigrated:
-        // The temporal buffer was published and is itself expanding; this
-        // caller is working off a stale snapshot — re-route from the top.
-        *retry = true;
-        return false;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Update / Remove
 // ---------------------------------------------------------------------------
 
 bool AltIndex::Update(Key key, Value value, ServedBy* served) {
-  EpochGuard g(*epoch_);
-  for (;;) {
-    const ModelDirectory::Snapshot* snap = directory_.snapshot();
-    const size_t idx = ModelDirectory::Locate(*snap, key);
-    GplModel* model = snap->models[idx].load(std::memory_order_acquire);
-    Expansion* exp = model->expansion();
-
-    GplModel* targets[2] = {model, exp != nullptr ? exp->new_model : nullptr};
-    const GplSlot* routed_slot = nullptr;
-    uint32_t routed_word = 0;
-    bool decided = false;
-
-    for (GplModel* t : targets) {
-      if (t == nullptr || decided) continue;
-      if (key >= t->coverage_end()) {
-        // Coverage gap (§III-F): the temporal buffer spans slightly more key
-        // space than the old model, so consult it before declaring ART the
-        // authoritative home.
-        if (t == model && exp != nullptr) continue;
-        routed_slot = nullptr;  // no slot: ART is the authoritative home
-        decided = true;
-        continue;
-      }
-      GplSlot& s = t->slot(t->Predict(key));
-      for (;;) {
-        const uint32_t w = s.word.Read();
-        const SlotState st = SlotWord::StateOf(w);
-        if (st == SlotState::kOccupied) {
-          const Key k = s.OptimisticKey();
-          if (!s.word.Validate(w)) continue;
-          if (k == key) {
-            const uint32_t lw = s.word.Lock();
-            if (SlotWord::StateOf(lw) != SlotState::kOccupied ||
-                s.key.load(std::memory_order_relaxed) != key) {
-              s.word.Unlock(lw, SlotWord::StateOf(lw));
-              break;  // changed underneath; retry from the top
-            }
-            s.value.store(value, std::memory_order_relaxed);
-            s.word.Unlock(lw, SlotState::kOccupied);
-            SetServedBy(served, ServedBy::kLearnedSlot);
-            return true;
-          }
-          routed_slot = &s;
-          routed_word = w;
-          decided = true;
-          break;
-        }
-        if (st == SlotState::kTombstone) {
-          routed_slot = &s;
-          routed_word = w;
-          decided = true;
-          break;
-        }
-        if (st == SlotState::kMigrated) break;  // consult next target
-        // kEmpty:
-        if (t == model && exp != nullptr) break;  // check temporal buffer
-        if (t->strict_empty()) {
-          SetServedBy(served, ServedBy::kLearnedNegative);
-          return false;  // authoritative absence
-        }
-        routed_slot = &s;
-        routed_word = w;
-        decided = true;
-        break;
-      }
-    }
-
-    if (!decided) continue;  // slot changed underneath or all-migrated: retry
-
-    if (art_.Update(key, value)) {
-      SetServedBy(served, ServedBy::kArtRoot);
-      return true;
-    }
-    if (routed_slot != nullptr) {
-      if (!routed_slot->word.Validate(routed_word)) continue;
-    } else {
-      const ModelDirectory::Snapshot* snap2 = directory_.snapshot();
-      if (snap2->models[ModelDirectory::Locate(*snap2, key)].load(
-              std::memory_order_acquire) != model) {
-        continue;  // routing changed (tail appended); retry
-      }
-    }
-    SetServedBy(served, ServedBy::kArtNegative);
-    return false;
-  }
+  return UpdateOrRemove(key, &value, served);
 }
 
 bool AltIndex::Remove(Key key, ServedBy* served) {
+  return UpdateOrRemove(key, nullptr, served);
+}
+
+bool AltIndex::UpdateOrRemove(Key key, const Value* value, ServedBy* served) {
   EpochGuard g(*epoch_);
   for (;;) {
-    const ModelDirectory::Snapshot* snap = directory_.snapshot();
-    const size_t idx = ModelDirectory::Locate(*snap, key);
-    GplModel* model = snap->models[idx].load(std::memory_order_acquire);
-    Expansion* exp = model->expansion();
-
-    GplModel* targets[2] = {model, exp != nullptr ? exp->new_model : nullptr};
-    const GplSlot* routed_slot = nullptr;
-    uint32_t routed_word = 0;
-    bool decided = false;
-
-    for (GplModel* t : targets) {
-      if (t == nullptr || decided) continue;
-      if (key >= t->coverage_end()) {
-        // Coverage gap (§III-F): the temporal buffer spans slightly more key
-        // space than the old model, so consult it before declaring ART the
-        // authoritative home.
-        if (t == model && exp != nullptr) continue;
-        routed_slot = nullptr;  // no slot: ART is the authoritative home
-        decided = true;
+    ArtRoute route;
+    switch (ResolveSlot(key, nullptr, &route)) {
+      case Resolve::kRetry:
         continue;
+      case Resolve::kAbsent:
+        SetServedBy(served, ServedBy::kLearnedNegative);
+        return false;
+      case Resolve::kInSlot: {
+        GplSlot& s = *route.slot;
+        const uint32_t lw = s.word.Lock();
+        if (SlotWord::StateOf(lw) != SlotState::kOccupied ||
+            s.key.load(std::memory_order_relaxed) != key) {
+          s.word.Unlock(lw, SlotWord::StateOf(lw));
+          continue;  // changed underneath; retry from the top
+        }
+        if (value != nullptr) {
+          s.value.store(*value, std::memory_order_relaxed);
+          s.word.Unlock(lw, SlotState::kOccupied);
+        } else {
+          // In-place delete leaves a tombstone (§III-G): conflicting keys in
+          // ART rely on this slot staying non-empty.
+          s.word.Unlock(lw, SlotState::kTombstone);
+          size_.fetch_sub(1, std::memory_order_relaxed);
+        }
+        SetServedBy(served, ServedBy::kLearnedSlot);
+        return true;
       }
-      GplSlot& s = t->slot(t->Predict(key));
-      for (;;) {
-        const uint32_t w = s.word.Read();
-        const SlotState st = SlotWord::StateOf(w);
-        if (st == SlotState::kOccupied) {
-          const Key k = s.OptimisticKey();
-          if (!s.word.Validate(w)) continue;
-          if (k == key) {
-            const uint32_t lw = s.word.Lock();
-            if (SlotWord::StateOf(lw) != SlotState::kOccupied ||
-                s.key.load(std::memory_order_relaxed) != key) {
-              s.word.Unlock(lw, SlotWord::StateOf(lw));
-              break;
-            }
-            // In-place delete leaves a tombstone (§III-G): conflicting keys
-            // in ART rely on this slot staying non-empty.
-            s.word.Unlock(lw, SlotState::kTombstone);
-            size_.fetch_sub(1, std::memory_order_relaxed);
-            SetServedBy(served, ServedBy::kLearnedSlot);
-            return true;
-          }
-          routed_slot = &s;
-          routed_word = w;
-          decided = true;
-          break;
-        }
-        if (st == SlotState::kTombstone) {
-          routed_slot = &s;
-          routed_word = w;
-          decided = true;
-          break;
-        }
-        if (st == SlotState::kMigrated) break;
-        // kEmpty:
-        if (t == model && exp != nullptr) break;
-        if (t->strict_empty()) {
-          SetServedBy(served, ServedBy::kLearnedNegative);
-          return false;  // authoritative absence
-        }
-        routed_slot = &s;
-        routed_word = w;
-        decided = true;
+      case Resolve::kGoArt:
         break;
-      }
     }
-
-    if (!decided) continue;  // slot changed underneath or all-migrated: retry
-
-    if (art_.Remove(key)) {
-      size_.fetch_sub(1, std::memory_order_relaxed);
+    if (value != nullptr ? art_.Update(key, *value) : art_.Remove(key)) {
+      if (value == nullptr) size_.fetch_sub(1, std::memory_order_relaxed);
       SetServedBy(served, ServedBy::kArtRoot);
       return true;
     }
-    if (routed_slot != nullptr) {
-      if (!routed_slot->word.Validate(routed_word)) continue;
-    } else {
-      const ModelDirectory::Snapshot* snap2 = directory_.snapshot();
-      if (snap2->models[ModelDirectory::Locate(*snap2, key)].load(
-              std::memory_order_acquire) != model) {
-        continue;  // routing changed (tail appended); retry
-      }
+    if (RouteHolds(route, key)) {
+      SetServedBy(served, ServedBy::kArtNegative);
+      return false;
     }
-    SetServedBy(served, ServedBy::kArtNegative);
-    return false;
   }
 }
 
@@ -1013,58 +739,40 @@ size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
 // Dynamic retraining (§III-F)
 // ---------------------------------------------------------------------------
 
-void AltIndex::EnsureArtKeyVisible(Key key) {
-  const ModelDirectory::Snapshot* snap = directory_.snapshot();
-  GplModel* model = snap->models[ModelDirectory::Locate(*snap, key)].load(
-      std::memory_order_acquire);
-  GplModel* t = model;
-  Expansion* exp = t->expansion();
-  GplSlot* s = nullptr;
-  uint32_t w = 0;
-  SlotState st = SlotState::kEmpty;
-  if (key >= t->coverage_end()) {
-    // Out of the old model's coverage. With no expansion ART is authoritative
-    // (visible); with one, the temporal buffer's slightly wider coverage may
-    // make a slot the key's home (§III-F coverage gap).
-    if (exp == nullptr) return;
-    t = exp->new_model;
-    if (key >= t->coverage_end()) return;
-    s = &t->slot(t->Predict(key));
-    w = s->word.Read();
-    st = SlotWord::StateOf(w);
-  } else {
-    s = &t->slot(t->Predict(key));
-    w = s->word.Read();
-    st = SlotWord::StateOf(w);
-    if (exp != nullptr && (st == SlotState::kMigrated || st == SlotState::kEmpty)) {
-      t = exp->new_model;
-      if (key >= t->coverage_end()) return;
-      s = &t->slot(t->Predict(key));
-      w = s->word.Read();
-      st = SlotWord::StateOf(w);
-    }
-  }
+void AltIndex::EnsureArtKeyVisible(Key key) ALT_REQUIRES_EPOCH {
+  ArtRoute route;
+  ResolveSlot(key, nullptr, &route);
   // Only an EMPTY slot can ever make the key unreachable. Attempt the
-  // write-back even while the model's invariant is suspended: the sweep that
-  // will re-arm strict_empty may already have passed this key's position in
-  // ART, so the inserter itself must make the key slot-visible.
-  if (st != SlotState::kEmpty) return;
+  // write-back even while the slot's model has the invariant suspended: the
+  // sweep that will re-arm strict_empty may already have passed this key's
+  // position in ART, so the inserter itself must make the key slot-visible.
+  if (route.slot == nullptr || SlotWord::StateOf(route.word) != SlotState::kEmpty) {
+    return;
+  }
   WriteBackSection wb(this);
-  const uint32_t lw = s->word.Lock();
-  // TOCTOU guard (see Insert): if an expansion appeared on `t` since
-  // it was chosen, leave the key in ART — the suspended invariant keeps it
-  // reachable, and the finish sweep owns the write-back from here.
-  if (SlotWord::StateOf(lw) == SlotState::kEmpty && t->expansion() == nullptr) {
-    Value moved = 0;
-    if (art_.Remove(key, &moved)) {
-      s->key.store(key, std::memory_order_relaxed);
-      s->value.store(moved, std::memory_order_relaxed);
-      s->word.Unlock(lw, SlotState::kOccupied);
+  WriteBack(route.target, *route.slot, key, SlotState::kEmpty);
+}
+
+void AltIndex::WriteBack(GplModel* owner, GplSlot& s, Key key, SlotState from,
+                         Value* moved) ALT_REQUIRES_EPOCH {
+  ALT_DEBUG_CHECK(::alt::debug::LockHeldByThisThread(&write_backs_active_), "write-back",
+                  "ART->slot write-back outside a WriteBackSection", this);
+  const uint32_t lw = s.word.Lock();
+  // TOCTOU guard (see InsertInto): once an expansion is installed on `owner`,
+  // §III-F owns its slot transitions; the key stays in ART, reachable behind
+  // the suspended invariant, and the finish sweep writes it back.
+  if (SlotWord::StateOf(lw) == from && owner->expansion() == nullptr) {
+    Value v = 0;
+    if (art_.Remove(key, &v)) {
+      s.key.store(key, std::memory_order_relaxed);
+      s.value.store(v, std::memory_order_relaxed);
+      s.word.Unlock(lw, SlotState::kOccupied);
       metrics::Inc(Counter::kWriteBacks);
+      if (moved != nullptr) *moved = v;
       return;
     }
   }
-  s->word.Unlock(lw, SlotWord::StateOf(lw));
+  s.word.Unlock(lw, SlotWord::StateOf(lw));
 }
 
 void AltIndex::MaybeTriggerExpansion(GplModel* model) {
@@ -1148,19 +856,7 @@ void AltIndex::FinishExpansion(GplModel* model,
     wb_span.set_detail(art_keys.size());
     for (const auto& [k, unused_v] : art_keys) {
       if (k >= nm->coverage_end()) continue;  // stays in ART (tail range)
-      GplSlot& s = nm->slot(nm->Predict(k));
-      const uint32_t lw = s.word.Lock();
-      if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
-        Value moved = 0;
-        if (art_.Remove(k, &moved)) {
-          s.key.store(k, std::memory_order_relaxed);
-          s.value.store(moved, std::memory_order_relaxed);
-          s.word.Unlock(lw, SlotState::kOccupied);
-          metrics::Inc(Counter::kWriteBacks);
-          continue;
-        }
-      }
-      s.word.Unlock(lw, SlotWord::StateOf(lw));
+      WriteBack(nm, nm->slot(nm->Predict(k)), k, SlotState::kEmpty);
     }
   }
 
@@ -1183,7 +879,7 @@ void AltIndex::FinishExpansion(GplModel* model,
   AppendTailModelIfLast(published);
 }
 
-void AltIndex::AppendTailModelIfLast(const GplModel* published) {
+void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPOCH {
   const ModelDirectory::Snapshot* snap = directory_.snapshot();
   const size_t n = snap->first_keys.size();
   if (n == 0 || snap->models[n - 1].load(std::memory_order_acquire) != published) {
@@ -1217,28 +913,11 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) {
                     static_cast<int64_t>(directory_.NumModels()));
   std::vector<std::pair<Key, Value>> strays;
   art_.RangeQuery(tail_first, ~Key{0}, &strays);
+  // Once an insert storm starts expanding the (already published) tail,
+  // WriteBack declines and that expansion's finish sweep takes over.
   WriteBackSection wb(this);
   for (const auto& [k, unused_v] : strays) {
-    GplSlot& s = tail->slot(tail->Predict(k));
-    const uint32_t lw = s.word.Lock();
-    // TOCTOU guard (see Insert): the tail is already published, so
-    // an insert storm could have started expanding it; its sweep owns the
-    // remaining write-backs then.
-    if (tail->expansion() != nullptr) {
-      s.word.Unlock(lw, SlotWord::StateOf(lw));
-      break;
-    }
-    if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
-      Value moved = 0;
-      if (art_.Remove(k, &moved)) {
-        s.key.store(k, std::memory_order_relaxed);
-        s.value.store(moved, std::memory_order_relaxed);
-        s.word.Unlock(lw, SlotState::kOccupied);
-        metrics::Inc(Counter::kWriteBacks);
-        continue;
-      }
-    }
-    s.word.Unlock(lw, SlotWord::StateOf(lw));
+    WriteBack(tail, tail->slot(tail->Predict(k)), k, SlotState::kEmpty);
   }
   tail->set_strict_empty(true);
 }

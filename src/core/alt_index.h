@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "art/art_tree.h"
+#include "common/debug_checks.h"
 #include "common/index_interface.h"
 #include "common/key_codec.h"
 #include "common/path_tag.h"
@@ -182,12 +183,47 @@ class AltIndex final : public ConcurrentIndex {
   const ModelDirectory& directory() const { return directory_; }
 
  private:
-  enum class Probe { kHit, kExistsSameKey, kEmpty, kGoArt, kGoArtTombstone, kMigrated };
+  enum class Probe { kHit, kEmpty, kGoArt, kGoArtTombstone, kMigrated };
 
   /// Read `model`'s predicted slot for `key`. On kHit, *out is set. Returns
-  /// the observed slot + word so callers can re-validate after an ART miss.
-  Probe ProbeSlot(const GplModel* model, Key key, Value* out, const GplSlot** slot_out,
+  /// the observed slot + word (no slot for an out-of-coverage key).
+  Probe ProbeSlot(GplModel* model, Key key, Value* out, GplSlot** slot_out,
                   uint32_t* word_out) const ALT_REQUIRES_EPOCH;
+
+  /// The model the current directory snapshot routes `key` to. Inline: the
+  /// batched path calls it once per key from another translation unit.
+  GplModel* RoutedModel(Key key) const ALT_REQUIRES_EPOCH {
+    const ModelDirectory::Snapshot* snap = directory_.snapshot();
+    return snap->models[ModelDirectory::Locate(*snap, key)].load(
+        std::memory_order_acquire);
+  }
+
+  /// Where a point op's routing ended: the revalidation token for an ART
+  /// miss (RouteHolds) and the slot an in-place action or write-back uses.
+  struct ArtRoute {
+    GplModel* model = nullptr;   ///< the model the directory routed to
+    GplModel* target = nullptr;  ///< `model` or its temporal buffer: owns `slot`
+    GplSlot* slot = nullptr;     ///< nullptr: ART is the key's only home
+    uint32_t word = 0;           ///< `slot`'s word as read
+  };
+
+  enum class Resolve {
+    kInSlot,  ///< route.slot holds the key (*out set)
+    kAbsent,  ///< EMPTY slot under the zero-error invariant: authoritative miss
+    kGoArt,   ///< ART-OPT decides; `route` revalidates a miss
+    kRetry,   ///< stale snapshot or migrated slot: re-route
+  };
+
+  /// The one slot resolver behind Lookup, Update, Remove and
+  /// EnsureArtKeyVisible (Alg. 2's search over the learned layer): walks
+  /// {routed model, its §III-F temporal buffer} for `key`.
+  Resolve ResolveSlot(Key key, Value* out, ArtRoute* route) const ALT_REQUIRES_EPOCH;
+
+  /// After an ART miss: \return true if `route` still sends `key` to ART —
+  /// the routed slot's word is unchanged or, with no slot, the directory
+  /// still routes `key` to route.model — so the miss is authoritative. False
+  /// means a write-back, migration or tail append may have moved the key.
+  bool RouteHolds(const ArtRoute& route, Key key) const ALT_REQUIRES_EPOCH;
 
   /// Secondary search in ART-OPT via the model's fast pointer (root fallback).
   /// `served` (optional) receives the attribution of the terminal descent.
@@ -200,6 +236,10 @@ class AltIndex final : public ConcurrentIndex {
 
   bool LookupInternal(Key key, Value* out,
                       ServedBy* served = nullptr) const ALT_REQUIRES_EPOCH;
+
+  /// Update (`value` set) or Remove (`value` null): one routing loop, with
+  /// the in-place action and the ART call the only difference.
+  bool UpdateOrRemove(Key key, const Value* value, ServedBy* served);
 
   /// The one collection core behind Scan and RangeQuery: the first `limit`
   /// pairs with lo <= key <= hi, merged across both layers (pins the epoch).
@@ -214,48 +254,62 @@ class AltIndex final : public ConcurrentIndex {
   bool BatchStep(BatchCursor& c, Value* out, bool* found,
                  BatchStatsDelta* st) const ALT_REQUIRES_EPOCH;
 
-  /// Slow path: model under §III-F expansion. \return true if inserted,
-  /// false if the key exists; sets *retry when the caller must re-run.
-  bool InsertExpanding(GplModel* model, Expansion* exp, Key key, Value value,
-                       bool* retry) ALT_REQUIRES_EPOCH;
+  enum class Placed { kInserted, kExists, kRetry };
+
+  /// Insert into `model`, or with `exp` into its temporal buffer: claim the
+  /// EMPTY predicted slot, else (conflict, tombstone, out of coverage) go to
+  /// ART-OPT.
+  Placed InsertInto(GplModel* model, Expansion* exp, Key key, Value value,
+                    ServedBy* served) ALT_REQUIRES_EPOCH;
+
+  /// Slow path: `model` is under §III-F expansion. Retires the key's old
+  /// slot (migrating its occupant), then inserts into the temporal buffer.
+  Placed InsertExpanding(GplModel* model, Expansion* exp, Key key,
+                         Value value) ALT_REQUIRES_EPOCH;
+
+  /// A successful insert's bookkeeping: size, then the §III-F trigger or,
+  /// with `exp`, the finish check.
+  void CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
 
   /// Place (key, value) into the temporal buffer; conflicts go to ART.
   /// Used for victim migration (never fails; victims are unique).
   void MigrateInto(GplModel* new_model, Key key, Value value) ALT_REQUIRES_EPOCH;
 
-  /// Insert a *new* key into the temporal buffer (dup checks against ART).
-  /// \return true if inserted, false if the key already exists; sets *retry
-  /// when the buffer was published and is itself migrating (stale caller).
-  bool InsertIntoNewModel(GplModel* old_model, Expansion* exp, Key key, Value value,
-                          bool* retry) ALT_REQUIRES_EPOCH;
+  /// Post-ART-insert repair for routing races: if `key`'s routed slot is
+  /// EMPTY (a concurrently appended tail model or temporal buffer now owns
+  /// its range), write the key back from ART before the insert returns.
+  void EnsureArtKeyVisible(Key key) ALT_REQUIRES_EPOCH;
 
-  /// Post-ART-insert repair for routing races: if a concurrently appended
-  /// tail model now owns `key`'s range and would answer "absent" from an
-  /// EMPTY slot, write the key back from ART into that slot before the
-  /// insert returns.
-  void EnsureArtKeyVisible(Key key);
+  /// The one ART→slot write-back (Alg. 2 lines 10-13, §III-F): lock `s`; if
+  /// it is still in state `from` and `owner` has no expansion, move `key`
+  /// from ART-OPT into it (its value to *moved). Must run inside a
+  /// WriteBackSection; ALT_DEBUG_CHECKS enforces it.
+  void WriteBack(GplModel* owner, GplSlot& s, Key key, SlotState from,
+                 Value* moved = nullptr) ALT_REQUIRES_EPOCH;
 
   void MaybeTriggerExpansion(GplModel* model);
   void MaybeFinishExpansion(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
   void FinishExpansion(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
-  void AppendTailModelIfLast(const GplModel* published);
+  void AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPOCH;
 
-  /// RAII bracket around an ART→slot write-back (finish sweep, tail-append
-  /// sweep, EnsureArtKeyVisible). A write-back removes the key from ART after
-  /// locking its slot, so a scan that read the slot as EMPTY before the lock
-  /// and queries ART after the removal sees the key in *neither* layer. Point
-  /// lookups survive this by re-validating the routed slot word after an ART
-  /// miss; scans validate coarsely instead, against this generation seqlock
-  /// (see Scan).
+  /// RAII bracket around every WriteBack call (finish sweep, tail-append
+  /// sweep, EnsureArtKeyVisible, Alg. 2's tombstone write-back in Lookup).
+  /// A write-back removes the key from ART after locking its slot, so a scan
+  /// that read the slot before the lock and queries ART after the removal
+  /// sees the key in *neither* layer. Point lookups survive this by
+  /// re-validating the routed slot word after an ART miss (RouteHolds); scans
+  /// validate coarsely instead, against this generation seqlock (ScanRange).
   class WriteBackSection {
    public:
     explicit WriteBackSection(const AltIndex* index) : index_(index) {
+      ALT_DEBUG_NOTE_ACQUIRED(&index_->write_backs_active_, "write-back");
       index_->write_backs_active_.fetch_add(1, std::memory_order_acq_rel);
       index_->write_back_gen_.fetch_add(1, std::memory_order_acq_rel);
     }
     ~WriteBackSection() {
       index_->write_backs_active_.fetch_sub(1, std::memory_order_acq_rel);
       index_->write_back_gen_.fetch_add(1, std::memory_order_acq_rel);
+      ALT_DEBUG_NOTE_RELEASED(&index_->write_backs_active_, "write-back");
     }
     WriteBackSection(const WriteBackSection&) = delete;
     WriteBackSection& operator=(const WriteBackSection&) = delete;
@@ -280,8 +334,8 @@ class AltIndex final : public ConcurrentIndex {
   std::atomic<size_t> retrain_started_{0};
   std::atomic<size_t> retrain_finished_{0};
 
-  // Write-back seqlock (see WriteBackSection). `mutable`: bumped from
-  // EnsureArtKeyVisible and the expansion sweeps, read by const scans.
+  // Write-back seqlock (see WriteBackSection). `mutable`: bumped by const
+  // Lookup's tombstone write-back, read by const scans.
   mutable std::atomic<uint64_t> write_back_gen_{0};
   mutable std::atomic<uint32_t> write_backs_active_{0};
 };

@@ -30,10 +30,6 @@ struct AltOptions {
   /// at the ART root (used by the Fig. 10(a) ablation).
   bool enable_fast_pointers = true;
 
-  /// Merge duplicate fast pointers (§III-C2). Off keeps one entry per model
-  /// (used by the Fig. 10(b) ablation).
-  bool merge_fast_pointers = true;
-
   /// Enable dynamic retraining (§III-F). Off = crowded models push every
   /// further conflicting insert into ART-OPT.
   bool enable_retraining = true;

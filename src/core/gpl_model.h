@@ -90,13 +90,6 @@ class CAPABILITY("slot word lock") SlotWord {
                 std::memory_order_release);
   }
 
-  SlotState State() const { return StateOf(Read()); }
-
-  /// Single-threaded initialization (bulk load only).
-  void InitState(SlotState s) {
-    word_.store(static_cast<uint32_t>(s) << 1, std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<uint32_t> word_{0};
 };
@@ -147,9 +140,10 @@ struct Expansion {
 
   GplModel* const new_model;
   /// Keys inserted into the temporal buffer since expansion began; finishing
-  /// triggers when this reaches the old model's live size (§III-F step 3).
+  /// triggers when this reaches finish_threshold (§III-F step 3).
   std::atomic<uint32_t> new_inserts{0};
-  /// Live keys in the old model at expansion start (the finish threshold).
+  /// max(64, old model's build_size): the paper's "old model size", using
+  /// the build size rather than a live-key count (set before install).
   uint32_t finish_threshold = 0;
   /// NowNanos() when the expansion was prepared; the §III-F retrain-finish
   /// event's duration is measured from here (set before install, never

@@ -54,10 +54,7 @@ struct AltIndex::BatchCursor {
   Key key = 0;
   uint32_t index = 0;  ///< position in the caller's out/found arrays
 
-  const GplModel* model = nullptr;
-  const GplSlot* slot = nullptr;  ///< routed slot for post-miss revalidation
-  uint32_t word = 0;              ///< slot word observed when routed to ART
-  bool tail_routed = false;       ///< routed via non-strict EMPTY (no revalidate word)
+  ArtRoute route;  ///< routed model; slot + word revalidate an ART miss
 
   int32_t fpi = -1;
   FastPointerBuffer::Ref hint{};
@@ -118,7 +115,7 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
   // entry covers the key (entry line was not prefetched — accept one miss;
   // the hint node's lines are what matter and kFpEntry prefetches them).
   const auto route_to_art = [&]() {
-    c.fpi = options_.enable_fast_pointers ? c.model->fp_index() : -1;
+    c.fpi = options_.enable_fast_pointers ? c.route.model->fp_index() : -1;
     if (c.fpi >= 0) {
       fp_buffer_.PrefetchEntry(c.fpi);
       c.stage = Stage::kFpEntry;
@@ -132,56 +129,44 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
     case Stage::kLocate: {
       // Locate dispatches to the AVX2 8-way probe when available (§10); the
       // window it sweeps is what issue()'s PrefetchLocate pulled.
-      const ModelDirectory::Snapshot* snap = directory_.snapshot();
-      const size_t idx = ModelDirectory::Locate(*snap, c.key);
-      c.model = snap->models[idx].load(std::memory_order_acquire);
-      if (c.model->expansion() != nullptr) {
+      c.route.model = RoutedModel(c.key);
+      if (c.route.model->expansion() != nullptr) {
         // §III-F in flight on this model: the scalar path owns the
         // temporal-buffer dance (double probes, re-routing on kMigrated).
         return fallback();
       }
       // One line covers the whole hot header (alignas(64) hot/cold split).
-      PrefetchReadRange(c.model, kCacheLineBytes);
+      PrefetchReadRange(c.route.model, kCacheLineBytes);
       c.stage = Stage::kModel;
       return false;
     }
 
     case Stage::kModel: {
-      if (c.key >= c.model->coverage_end()) {
+      if (c.key >= c.route.model->coverage_end()) {
         // Out-of-coverage keys never live in slots; ART is authoritative
         // (mirrors ProbeSlot's kGoArt-with-null-slot route).
-        c.slot = nullptr;
-        c.word = 0;
         return route_to_art();
       }
-      const uint32_t si = c.model->Predict(c.key);
-      c.model->PrefetchSlot(si);
-      c.slot = &c.model->slot(si);
+      c.route.model->PrefetchSlot(c.route.model->Predict(c.key));
       c.stage = Stage::kProbe;
       return false;
     }
 
     case Stage::kProbe: {
-      const GplSlot* slot = nullptr;
-      uint32_t word = 0;
       Value v = 0;
-      switch (ProbeSlot(c.model, c.key, &v, &slot, &word)) {
+      switch (ProbeSlot(c.route.model, c.key, &v, &c.route.slot, &c.route.word)) {
         case Probe::kHit:
           out[c.index] = v;
           ++st->learned_hits;
           return finish(true);
-        case Probe::kExistsSameKey:  // lookup probes never return this
         case Probe::kEmpty:
-          if (c.model->strict_empty()) {
+          if (c.route.model->strict_empty()) {
             // Zero-error invariant: EMPTY predicted slot proves absence.
             ++st->learned_negatives;
             return finish(false);
           }
           // Fresh tail model with the invariant suspended: the key may still
-          // be ART-resident. Remember the word for post-miss revalidation.
-          c.slot = slot;
-          c.word = word;
-          c.tail_routed = true;
+          // be ART-resident.
           return route_to_art();
         case Probe::kMigrated:
           // An expansion raced in after kLocate; let the scalar path re-route.
@@ -191,8 +176,6 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
           // Secondary search. The scalar path's tombstone write-back is an
           // opportunistic repair, not needed for result correctness — the
           // batch path skips it rather than taking a slot lock mid-pipeline.
-          c.slot = slot;
-          c.word = word;
           return route_to_art();
       }
       return fallback();  // unreachable
@@ -248,22 +231,8 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
           }
           ++st->art_lookups;
           st->art_steps += static_cast<uint64_t>(c.art_steps);
-          // Authoritative ART miss: re-validate the routing (mirrors the
-          // tail of LookupInternal). A changed slot word or a re-routed
-          // directory means the key may have moved while we searched.
-          if (c.slot != nullptr) {
-            if (c.slot->word.Validate(c.word)) {
-              return finish(false);
-            }
-            return fallback();
-          } else {
-            const ModelDirectory::Snapshot* snap2 = directory_.snapshot();
-            if (snap2->models[ModelDirectory::Locate(*snap2, c.key)].load(
-                    std::memory_order_acquire) == c.model) {
-              return finish(false);
-            }
-            return fallback();
-          }
+          // Authoritative ART miss unless the key moved while we searched.
+          return RouteHolds(c.route, c.key) ? finish(false) : fallback();
         case art::StepResult::kRestart:
           if (++c.restarts > kMaxDescentRestarts) return fallback();
           c.stage = Stage::kArtInit;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "common/epoch.h"
@@ -227,6 +229,64 @@ TEST_F(AltIndexTest, WriteBackReclaimsTombstones) {
   const auto after = index.CollectStructuralStats();
   EXPECT_LT(after.art_keys, before.art_keys)
       << "write-back should drain some conflicts out of ART";
+}
+
+// Lookup's Alg. 2 write-back moves a key from ART into its tombstoned slot.
+// Like every write-back it must run inside a WriteBackSection: a racing scan
+// may read the slot before the move and ART after it, and only the section
+// makes it retry instead of missing a key that is live throughout.
+TEST_F(AltIndexTest, TombstoneWriteBackNeverHidesKeysFromScans) {
+  constexpr Key kStride = 1000;
+  constexpr Key kKeys = 50000;
+  AltOptions opts;
+  opts.enable_retraining = false;  // no expansion may take the tombstones over
+  size_t scans = 0;
+  size_t bad_scans = 0;
+  for (int round = 0; round < 10; ++round) {
+    AltIndex index(opts);
+    std::vector<std::pair<Key, Value>> bulk;
+    for (Key i = 0; i < kKeys; ++i) bulk.emplace_back(i * kStride, ValueFor(i * kStride));
+    ASSERT_TRUE(index.BulkLoad(bulk).ok());
+    // One conflicting ART key per bulk slot, then tombstone the slot.
+    std::vector<Key> live;
+    for (const auto& [k, v] : bulk) {
+      ASSERT_TRUE(index.Insert(k + 1, ValueFor(k + 1)));
+      ASSERT_TRUE(index.Remove(k));
+      live.push_back(k + 1);
+    }
+    ASSERT_GT(index.CollectStructuralStats().art_keys, live.size() / 2);
+
+    std::atomic<bool> scanning{false};
+    std::atomic<bool> done{false};
+    std::atomic<size_t> lookup_misses{0};
+    std::thread reader([&] {
+      while (!scanning.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (Key k : live) {
+        Value v = 0;
+        if (!index.Lookup(k, &v) || v != ValueFor(k)) {
+          lookup_misses.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      done.store(true, std::memory_order_release);
+    });
+    std::vector<std::pair<Key, Value>> out;
+    scanning.store(true, std::memory_order_release);
+    while (!done.load(std::memory_order_acquire)) {
+      if (scans % 2 == 0) {
+        index.RangeQuery(0, ~Key{0}, &out);
+      } else {
+        index.Scan(0, 2 * live.size(), &out);
+      }
+      ++scans;
+      if (out.size() != live.size()) ++bad_scans;
+    }
+    reader.join();
+    EXPECT_EQ(lookup_misses.load(std::memory_order_relaxed), 0u);
+    EXPECT_LT(index.CollectStructuralStats().art_keys, live.size() / 2)
+        << "the lookups should have written most ART keys back";
+  }
+  EXPECT_GT(scans, 0u);
+  EXPECT_EQ(bad_scans, 0u) << "of " << scans << " scans";
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ namespace {
 
 using art::ArtTree;
 using art::HintOutcome;
+using art::NodeType;
 
 class ArtEdgeTest : public ::testing::Test {
  protected:
@@ -35,14 +36,15 @@ TEST_F(ArtEdgeTest, ShrinkNode256To48) {
   EpochGuard g;
   const Key base = 0x7700000000000000ULL;
   for (uint64_t b = 0; b < 200; ++b) tree.Insert(base | (b << 32), b);
-  auto before = tree.CollectStats();
-  ASSERT_GE(before.n256, 2u) << "root + the grown inner node";
+  const ArtTree::Census before = tree.CollectCensus();
+  ASSERT_GE(before.count(NodeType::kNode256), 2u) << "root + the grown inner node";
   // Remove down to 20 children: 256 -> 48 (and further). Only the fixed
   // Node256 root remains at that fanout.
   for (uint64_t b = 20; b < 200; ++b) EXPECT_TRUE(tree.Remove(base | (b << 32)));
-  auto after = tree.CollectStats();
-  EXPECT_EQ(after.n256, 1u) << "only the permanent root stays a Node256";
-  EXPECT_LT(after.bytes, before.bytes);
+  const ArtTree::Census after = tree.CollectCensus();
+  EXPECT_EQ(after.count(NodeType::kNode256), 1u)
+      << "only the permanent root stays a Node256";
+  EXPECT_LT(after.total_bytes, before.total_bytes);
   for (uint64_t b = 0; b < 20; ++b) {
     Value v;
     ASSERT_TRUE(tree.Lookup(base | (b << 32), &v));
@@ -55,10 +57,9 @@ TEST_F(ArtEdgeTest, ShrinkNode48To16AndNode16To4) {
   EpochGuard g;
   const Key base = 0x3300000000000000ULL;
   for (uint64_t b = 0; b < 40; ++b) tree.Insert(base | (b << 24), b);
-  ASSERT_GE(tree.CollectStats().n48, 1u);
+  ASSERT_GE(tree.CollectCensus().count(NodeType::kNode48), 1u);
   for (uint64_t b = 2; b < 40; ++b) EXPECT_TRUE(tree.Remove(base | (b << 24)));
-  const auto stats = tree.CollectStats();
-  EXPECT_EQ(stats.n48, 0u);
+  EXPECT_EQ(tree.CollectCensus().count(NodeType::kNode48), 0u);
   Value v;
   EXPECT_TRUE(tree.Lookup(base | (0ull << 24), &v));
   EXPECT_TRUE(tree.Lookup(base | (1ull << 24), &v));
@@ -101,7 +102,7 @@ TEST_F(ArtEdgeTest, InsertRemoveEverythingRepeatedly) {
       ASSERT_TRUE(tree.Remove(keys[i])) << round << " " << i;
     }
     EXPECT_EQ(tree.Size(), 0u);
-    EXPECT_EQ(tree.CollectStats().leaves, 0u);
+    EXPECT_EQ(tree.CollectCensus().leaves, 0u);
   }
 }
 
@@ -255,11 +256,11 @@ TEST_F(ArtEdgeTest, RangedCollectionMatchesMapOracle) {
       ++it;
     }
   }
-  const auto stats = tree.CollectStats();
-  ASSERT_GT(stats.n4, 0u);
-  ASSERT_GT(stats.n16, 0u);
-  ASSERT_GT(stats.n48, 0u);
-  ASSERT_GT(stats.n256, 1u) << "a Node256 besides the root";
+  const ArtTree::Census census = tree.CollectCensus();
+  ASSERT_GT(census.count(NodeType::kNode4), 0u);
+  ASSERT_GT(census.count(NodeType::kNode16), 0u);
+  ASSERT_GT(census.count(NodeType::kNode48), 0u);
+  ASSERT_GT(census.count(NodeType::kNode256), 1u) << "a Node256 besides the root";
   ASSERT_EQ(tree.Size(), oracle.size());
 
   // Bounds: leaf keys and their neighbours, the extremes, random keys, and

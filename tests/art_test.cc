@@ -16,6 +16,7 @@ namespace {
 
 using art::ArtTree;
 using art::HintOutcome;
+using art::NodeType;
 
 class ArtTest : public ::testing::Test {
  protected:
@@ -88,8 +89,7 @@ TEST_F(ArtTest, NodeGrowthThroughAllFanouts) {
   for (uint64_t b = 0; b < 256; ++b) {
     ASSERT_TRUE(tree.Insert(0xAA00000000000000ULL | (b << 32), b));
   }
-  auto stats = tree.CollectStats();
-  EXPECT_GE(stats.n256, 1u);
+  EXPECT_GE(tree.CollectCensus().count(NodeType::kNode256), 1u);
   for (uint64_t b = 0; b < 256; ++b) {
     Value v;
     ASSERT_TRUE(tree.Lookup(0xAA00000000000000ULL | (b << 32), &v));
@@ -143,8 +143,7 @@ TEST_F(ArtTest, RemoveMergesAndShrinksNodes) {
   // Remove everything; tree drains to just the root.
   for (size_t i = 1; i < keys.size(); i += 2) EXPECT_TRUE(tree.Remove(keys[i]));
   EXPECT_EQ(tree.Size(), 0u);
-  auto stats = tree.CollectStats();
-  EXPECT_EQ(stats.leaves, 0u);
+  EXPECT_EQ(tree.CollectCensus().leaves, 0u);
 }
 
 TEST_F(ArtTest, ScanReturnsSortedRange) {
@@ -266,17 +265,17 @@ TEST_F(ArtTest, MatchLevelConsistentAfterMutations) {
   }
 }
 
-TEST_F(ArtTest, CollectStatsCountsEverything) {
+TEST_F(ArtTest, CensusCountsEverything) {
   ArtTree tree;
   EpochGuard g;
   auto keys = GenerateKeys(Dataset::kUniform, 10000, 31);
   for (size_t i = 0; i < keys.size(); ++i) tree.Insert(keys[i], i);
-  auto stats = tree.CollectStats();
-  EXPECT_EQ(stats.leaves, keys.size());
-  EXPECT_GT(stats.bytes, keys.size() * sizeof(art::Leaf));
-  EXPECT_GT(stats.n4 + stats.n16 + stats.n48 + stats.n256, 0u);
-  EXPECT_LE(stats.height, 9u);
-  EXPECT_EQ(tree.MemoryUsage(), stats.bytes);
+  const ArtTree::Census census = tree.CollectCensus();
+  EXPECT_EQ(census.leaves, keys.size());
+  EXPECT_GT(census.total_bytes, keys.size() * sizeof(art::Leaf));
+  EXPECT_GT(census.nodes[0] + census.nodes[1] + census.nodes[2] + census.nodes[3], 0u);
+  EXPECT_LE(census.height, 9u);
+  EXPECT_EQ(tree.MemoryUsage(), census.total_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,8 +299,7 @@ TEST_F(ArtTest, ConcurrentDisjointInserts) {
   }
   for (auto& th : threads) th.join();
   EpochGuard g;
-  auto stats = tree.CollectStats();
-  EXPECT_EQ(stats.leaves, tree.Size());
+  EXPECT_EQ(tree.CollectCensus().leaves, tree.Size());
 }
 
 TEST_F(ArtTest, ConcurrentMixedReadWriteRemove) {

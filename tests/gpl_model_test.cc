@@ -17,7 +17,7 @@ namespace {
 
 TEST(SlotWordTest, InitialStateEmpty) {
   SlotWord w;
-  EXPECT_EQ(w.State(), SlotState::kEmpty);
+  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kEmpty);
 }
 
 TEST(SlotWordTest, LockUnlockTransitionsState) {
@@ -25,13 +25,13 @@ TEST(SlotWordTest, LockUnlockTransitionsState) {
   uint32_t lw = w.Lock();
   EXPECT_EQ(SlotWord::StateOf(lw), SlotState::kEmpty);
   w.Unlock(lw, SlotState::kOccupied);
-  EXPECT_EQ(w.State(), SlotState::kOccupied);
+  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kOccupied);
   lw = w.Lock();
   w.Unlock(lw, SlotState::kTombstone);
-  EXPECT_EQ(w.State(), SlotState::kTombstone);
+  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kTombstone);
   lw = w.Lock();
   w.Unlock(lw, SlotState::kMigrated);
-  EXPECT_EQ(w.State(), SlotState::kMigrated);
+  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kMigrated);
 }
 
 TEST(SlotWordTest, ValidateDetectsIntermediateWriter) {
@@ -49,7 +49,7 @@ TEST(SlotWordTest, SequenceMonotonicAcrossSameStateUnlocks) {
   uint32_t lw = w.Lock();
   w.Unlock(lw, SlotState::kEmpty);  // same state, still bumps the version
   EXPECT_FALSE(w.Validate(r0));
-  EXPECT_EQ(w.State(), SlotState::kEmpty);
+  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kEmpty);
 }
 
 TEST(SlotWordTest, ConcurrentLockersSerialize) {
@@ -104,9 +104,10 @@ TEST(GplModelTest, CollectRangeReturnsSortedOccupied) {
   GplModel m(0, 1.0, 100, 50);
   for (uint32_t i = 0; i < 100; i += 2) {
     GplSlot& s = m.slot(i);
+    const uint32_t lw = s.word.Lock();
     s.key.store(i, std::memory_order_relaxed);
     s.value.store(i * 10, std::memory_order_relaxed);
-    s.word.InitState(SlotState::kOccupied);
+    s.word.Unlock(lw, SlotState::kOccupied);
   }
   // A tombstone and a migrated slot must be skipped.
   {
@@ -130,8 +131,9 @@ TEST(GplModelTest, CountOccupied) {
   EXPECT_EQ(m.CountOccupied(), 0u);
   for (uint32_t i = 0; i < 10; ++i) {
     GplSlot& s = m.slot(i);
+    const uint32_t lw = s.word.Lock();
     s.key.store(i, std::memory_order_relaxed);
-    s.word.InitState(SlotState::kOccupied);
+    s.word.Unlock(lw, SlotState::kOccupied);
   }
   EXPECT_EQ(m.CountOccupied(), 10u);
 }

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/epoch.h"
+#include "common/random.h"
 #include "core/alt_index.h"
 #include "datasets/dataset.h"
 
@@ -192,6 +194,139 @@ TEST_F(RetrainingTest, ConcurrentInsertersDuringExpansion) {
   }
   const auto st = index.CollectStructuralStats();
   EXPECT_GT(st.retrain_started, 0u);
+}
+
+// Update and Remove share one slot resolver; here several threads drive them
+// across §III-F expansions. Inserters force the expansions. Each writer owns
+// a disjoint key set (bulk keys plus keys that start absent), so its own
+// oracle predicts every call's return value and every key's final value.
+TEST_F(RetrainingTest, ConcurrentUpdateRemoveDuringExpansion) {
+  AltOptions opts;
+  opts.retrain_trigger_ratio = 0.25;
+  AltIndex index(opts);
+  constexpr Key kStride = 8;
+  constexpr Key kBulk = 12000;
+  constexpr int kInserters = 2;
+  constexpr int kWriters = 2;
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 0; k < kBulk; ++k) pairs.emplace_back(k * kStride, ValueFor(k * kStride));
+  ASSERT_TRUE(index.BulkLoad(pairs).ok());
+
+  // Writer w owns bulk keys k*kStride with k % kWriters == w, and the absent
+  // keys k*kStride + 4 + w.
+  struct Oracle {
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    std::vector<bool> present;
+    std::string first_error;
+  };
+  std::vector<Oracle> oracles(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    for (Key k = 0; k < kBulk; ++k) {
+      if (k % kWriters == static_cast<Key>(w)) {
+        oracles[w].keys.push_back(k * kStride);
+        oracles[w].values.push_back(ValueFor(k * kStride));
+        oracles[w].present.push_back(true);
+      }
+      oracles[w].keys.push_back(k * kStride + 4 + static_cast<Key>(w));
+      oracles[w].values.push_back(0);
+      oracles[w].present.push_back(false);
+    }
+  }
+
+  std::atomic<int> inserters_left{kInserters};
+  std::atomic<bool> inserter_failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kInserters; ++t) {
+    threads.emplace_back([&, t] {
+      // Every insert-all pass re-crosses the retrain trigger; the last one
+      // leaves the keys present.
+      for (int cycle = 0; cycle < 4; ++cycle) {
+        for (Key k = 0; k < kBulk; ++k) {
+          const Key key = k * kStride + 1 + static_cast<Key>(t);
+          if (!index.Insert(key, ValueFor(key))) inserter_failed.store(true);
+        }
+        for (Key k = 0; cycle < 3 && k < kBulk; ++k) {
+          const Key key = k * kStride + 1 + static_cast<Key>(t);
+          if (!index.Remove(key)) inserter_failed.store(true);
+        }
+      }
+      inserters_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Oracle& o = oracles[w];
+      Rng rng(100 + static_cast<uint64_t>(w));
+      const auto check = [&](bool got, bool want, const char* op, Key key) {
+        if (got != want && o.first_error.empty()) {
+          o.first_error = std::string(op) + " of key " + std::to_string(key) +
+                          " returned " + (got ? "true" : "false");
+        }
+      };
+      // At least two passes, and keep going while inserters still expand.
+      for (int pass = 0;
+           pass < 2 || inserters_left.load(std::memory_order_acquire) > 0; ++pass) {
+        for (size_t i = 0; i < o.keys.size(); ++i) {
+          const Key key = o.keys[i];
+          const Value v = rng.Next();
+          switch (rng.NextBounded(4)) {
+            case 0:
+              check(index.Update(key, v), o.present[i], "Update", key);
+              if (o.present[i]) o.values[i] = v;
+              break;
+            case 1:
+              check(index.Remove(key), o.present[i], "Remove", key);
+              o.present[i] = false;
+              break;
+            case 2:
+              check(index.Insert(key, v), !o.present[i], "Insert", key);
+              if (!o.present[i]) o.values[i] = v;
+              o.present[i] = true;
+              break;
+            default: {
+              Value got = 0;
+              const bool found = index.Lookup(key, &got);
+              check(found, o.present[i], "Lookup", key);
+              check(found && got != o.values[i], false, "Lookup value", key);
+              break;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_FALSE(inserter_failed.load());
+  size_t live = static_cast<size_t>(kBulk) * (1 + kInserters);
+  for (const Oracle& o : oracles) {
+    EXPECT_TRUE(o.first_error.empty()) << o.first_error;
+    for (size_t i = 0; i < o.keys.size(); ++i) {
+      Value got = 0;
+      const bool found = index.Lookup(o.keys[i], &got);
+      ASSERT_EQ(found, o.present[i]) << o.keys[i];
+      if (found) EXPECT_EQ(got, o.values[i]) << o.keys[i];
+      // Bulk keys were counted as live up front; absent keys were not.
+      if (o.keys[i] % kStride == 0) {
+        if (!o.present[i]) --live;
+      } else if (o.present[i]) {
+        ++live;
+      }
+    }
+  }
+  for (int t = 0; t < kInserters; ++t) {
+    for (Key k = 0; k < kBulk; ++k) {
+      const Key key = k * kStride + 1 + static_cast<Key>(t);
+      Value got = 0;
+      ASSERT_TRUE(index.Lookup(key, &got)) << key;
+      EXPECT_EQ(got, ValueFor(key));
+    }
+  }
+  EXPECT_EQ(index.Size(), live);
+  const auto st = index.CollectStructuralStats();
+  EXPECT_GT(st.retrain_started, 0u);
+  EXPECT_GT(st.retrain_finished, 0u);
 }
 
 // Regression: during an in-flight §III-F expansion, Scan and RangeQuery

@@ -187,12 +187,17 @@ TEST(LocateDifferentialTest, WindowSharedByLocateAndPrefetch) {
 // Slot-state scan: vector vs scalar, with busy lanes
 // ---------------------------------------------------------------------------
 
+void SetState(GplSlot* s, SlotState state) {
+  const uint32_t lw = s->word.Lock();
+  s->word.Unlock(lw, state);
+}
+
 TEST(SlotScanTest, DispatchedBitIdenticalToScalar) {
   GplModel model(/*first_key=*/0, /*slope=*/1.0, /*num_slots=*/256,
                  /*build_size=*/0);
   Rng rng(71);
   for (uint32_t i = 0; i < model.num_slots(); ++i) {
-    model.slot(i).word.InitState(static_cast<SlotState>(rng.Next() % 4));
+    SetState(&model.slot(i), static_cast<SlotState>(rng.Next() % 4));
   }
   for (uint32_t base = 0; base + 8 <= model.num_slots(); ++base) {
     const auto vec = simd::ScanSlotWords8(&model.slot(base), sizeof(GplSlot));
@@ -216,7 +221,7 @@ TEST(SlotScanTest, DispatchedBitIdenticalToScalar) {
 TEST(SlotScanTest, BusyLaneExcludedFromStateMasks) {
   GplModel model(0, 1.0, 16, 0);
   for (uint32_t i = 0; i < 16; ++i) {
-    model.slot(i).word.InitState(SlotState::kOccupied);
+    SetState(&model.slot(i), SlotState::kOccupied);
   }
   const uint32_t token = model.slot(3).word.Lock();
   const auto scan = simd::ScanSlotWords8(&model.slot(0), sizeof(GplSlot));
@@ -235,7 +240,7 @@ TEST(SlotScanTest, CountsMatchManualLoop) {
     size_t expect[4] = {0, 0, 0, 0};
     for (uint32_t i = 0; i < n; ++i) {
       const auto s = static_cast<SlotState>(rng.Next() % 4);
-      model.slot(i).word.InitState(s);
+      SetState(&model.slot(i), s);
       expect[static_cast<size_t>(s)]++;
     }
     EXPECT_EQ(model.CountOccupied(),
@@ -262,7 +267,7 @@ TEST(SlotScanTest, CollectRangeMatchesReference) {
   for (int i = 0; i < 600; ++i) {
     const Key k = 1000 + rng.Next() % 1000;
     GplSlot& s = model.slot(model.Predict(k));
-    if (s.word.State() != SlotState::kEmpty) continue;
+    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
     const uint32_t w = s.word.Lock();
     s.key.store(k, std::memory_order_relaxed);
     s.value.store(k * 3, std::memory_order_relaxed);
@@ -270,13 +275,13 @@ TEST(SlotScanTest, CollectRangeMatchesReference) {
   }
   for (uint32_t i = 0; i < n; i += 17) {
     GplSlot& s = model.slot(i);
-    if (s.word.State() != SlotState::kEmpty) continue;
+    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
     const uint32_t w = s.word.Lock();
     s.word.Unlock(w, SlotState::kTombstone);
   }
   for (uint32_t i = 0; i < n; ++i) {
     const GplSlot& s = model.slot(i);
-    if (s.word.State() == SlotState::kOccupied) {
+    if (SlotWord::StateOf(s.word.Read()) == SlotState::kOccupied) {
       resident.emplace_back(s.OptimisticKey(), s.OptimisticValue());
     }
   }
