@@ -84,6 +84,12 @@ BenchConfig BenchConfig::Parse(int argc, char** argv) {
       }
     } else if (!std::strcmp(a, "--indexes")) {
       cfg.indexes = SplitCsv(next(i));
+      for (const auto& name : cfg.indexes) {
+        if (MakeIndex(name) == nullptr) {
+          std::fprintf(stderr, "unknown index %s\n", name.c_str());
+          std::exit(2);
+        }
+      }
     } else if (!std::strcmp(a, "--help")) {
       std::printf(
           "flags: --keys N --threads T --ops N --bulk-fraction F "

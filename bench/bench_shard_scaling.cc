@@ -2,11 +2,10 @@
 // read-heavy mix run against one monolithic ALT-Index and 2/4/16-shard
 // ShardedAltIndex facades as the thread count grows. Each shard owns a
 // private EpochManager, so the sweep isolates the cost of the global epoch
-// ticker vs per-shard tickers under contention. NOTE: this container has a
-// single CPU core, so absolute throughput cannot rise with threads; the
-// sweep still exercises contention behaviour (see EXPERIMENTS.md for the
-// interpretation). Pass --path_breakdown to attribute time to serving paths
-// (per-shard epoch spans show up as epoch/shardN in --trace_json output).
+// ticker vs per-shard tickers under contention. Thread counts above the
+// host's hardware threads (printed first) time-slice. Pass --path_breakdown
+// to attribute time to serving paths (per-shard epoch spans show up as
+// epoch/shardN in --trace_json output).
 #include <thread>
 
 #include "bench_common.h"

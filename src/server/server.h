@@ -60,7 +60,7 @@ struct ServerOptions {
   /// SCAN count clamp (responses stay under protocol.h kMaxBodyLen).
   uint32_t max_scan_count = 1024;
 
-  /// Index configuration (shard count, partition, per-shard AltOptions).
+  /// Index configuration (shard count, per-shard AltOptions).
   shard::ShardedOptions sharded;
 };
 

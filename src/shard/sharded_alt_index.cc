@@ -5,26 +5,11 @@
 
 #include "common/json.h"
 #include "common/trace.h"
-#include "shard/merge_iterator.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace alt {
 namespace shard {
 
 namespace {
-
-/// splitmix64 finalizer: decorrelates the kHash shard choice from key order
-/// so sequential key ranges spread evenly.
-uint64_t MixKey(Key k) {
-  uint64_t x = k + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Per-shard flight-recorder categories. The trace ring stores the pointer,
 /// so these must be string literals with static storage (common/trace.h).
@@ -43,20 +28,6 @@ const char* ShardEpochCategory(size_t i) {
                     ShardedOptions::kMaxShards,
                 "one category literal per possible shard");
   return kCategories[i];
-}
-
-void MaybePinToCpu(size_t i, bool pin) {
-#if defined(__linux__)
-  if (!pin) return;
-  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(i % cpus), &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)i;
-  (void)pin;
-#endif
 }
 
 }  // namespace
@@ -91,15 +62,10 @@ ShardedAltIndex::Shard ShardedAltIndex::MakeShard(size_t i) const {
 }
 
 std::string ShardedAltIndex::Name() const {
-  std::string name = "ALT-sharded" + std::to_string(shards_.size());
-  if (options_.partition == Partition::kHash) name += "-hash";
-  return name;
+  return "ALT-sharded" + std::to_string(shards_.size());
 }
 
 size_t ShardedAltIndex::ShardIndexOf(Key key) const {
-  if (options_.partition == Partition::kHash) {
-    return static_cast<size_t>(MixKey(key) % shards_.size());
-  }
   // Largest i with starts_[i] <= key; starts_[0] == 0 makes this total.
   const auto it = std::upper_bound(starts_.begin(), starts_.end(), key);
   return static_cast<size_t>(it - starts_.begin()) - 1;
@@ -117,37 +83,14 @@ Status ShardedAltIndex::BulkLoad(const Key* keys, const Value* values, size_t n)
   }
   const size_t num_shards = shards_.size();
 
-  // Per-shard slices. kRange: equal-count cuts over the sorted input, cut i
-  // at index i*n/N; the key at each cut becomes the shard's start so runtime
-  // dispatch agrees with the load split. kHash: stable-partition copies (a
-  // filtered sorted sequence stays sorted).
-  std::vector<std::pair<const Key*, const Value*>> slice_ptrs(num_shards,
-                                                              {nullptr, nullptr});
-  std::vector<size_t> slice_len(num_shards, 0);
-  std::vector<std::vector<Key>> hash_keys;
-  std::vector<std::vector<Value>> hash_values;
+  // Equal-count cuts over the sorted input, cut i at index i*n/N; the key at
+  // each cut becomes the shard's start so runtime dispatch agrees with the
+  // load split.
+  std::vector<size_t> cut(num_shards + 1);
+  for (size_t i = 0; i <= num_shards; ++i) cut[i] = i * n / num_shards;
   std::vector<Key> new_starts = starts_;  // committed only on success
-  if (options_.partition == Partition::kRange) {
-    std::vector<size_t> cut(num_shards + 1, n);
-    for (size_t i = 0; i <= num_shards; ++i) cut[i] = i * n / num_shards;
-    for (size_t i = 0; i < num_shards; ++i) {
-      if (i > 0 && cut[i] < n) new_starts[i] = keys[cut[i]];
-      slice_ptrs[i] = {keys + cut[i], values + cut[i]};
-      slice_len[i] = cut[i + 1] - cut[i];
-    }
-    new_starts[0] = 0;
-  } else {
-    hash_keys.resize(num_shards);
-    hash_values.resize(num_shards);
-    for (size_t j = 0; j < n; ++j) {
-      const size_t s = static_cast<size_t>(MixKey(keys[j]) % num_shards);
-      hash_keys[s].push_back(keys[j]);
-      hash_values[s].push_back(values[j]);
-    }
-    for (size_t i = 0; i < num_shards; ++i) {
-      slice_ptrs[i] = {hash_keys[i].data(), hash_values[i].data()};
-      slice_len[i] = hash_keys[i].size();
-    }
+  for (size_t i = 1; i < num_shards; ++i) {
+    if (cut[i] < n) new_starts[i] = keys[cut[i]];
   }
 
   // Rebuild every shard and load its slice. The constructor's empty-loaded
@@ -157,19 +100,17 @@ Status ShardedAltIndex::BulkLoad(const Key* keys, const Value* values, size_t n)
   std::vector<Shard> fresh(num_shards);
   std::vector<Status> status(num_shards);
   auto load_one = [&](size_t i) {
-    MaybePinToCpu(i, options_.pin_load_threads);
     fresh[i] = MakeShard(i);
-    status[i] =
-        fresh[i].index->BulkLoad(slice_ptrs[i].first, slice_ptrs[i].second,
-                                 slice_len[i]);
+    status[i] = fresh[i].index->BulkLoad(keys + cut[i], values + cut[i],
+                                         cut[i + 1] - cut[i]);
   };
-  if (options_.parallel_load && num_shards > 1) {
+  if (num_shards == 1) {
+    load_one(0);
+  } else {
     std::vector<std::thread> loaders;
     loaders.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) loaders.emplace_back(load_one, i);
     for (auto& t : loaders) t.join();
-  } else {
-    for (size_t i = 0; i < num_shards; ++i) load_one(i);
   }
   for (size_t i = 0; i < num_shards; ++i) {
     if (!status[i].ok()) return status[i];
@@ -228,8 +169,13 @@ size_t ShardedAltIndex::LookupBatch(const Key* keys, size_t n, Value* out,
   return hits;
 }
 
-size_t ShardedAltIndex::ScanRangePartition(
-    Key start, size_t count, std::vector<std::pair<Key, Value>>* out) const {
+size_t ShardedAltIndex::Scan(Key start, size_t count,
+                             std::vector<std::pair<Key, Value>>* out) const {
+  out->clear();
+  if (count == 0) return 0;
+  // Shards hold disjoint ascending ranges, so the scan is their
+  // concatenation: start in the shard owning `start`, continue from each next
+  // shard's first key, and stop at the first shard that fills `count`.
   std::vector<std::pair<Key, Value>> tmp;
   Key cursor = start;
   for (size_t i = ShardIndexOf(start);
@@ -239,29 +185,6 @@ size_t ShardedAltIndex::ScanRangePartition(
     if (i + 1 < shards_.size()) cursor = starts_[i + 1];
   }
   return out->size();
-}
-
-size_t ShardedAltIndex::ScanMerged(
-    Key start, size_t count, std::vector<std::pair<Key, Value>>* out) const {
-  std::vector<AltIndexScanCursor> cursors;
-  cursors.reserve(shards_.size());
-  const size_t batch = std::min(options_.scan_batch, count);
-  for (const Shard& s : shards_) {
-    cursors.emplace_back(s.index.get(), start, batch);
-  }
-  KWayMerger<AltIndexScanCursor> merger(std::move(cursors));
-  std::pair<Key, Value> kv;
-  while (out->size() < count && merger.Next(&kv)) out->push_back(kv);
-  return out->size();
-}
-
-size_t ShardedAltIndex::Scan(Key start, size_t count,
-                             std::vector<std::pair<Key, Value>>* out) const {
-  out->clear();
-  if (count == 0) return 0;
-  return options_.partition == Partition::kRange
-             ? ScanRangePartition(start, count, out)
-             : ScanMerged(start, count, out);
 }
 
 ConcurrentIndex::MemoryBreakdown ShardedAltIndex::CollectMemoryBreakdown()
@@ -281,9 +204,7 @@ std::string ShardedAltIndex::StructureJson() const {
   std::string out = "{\n  \"name\": \"";
   out += JsonEscape(Name());
   out += "\",\n  \"num_shards\": " + std::to_string(shards_.size());
-  out += ",\n  \"partition\": \"";
-  out += options_.partition == Partition::kRange ? "range" : "hash";
-  out += "\",\n  \"shards\": [\n";
+  out += ",\n  \"partition\": \"range\",\n  \"shards\": [\n";
   for (size_t i = 0; i < shards_.size(); ++i) {
     out += shards_[i].index->StructureJson();
     if (i + 1 < shards_.size()) out += ",\n";

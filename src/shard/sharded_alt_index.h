@@ -15,42 +15,21 @@
 namespace alt {
 namespace shard {
 
-/// How ShardedAltIndex maps a key to a shard.
-enum class Partition {
-  /// Contiguous key ranges, boundaries rebalanced to equal key counts at
-  /// BulkLoad. Scans touch only the shards overlapping the range; this is the
-  /// paper-faithful layout (nothing in a §III-E operation crosses a keyspace
-  /// boundary except Scan).
-  kRange,
-  /// splitmix64-mixed hash of the key modulo the shard count. Insert-balanced
-  /// under any key skew, but every Scan must k-way-merge all shards.
-  kHash,
-};
+// Kept only for perfbench/src/served_bench.cc, which sets `partition`
+// explicitly; drop the enum and the field with the next change to the
+// benchmark. Range partitioning is the only layout.
+enum class Partition { kRange };
 
 /// Tuning for ShardedAltIndex.
 struct ShardedOptions {
   /// Number of AltIndex shards; clamped to [1, kMaxShards].
   int num_shards = 4;
 
-  Partition partition = Partition::kRange;
-
-  /// Build and bulk-load each shard on its own thread. Besides load speed,
-  /// this is the NUMA placement policy: first-touch puts each shard's models,
-  /// ART nodes, and epoch state on the page owned by the loading thread's
-  /// node (no libnuma dependency; see DESIGN.md §12).
-  bool parallel_load = true;
-
-  /// Round-robin the per-shard load threads across CPUs (Linux affinity;
-  /// no-op elsewhere). Only meaningful with parallel_load on a multi-socket
-  /// box where the scheduler would otherwise colocate the loaders.
-  bool pin_load_threads = false;
+  Partition partition = Partition::kRange;  // perfbench-only leftover
 
   /// Per-shard AltIndex tuning. `index.epoch_manager` is ignored: each shard
   /// always gets its own private EpochManager.
   AltOptions index;
-
-  /// Pairs pulled per shard per refill by the cross-shard merge cursors.
-  size_t scan_batch = 128;
 
   static constexpr int kMaxShards = 32;
 };
@@ -64,11 +43,16 @@ struct ShardedOptions {
 /// The shard's manager carries a per-shard trace category, so flight-recorder
 /// epoch_advance/epoch_drain spans attribute to the owning shard.
 ///
+/// Shards hold contiguous, disjoint key ranges: shard i owns
+/// [starts_[i], starts_[i+1]). BulkLoad cuts the sorted input into equal-count
+/// slices and, with more than one shard, loads each on its own thread.
+///
 /// Concurrency contract is ConcurrentIndex's: BulkLoad runs once,
 /// single-threaded, before anything else; all other operations are
 /// thread-safe. Point operations dispatch to exactly one shard and inherit
-/// its per-key linearizability. Cross-shard Scan merges per-shard cursors
-/// (merge_iterator.h) and matches AltIndex::Scan's per-slot-atomic contract.
+/// its per-key linearizability. Scan walks the shards in key order, each
+/// shard's part being one AltIndex::Scan, so it keeps that per-slot-atomic
+/// contract.
 class ShardedAltIndex final : public ConcurrentIndex {
  public:
   explicit ShardedAltIndex(ShardedOptions options = ShardedOptions{});
@@ -79,9 +63,8 @@ class ShardedAltIndex final : public ConcurrentIndex {
 
   std::string Name() const override;
 
-  /// Splits the (sorted, duplicate-free) data across shards — equal-count
-  /// range boundaries under kRange — and bulk-loads every shard, one thread
-  /// per shard when parallel_load is set.
+  /// Splits the (sorted, duplicate-free) data into equal-count key ranges and
+  /// bulk-loads every shard, each on its own thread when there are several.
   Status BulkLoad(const Key* keys, const Value* values, size_t n) override;
 
   bool Lookup(Key key, Value* out, ServedBy* served = nullptr) const override;
@@ -100,7 +83,7 @@ class ShardedAltIndex final : public ConcurrentIndex {
     return Insert(key, value, served);
   }
 
-  /// Up to `count` pairs with key >= start, ascending, merged across shards.
+  /// Up to `count` pairs with key >= start, ascending, walking shards in order.
   size_t Scan(Key start, size_t count,
               std::vector<std::pair<Key, Value>>* out) const override;
 
@@ -119,7 +102,7 @@ class ShardedAltIndex final : public ConcurrentIndex {
   /// The shard `key` dispatches to (stable between structural phases).
   size_t ShardIndexOf(Key key) const;
 
-  /// First key of shard i's range (kRange; meaningless under kHash).
+  /// First key of shard i's range.
   Key ShardLowerBound(size_t i) const { return starts_[i]; }
 
   /// Drain every shard's epoch manager (quiescent; between bench phases).
@@ -134,22 +117,12 @@ class ShardedAltIndex final : public ConcurrentIndex {
   };
 
   /// Construct shard i's epoch manager + index (on the calling thread, which
-  /// is what makes parallel_load a first-touch policy).
+  /// is what makes the per-shard load threads a first-touch policy).
   Shard MakeShard(size_t i) const;
-
-  /// Scan under kRange: shards hold disjoint ascending ranges, so the k-way
-  /// merge degenerates to walking shards in order — no cross-shard heap, no
-  /// wasted Scan amplification on the shards past the fill point.
-  size_t ScanRangePartition(Key start, size_t count,
-                            std::vector<std::pair<Key, Value>>* out) const;
-
-  /// Scan under kHash: genuine k-way merge across every shard's cursor.
-  size_t ScanMerged(Key start, size_t count,
-                    std::vector<std::pair<Key, Value>>* out) const;
 
   ShardedOptions options_;
   std::vector<Shard> shards_;
-  /// starts_[i] = smallest key dispatched to shard i (kRange). starts_[0] is
+  /// starts_[i] = smallest key dispatched to shard i. starts_[0] is
   /// always 0. Written only by the constructor and BulkLoad (single-threaded
   /// phases by contract), read-only afterwards.
   std::vector<Key> starts_;

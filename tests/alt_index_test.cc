@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "core/alt_index.h"
 #include "datasets/dataset.h"
-#include "shard/merge_iterator.h"
 
 namespace alt {
 namespace {
@@ -309,6 +308,16 @@ TEST_F(AltIndexTest, ScanMatchesSortedOracle) {
       EXPECT_EQ(out[i].second, ValueFor(keys[start + i]));
     }
   }
+
+  // A full walk returns exactly the loaded keys.
+  AltIndex walked;
+  const auto walk_keys = GenerateKeys(Dataset::kFb, 20000, 3);
+  ASSERT_TRUE(walked.BulkLoad(MakePairs(walk_keys)).ok());
+  ASSERT_EQ(walked.Scan(0, walk_keys.size() + 1, &out), walk_keys.size());
+  for (size_t i = 0; i < walk_keys.size(); ++i) {
+    ASSERT_EQ(out[i].first, walk_keys[i]);
+    ASSERT_EQ(out[i].second, ValueFor(walk_keys[i]));
+  }
 }
 
 TEST_F(AltIndexTest, ScanFromBetweenKeys) {
@@ -321,6 +330,10 @@ TEST_F(AltIndexTest, ScanFromBetweenKeys) {
   EXPECT_EQ(out[0].first, 55u);
   EXPECT_EQ(out[1].first, 65u);
   EXPECT_EQ(out[2].first, 75u);
+  ASSERT_EQ(index.Scan(9991, 3, &out), 1u);  // between 9985 and the last key
+  EXPECT_EQ(out[0].first, 9995u);
+  EXPECT_EQ(index.Scan(9996, 3, &out), 0u);  // past the last key
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_F(AltIndexTest, ScanSeesInsertsAndSkipsRemoved) {
@@ -338,6 +351,15 @@ TEST_F(AltIndexTest, ScanSeesInsertsAndSkipsRemoved) {
   }
   ASSERT_EQ(out.size(), expect.size());
   for (size_t i = 0; i < expect.size(); ++i) EXPECT_EQ(out[i].first, expect[i]);
+
+  // Removing every 9th key of a longlat set empties slots in both layers; a
+  // full scan still returns exactly Size() strictly ascending keys.
+  AltIndex pruned;
+  const auto longlat = GenerateKeys(Dataset::kLonglat, 30000, 9);
+  ASSERT_TRUE(pruned.BulkLoad(MakePairs(longlat)).ok());
+  for (size_t i = 0; i < longlat.size(); i += 9) pruned.Remove(longlat[i]);
+  ASSERT_EQ(pruned.Scan(0, pruned.Size() + 1, &out), pruned.Size());
+  for (size_t i = 1; i < out.size(); ++i) ASSERT_LT(out[i - 1].first, out[i].first);
 }
 
 TEST_F(AltIndexTest, RangeQueryInclusiveBounds) {
@@ -518,66 +540,6 @@ TEST_F(AltIndexTest, KeyZeroIsALegalKey) {
   EXPECT_TRUE(index.Insert(0, 444));
   ASSERT_TRUE(index.Lookup(0, &v));
   EXPECT_EQ(v, 444u);
-}
-
-
-// The batched scan cursor (shard::AltIndexScanCursor, also the per-shard
-// source of the cross-shard merge) over a single index.
-TEST_F(AltIndexTest, ScanCursorWalksEverything) {
-  AltIndex index;
-  auto keys = GenerateKeys(Dataset::kFb, 20000, 3);
-  auto pairs = MakePairs(keys);
-  ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  shard::AltIndexScanCursor cursor(&index, 0);
-  std::pair<Key, Value> kv;
-  size_t i = 0;
-  for (; cursor.Next(&kv); ++i) {
-    ASSERT_LT(i, keys.size());
-    ASSERT_EQ(kv.first, keys[i]);
-    ASSERT_EQ(kv.second, ValueFor(keys[i]));
-  }
-  EXPECT_EQ(i, keys.size());
-}
-
-TEST_F(AltIndexTest, ScanCursorSeekMidAndBounded) {
-  AltIndex index;
-  std::vector<std::pair<Key, Value>> pairs;
-  for (Key k = 0; k < 3000; ++k) pairs.emplace_back(k * 5, k);
-  ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  std::pair<Key, Value> kv;
-  // Starting between keys lands on the next one.
-  shard::AltIndexScanCursor mid(&index, 501);
-  ASSERT_TRUE(mid.Next(&kv));
-  EXPECT_EQ(kv.first, 505u);
-  // Bounded walk.
-  size_t n = 0;
-  shard::AltIndexScanCursor bounded(&index, 1000);
-  while (bounded.Next(&kv) && kv.first <= 2000) ++n;
-  EXPECT_EQ(n, 201u);  // 1000, 1005, ..., 2000
-  // Starting past the end.
-  shard::AltIndexScanCursor past(&index, 3000 * 5);
-  EXPECT_FALSE(past.Next(&kv));
-}
-
-TEST_F(AltIndexTest, ScanCursorCrossesModelAndLayerBoundaries) {
-  AltIndex index;
-  auto keys = GenerateKeys(Dataset::kLonglat, 30000, 9);
-  auto pairs = MakePairs(keys);
-  ASSERT_TRUE(index.BulkLoad(pairs).ok());
-  // Mutate: remove some, insert others, so both layers contribute.
-  for (size_t i = 0; i < keys.size(); i += 9) index.Remove(keys[i]);
-  shard::AltIndexScanCursor cursor(&index, 0);
-  std::pair<Key, Value> kv;
-  Key prev = 0;
-  size_t count = 0;
-  while (cursor.Next(&kv)) {
-    if (count > 0) {
-      ASSERT_GT(kv.first, prev);
-    }
-    prev = kv.first;
-    ++count;
-  }
-  EXPECT_EQ(count, index.Size());
 }
 
 class RadixUpperModelTest : public ::testing::TestWithParam<int> {

@@ -1,8 +1,8 @@
-// ShardedAltIndex: range/hash dispatch, per-shard epoch isolation, and the
-// cross-shard scan merge — including the PR 3 duplicate-key bug class
-// (scans racing in-flight §III-F expansions), now exercised at partition
-// seams, plus shard-count and boundary edge cases (tests/CMakeLists.txt;
-// runs in the TSan CI leg).
+// ShardedAltIndex: range dispatch, per-shard epoch isolation, and scans that
+// walk shards in key order — including the duplicate-key bug class of scans
+// racing in-flight §III-F expansions (DESIGN.md §12.5), exercised at shard
+// seams, plus shard-count and boundary edge cases (tests/CMakeLists.txt; runs
+// in the TSan CI leg).
 
 #include <gtest/gtest.h>
 
@@ -16,13 +16,11 @@
 
 #include "common/epoch.h"
 #include "baselines/factory.h"
-#include "shard/merge_iterator.h"
 #include "shard/sharded_alt_index.h"
 
 namespace alt {
 namespace {
 
-using shard::Partition;
 using shard::ShardedAltIndex;
 using shard::ShardedOptions;
 
@@ -38,10 +36,9 @@ std::vector<Value> ValuesFor(const std::vector<Key>& keys) {
   return values;
 }
 
-ShardedOptions SmallOptions(int shards, Partition p = Partition::kRange) {
+ShardedOptions SmallOptions(int shards) {
   ShardedOptions so;
   so.num_shards = shards;
-  so.partition = p;
   so.index.tail_model_slots = 64;  // small empty-shard models keep tests fast
   return so;
 }
@@ -146,29 +143,25 @@ TEST(ShardedAltIndexTest, UsableWithoutBulkLoad) {
 TEST(ShardedAltIndexTest, ScanMatchesOracleAcrossShardBoundaries) {
   const auto keys = MakeKeys(10000, 500, 13);
   const auto values = ValuesFor(keys);
-  for (Partition p : {Partition::kRange, Partition::kHash}) {
-    ShardedAltIndex index(SmallOptions(4, p));
-    ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
-    // Starts chosen to sit before, exactly on, and after shard boundaries.
-    std::vector<Key> starts_to_try = {0, keys[1], keys[2500] + 1, keys[7499]};
-    if (p == Partition::kRange) {
-      for (size_t s = 1; s < index.num_shards(); ++s) {
-        starts_to_try.push_back(index.ShardLowerBound(s));
-        starts_to_try.push_back(index.ShardLowerBound(s) - 1);
-      }
-    }
-    for (Key start : starts_to_try) {
-      std::vector<std::pair<Key, Value>> got;
-      index.Scan(start, 500, &got);
-      const auto lo = std::lower_bound(keys.begin(), keys.end(), start);
-      const size_t expect_n =
-          std::min<size_t>(500, static_cast<size_t>(keys.end() - lo));
-      ASSERT_EQ(got.size(), expect_n) << "start " << start;
-      for (size_t i = 0; i < expect_n; ++i) {
-        const size_t j = static_cast<size_t>(lo - keys.begin()) + i;
-        EXPECT_EQ(got[i].first, keys[j]);
-        EXPECT_EQ(got[i].second, values[j]);
-      }
+  ShardedAltIndex index(SmallOptions(4));
+  ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
+  // Starts chosen to sit before, exactly on, and after shard boundaries.
+  std::vector<Key> starts_to_try = {0, keys[1], keys[2500] + 1, keys[7499]};
+  for (size_t s = 1; s < index.num_shards(); ++s) {
+    starts_to_try.push_back(index.ShardLowerBound(s));
+    starts_to_try.push_back(index.ShardLowerBound(s) - 1);
+  }
+  for (Key start : starts_to_try) {
+    std::vector<std::pair<Key, Value>> got;
+    index.Scan(start, 500, &got);
+    const auto lo = std::lower_bound(keys.begin(), keys.end(), start);
+    const size_t expect_n =
+        std::min<size_t>(500, static_cast<size_t>(keys.end() - lo));
+    ASSERT_EQ(got.size(), expect_n) << "start " << start;
+    for (size_t i = 0; i < expect_n; ++i) {
+      const size_t j = static_cast<size_t>(lo - keys.begin()) + i;
+      EXPECT_EQ(got[i].first, keys[j]);
+      EXPECT_EQ(got[i].second, values[j]);
     }
   }
 }
@@ -197,30 +190,6 @@ TEST(ShardedAltIndexTest, LookupBatchScatterGather) {
     ASSERT_EQ(found[i], present) << "probe " << i;
     if (present) EXPECT_EQ(out[i], ref);
   }
-}
-
-TEST(ShardedAltIndexTest, KWayMergerDeduplicatesAndOrders) {
-  // Unit-level merge check with overlapping sources, first-copy-wins.
-  struct VecCursor {
-    std::vector<std::pair<Key, Value>> items;
-    size_t pos = 0;
-    bool Next(std::pair<Key, Value>* out) {
-      if (pos >= items.size()) return false;
-      *out = items[pos++];
-      return true;
-    }
-  };
-  std::vector<VecCursor> sources(3);
-  sources[0].items = {{1, 10}, {4, 40}, {7, 70}};
-  sources[1].items = {{2, 20}, {4, 41}, {8, 80}};  // 4 duplicated across sources
-  sources[2].items = {{3, 30}, {9, 90}};
-  shard::KWayMerger<VecCursor> merger(std::move(sources));
-  std::vector<std::pair<Key, Value>> got;
-  std::pair<Key, Value> kv;
-  while (merger.Next(&kv)) got.push_back(kv);
-  const std::vector<std::pair<Key, Value>> expect = {
-      {1, 10}, {2, 20}, {3, 30}, {4, 40}, {7, 70}, {8, 80}, {9, 90}};
-  EXPECT_EQ(got, expect) << "ties keep the lowest source's copy";
 }
 
 TEST(ShardedAltIndexTest, PerShardEpochManagersStayOffTheGlobal) {
@@ -283,7 +252,7 @@ TEST(ShardedAltIndexTest, FactoryMakesShardedVariants) {
   EXPECT_EQ(MakeIndex("alt-shardedX", AltOptions{}), nullptr);
 }
 
-// The PR 3 bug class at partition seams: scans crossing shard boundaries
+// The duplicate-key scan bug class at shard seams: scans crossing shard boundaries
 // while §III-F expansions are in flight inside the shards must stay sorted
 // and duplicate-free, and must always observe the stable key population.
 TEST(ShardedAltIndexTest, ChurnScanAcrossSeamsDuringExpansion) {
@@ -294,76 +263,69 @@ TEST(ShardedAltIndexTest, ChurnScanAcrossSeamsDuringExpansion) {
   for (size_t i = 0; i < kStable; ++i) keys[i] = 1000 + 4 * static_cast<Key>(i);
   const auto values = ValuesFor(keys);
 
-  for (Partition p : {Partition::kRange, Partition::kHash}) {
-    ShardedOptions so = SmallOptions(4, p);
-    so.index.retrain_trigger_ratio = 0.05;  // expand aggressively
-    ShardedAltIndex index(so);
-    ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
+  ShardedOptions so = SmallOptions(4);
+  so.index.retrain_trigger_ratio = 0.05;  // expand aggressively
+  ShardedAltIndex index(so);
+  ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
 
-    std::atomic<bool> stop{false};
-    std::atomic<size_t> scan_failures{0};
-    std::thread writer([&] {
-      Key k = 1001;  // odd: never collides with stable keys
-      while (!stop.load(std::memory_order_acquire)) {
-        index.Insert(k, 1);
-        k += 2;
-      }
-    });
-    std::thread remover([&] {
-      Key k = 1003;
-      while (!stop.load(std::memory_order_acquire)) {
-        index.Remove(k);
-        k += 2;
-      }
-    });
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> scan_failures{0};
+  std::thread writer([&] {
+    Key k = 1001;  // odd: never collides with stable keys
+    while (!stop.load(std::memory_order_acquire)) {
+      index.Insert(k, 1);
+      k += 2;
+    }
+  });
+  std::thread remover([&] {
+    Key k = 1003;
+    while (!stop.load(std::memory_order_acquire)) {
+      index.Remove(k);
+      k += 2;
+    }
+  });
 
-    // Scans start just before a seam so every batch crosses shards mid-churn.
-    std::vector<Key> seam_starts = {keys[0]};
-    if (p == Partition::kRange) {
-      for (size_t s = 1; s < index.num_shards(); ++s) {
-        seam_starts.push_back(index.ShardLowerBound(s) - 64);
-      }
-    } else {
-      seam_starts.push_back(keys[kStable / 2]);
-    }
-    std::vector<std::pair<Key, Value>> out;
-    for (int round = 0; round < 60; ++round) {
-      for (Key start : seam_starts) {
-        index.Scan(start, 2000, &out);
-        for (size_t i = 1; i < out.size(); ++i) {
-          if (out[i - 1].first >= out[i].first) {
-            ++scan_failures;
-            ADD_FAILURE() << "unsorted/duplicate at scan pos " << i << ": "
-                          << out[i - 1].first << " then " << out[i].first;
-          }
-        }
-        // Every stable key inside the observed window must be present.
-        if (!out.empty()) {
-          const Key window_lo = start;
-          const Key window_hi = out.back().first;
-          auto it = std::lower_bound(keys.begin(), keys.end(), window_lo);
-          std::set<Key> seen;
-          for (const auto& kv : out) seen.insert(kv.first);
-          for (; it != keys.end() && *it <= window_hi; ++it) {
-            if (seen.count(*it) == 0) {
-              ++scan_failures;
-              ADD_FAILURE() << "stable key " << *it << " missing from scan"
-                            << " (partition "
-                            << (p == Partition::kRange ? "range" : "hash")
-                            << ", start " << start << ")";
-            }
-          }
-        }
-        if (scan_failures.load() > 5) break;  // don't flood the log
-      }
-      if (scan_failures.load() > 5) break;
-    }
-    stop.store(true, std::memory_order_release);
-    writer.join();
-    remover.join();
-    EXPECT_EQ(scan_failures.load(), 0u);
-    index.DrainAllShards();
+  // Scans start just before a seam so every batch crosses shards mid-churn,
+  // plus one from the middle stable key (on the middle seam).
+  std::vector<Key> seam_starts = {keys[0], keys[kStable / 2]};
+  for (size_t s = 1; s < index.num_shards(); ++s) {
+    seam_starts.push_back(index.ShardLowerBound(s) - 64);
   }
+  std::vector<std::pair<Key, Value>> out;
+  for (int round = 0; round < 60; ++round) {
+    for (Key start : seam_starts) {
+      index.Scan(start, 2000, &out);
+      for (size_t i = 1; i < out.size(); ++i) {
+        if (out[i - 1].first >= out[i].first) {
+          ++scan_failures;
+          ADD_FAILURE() << "unsorted/duplicate at scan pos " << i << ": "
+                        << out[i - 1].first << " then " << out[i].first;
+        }
+      }
+      // Every stable key inside the observed window must be present.
+      if (!out.empty()) {
+        const Key window_lo = start;
+        const Key window_hi = out.back().first;
+        auto it = std::lower_bound(keys.begin(), keys.end(), window_lo);
+        std::set<Key> seen;
+        for (const auto& kv : out) seen.insert(kv.first);
+        for (; it != keys.end() && *it <= window_hi; ++it) {
+          if (seen.count(*it) == 0) {
+            ++scan_failures;
+            ADD_FAILURE() << "stable key " << *it << " missing from scan"
+                          << " (start " << start << ")";
+          }
+        }
+      }
+      if (scan_failures.load() > 5) break;  // don't flood the log
+    }
+    if (scan_failures.load() > 5) break;
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  remover.join();
+  EXPECT_EQ(scan_failures.load(), 0u);
+  index.DrainAllShards();
 }
 
 }  // namespace

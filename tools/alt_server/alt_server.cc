@@ -30,7 +30,7 @@ void Usage(const char* argv0) {
       "  --batch N       max GET keys per coalesced LookupBatch, 1..64\n"
       "                  (default 16; 1 = scalar baseline)\n"
       "  --shards N      index shards (default 4)\n"
-      "  --partition P   range | hash (default range)\n"
+      "  --partition P   range (the only accepted value)\n"
       "  --dataset D     libio|osm|fb|longlat|uniform|lognormal|sequential\n"
       "                  (default fb)\n"
       "  --keys N        preloaded keyset size (default 200000)\n"
@@ -80,13 +80,10 @@ int main(int argc, char** argv) {
       opt.sharded.num_shards =
           static_cast<int>(ParseU64(next("--shards"), "--shards"));
     } else if (a == "--partition") {
-      const std::string p = next("--partition");
-      if (p == "range") {
-        opt.sharded.partition = alt::shard::Partition::kRange;
-      } else if (p == "hash") {
-        opt.sharded.partition = alt::shard::Partition::kHash;
-      } else {
-        std::fprintf(stderr, "alt_server: --partition must be range|hash\n");
+      // Kept only because perfbench/src/served_bench.cc passes
+      // `--partition range`; drop with the next change to the benchmark.
+      if (std::string(next("--partition")) != "range") {
+        std::fprintf(stderr, "alt_server: --partition must be range\n");
         return 2;
       }
     } else if (a == "--dataset") {
@@ -144,10 +141,9 @@ int main(int argc, char** argv) {
   // One machine-readable line for wrappers (CI smoke leg parses the port).
   std::printf(
       "{\"alt_server\":{\"port\":%u,\"workers\":%d,\"batch\":%zu,"
-      "\"shards\":%d,\"partition\":\"%s\",\"dataset\":\"%s\",\"keys\":%zu,"
+      "\"shards\":%d,\"partition\":\"range\",\"dataset\":\"%s\",\"keys\":%zu,"
       "\"seed\":%llu}}\n",
       server.port(), opt.num_workers, opt.batch_size, opt.sharded.num_shards,
-      opt.sharded.partition == alt::shard::Partition::kRange ? "range" : "hash",
       alt::DatasetName(dataset), keys_n,
       static_cast<unsigned long long>(seed));
   std::fflush(stdout);
