@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <cstring>
 
-#include "common/debug_checks.h"
 #include "common/key_codec.h"
-#include "common/spinlock.h"
-#include "common/thread_annotations.h"
+#include "common/optlock.h"
 
 namespace alt {
 namespace art {
@@ -39,10 +37,8 @@ inline Node* TagLeaf(Leaf* l) {
   return reinterpret_cast<Node*>(reinterpret_cast<uintptr_t>(l) | 1u);
 }
 
-/// \brief Common node header with the optimistic-lock-coupling version word
-/// (Leis et al., DaMoN'16): bit 1 = write-locked, bit 0 = obsolete,
-/// bits 63..2 = version counter. Writers CAS `v -> v + 0b10` to lock and
-/// `fetch_add(0b10)` to unlock (which also bumps the counter).
+/// \brief Common node header. `lock` is the optimistic-lock-coupling version
+/// word (Leis et al., DaMoN'16), the same OptLock the OLC baselines use.
 ///
 /// All mutable fields readers may race on are atomics; optimistic readers use
 /// relaxed/acquire loads and re-validate the version afterwards (seqlock
@@ -56,14 +52,12 @@ inline Node* TagLeaf(Leaf* l) {
 ///  - the compressed path is packed into one atomic word (`prefix_word`,
 ///    big-endian byte order) so prefix updates during splits are race-free.
 ///
-/// Each node is a clang thread-safety capability: the exclusive side is the
-/// version word's write lock. Acquisition happens only through the conditional
-/// UpgradeToWriteLockOrRestart (invisible to the static analysis), so the OLC
-/// write paths in art_tree.cc are ALT_OPTIMISTIC_PATH escapes; the unlock
-/// protocol is still enforced dynamically under ALT_DEBUG_CHECKS
-/// (unlock-without-lock, double-upgrade, read-while-write-held).
-struct CAPABILITY("art node lock") Node {
-  std::atomic<uint64_t> version{0};
+/// Writers take `lock` by upgrading an optimistic read, which the clang
+/// static analysis cannot see, so the OLC write paths in art_tree.cc are
+/// ALT_OPTIMISTIC_PATH escapes; OptLock still checks the unlock protocol at
+/// run time under ALT_DEBUG_CHECKS.
+struct Node {
+  OptLock lock;
   std::atomic<uint64_t> prefix_word{0};
   const NodeType type;
   std::atomic<uint8_t> prefix_len{0};
@@ -72,8 +66,6 @@ struct CAPABILITY("art node lock") Node {
   std::atomic<int32_t> fp_slot{-1};
 
   explicit Node(NodeType t) : type(t) {}
-
-  // ---- compressed path helpers -------------------------------------------
 
   /// Byte `i` (0-based) of the compressed path.
   static uint8_t PrefixByte(uint64_t word, int i) {
@@ -94,93 +86,26 @@ struct CAPABILITY("art node lock") Node {
     prefix_len.store(static_cast<uint8_t>(prefix_len.load(std::memory_order_relaxed) - n),
                      std::memory_order_relaxed);
   }
-
-  // ---- optimistic lock coupling -------------------------------------------
-
-  /// Construct-time lock: a freshly allocated node is created write-locked so
-  /// it cannot be modified between publication and the creator's unlock. Not
-  /// an ACQUIRE for the static analysis — the creator is always inside an
-  /// ALT_OPTIMISTIC_PATH write path that releases it.
-  void InitLocked() {
-    version.store(2u, std::memory_order_relaxed);
-    ALT_DEBUG_NOTE_ACQUIRED(this, "art-node");
-  }
-
-  static bool IsLocked(uint64_t v) { return (v & 2u) != 0; }
-  static bool IsObsolete(uint64_t v) { return (v & 1u) != 0; }
-
-  /// Spin until unlocked; \return version, or set *need_restart on obsolete.
-  uint64_t ReadLockOrRestart(bool* need_restart) const {
-    // A thread that write-holds this node would spin forever here.
-    ALT_DEBUG_CHECK(!::alt::debug::LockHeldByThisThread(this), "art-node",
-                    "ReadLockOrRestart while this thread write-holds the node",
-                    this);
-    uint64_t v = version.load(std::memory_order_acquire);
-    while (IsLocked(v)) {
-      CpuRelax();
-      v = version.load(std::memory_order_acquire);
-    }
-    if (IsObsolete(v)) *need_restart = true;
-    return v;
-  }
-
-  /// Validate that nothing changed since `v` was read. The acquire fence keeps
-  /// the preceding data loads from being ordered after the version re-read.
-  void CheckOrRestart(uint64_t v, bool* need_restart) const {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (version.load(std::memory_order_relaxed) != v) *need_restart = true;
-  }
-
-  /// Try to atomically upgrade the optimistic read at `v` to a write lock.
-  /// Out-parameter acquisition is invisible to the static analysis; callers
-  /// are ALT_OPTIMISTIC_PATH.
-  void UpgradeToWriteLockOrRestart(uint64_t& v, bool* need_restart) {
-    if (!version.compare_exchange_strong(v, v + 2, std::memory_order_acquire)) {
-      *need_restart = true;
-    } else {
-      v += 2;
-      ALT_DEBUG_NOTE_ACQUIRED(this, "art-node");
-    }
-  }
-
-  void WriteUnlock() RELEASE() {
-    ALT_DEBUG_NOTE_RELEASED(this, "art-node");
-    ALT_DEBUG_CHECK(IsLocked(version.load(std::memory_order_relaxed)), "art-node",
-                    "WriteUnlock of a node that is not write-locked", this);
-    version.fetch_add(2, std::memory_order_release);
-  }
-
-  /// Unlock and mark obsolete in one step; readers holding old versions will
-  /// restart, and the memory is reclaimed via the epoch manager.
-  void WriteUnlockObsolete() RELEASE() {
-    ALT_DEBUG_NOTE_RELEASED(this, "art-node");
-    ALT_DEBUG_CHECK(IsLocked(version.load(std::memory_order_relaxed)), "art-node",
-                    "WriteUnlockObsolete of a node that is not write-locked", this);
-    version.fetch_add(3, std::memory_order_release);
-  }
 };
 
-/// Fanout-4 node: parallel sorted key/child arrays.
-struct Node4 : Node {
-  std::atomic<uint8_t> keys[4];
-  std::atomic<Node*> children[4];
+static_assert(sizeof(OptLock) == sizeof(uint64_t), "the node lock is one version word");
 
-  Node4() : Node(NodeType::kNode4) {
+/// Fanout-4 / fanout-16 node: parallel key/child arrays with the keys kept
+/// sorted, so ordered scans read a contiguous run. N is the only difference
+/// between Node4 and Node16.
+template <int N, NodeType T>
+struct SortedNode : Node {
+  static constexpr int kCapacity = N;
+  std::atomic<uint8_t> keys[N];
+  std::atomic<Node*> children[N];
+
+  SortedNode() : Node(T) {
     for (auto& k : keys) k.store(0, std::memory_order_relaxed);
     for (auto& c : children) c.store(nullptr, std::memory_order_relaxed);
   }
 };
-
-/// Fanout-16 node: parallel sorted key/child arrays.
-struct Node16 : Node {
-  std::atomic<uint8_t> keys[16];
-  std::atomic<Node*> children[16];
-
-  Node16() : Node(NodeType::kNode16) {
-    for (auto& k : keys) k.store(0, std::memory_order_relaxed);
-    for (auto& c : children) c.store(nullptr, std::memory_order_relaxed);
-  }
-};
+using Node4 = SortedNode<4, NodeType::kNode4>;
+using Node16 = SortedNode<16, NodeType::kNode16>;
 
 /// Fanout-48 node: 256-entry byte -> child-slot indirection (0xFF = empty).
 struct Node48 : Node {

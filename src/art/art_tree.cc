@@ -11,6 +11,9 @@ namespace art {
 
 namespace {
 
+// Attempts a hinted operation makes from its hint before it reports
+// kNeedRoot; the caller then retries from the root.
+constexpr int kMaxHintAttempts = 64;
 
 // ---------------------------------------------------------------------------
 // Node helpers. All mutating helpers require the caller to hold the node's
@@ -18,30 +21,90 @@ namespace {
 // the version afterwards).
 // ---------------------------------------------------------------------------
 
+// Node4/Node16 share one body per helper: SortedNode<N, T> differs only in N.
+
+template <typename S>
+Node* GetSortedChild(const Node* n, uint8_t byte) {
+  auto* p = static_cast<const S*>(n);
+  int cnt = p->num_children.load(std::memory_order_relaxed);
+  if (cnt > S::kCapacity) cnt = S::kCapacity;
+  for (int i = 0; i < cnt; ++i) {
+    if (p->keys[i].load(std::memory_order_relaxed) == byte) {
+      return p->children[i].load(std::memory_order_acquire);
+    }
+  }
+  return nullptr;
+}
+
+template <typename S>
+void AddSortedChild(Node* n, uint8_t byte, Node* child) {
+  auto* p = static_cast<S*>(n);
+  const int cnt = p->num_children.load(std::memory_order_relaxed);
+  int pos = 0;
+  while (pos < cnt && p->keys[pos].load(std::memory_order_relaxed) < byte) ++pos;
+  for (int i = cnt; i > pos; --i) {
+    p->keys[i].store(p->keys[i - 1].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    p->children[i].store(p->children[i - 1].load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  }
+  p->keys[pos].store(byte, std::memory_order_relaxed);
+  p->children[pos].store(child, std::memory_order_release);
+  p->num_children.store(static_cast<uint16_t>(cnt + 1), std::memory_order_release);
+}
+
+template <typename S>
+void ReplaceSortedChild(Node* n, uint8_t byte, Node* child) {
+  auto* p = static_cast<S*>(n);
+  const int cnt = p->num_children.load(std::memory_order_relaxed);
+  for (int i = 0; i < cnt; ++i) {
+    if (p->keys[i].load(std::memory_order_relaxed) == byte) {
+      p->children[i].store(child, std::memory_order_release);
+      return;
+    }
+  }
+  assert(false && "ReplaceChild: byte not present");
+}
+
+template <typename S>
+void RemoveSortedEntry(Node* n, uint8_t byte) {
+  auto* p = static_cast<S*>(n);
+  const int cnt = p->num_children.load(std::memory_order_relaxed);
+  int pos = 0;
+  while (pos < cnt && p->keys[pos].load(std::memory_order_relaxed) != byte) ++pos;
+  assert(pos < cnt);
+  for (int i = pos; i < cnt - 1; ++i) {
+    p->keys[i].store(p->keys[i + 1].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    p->children[i].store(p->children[i + 1].load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  }
+  p->children[cnt - 1].store(nullptr, std::memory_order_relaxed);
+  p->num_children.store(static_cast<uint16_t>(cnt - 1), std::memory_order_release);
+}
+
+// The key array is sorted, so the window [blo, bhi] is a contiguous run.
+template <typename S>
+int CollectSortedEntries(const Node* n, uint8_t blo, uint8_t bhi, uint8_t* bytes,
+                         Node** children) {
+  auto* p = static_cast<const S*>(n);
+  int cnt = p->num_children.load(std::memory_order_relaxed);
+  if (cnt > S::kCapacity) cnt = S::kCapacity;
+  int out = 0;
+  for (int i = 0; i < cnt; ++i) {
+    const uint8_t b = p->keys[i].load(std::memory_order_relaxed);
+    if (b < blo) continue;
+    if (b > bhi) break;
+    bytes[out] = b;
+    children[out++] = p->children[i].load(std::memory_order_acquire);
+  }
+  return out;
+}
+
 Node* GetChild(const Node* n, uint8_t byte) {
   switch (n->type) {
-    case NodeType::kNode4: {
-      auto* p = static_cast<const Node4*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      if (cnt > 4) cnt = 4;
-      for (int i = 0; i < cnt; ++i) {
-        if (p->keys[i].load(std::memory_order_relaxed) == byte) {
-          return p->children[i].load(std::memory_order_acquire);
-        }
-      }
-      return nullptr;
-    }
-    case NodeType::kNode16: {
-      auto* p = static_cast<const Node16*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      if (cnt > 16) cnt = 16;
-      for (int i = 0; i < cnt; ++i) {
-        if (p->keys[i].load(std::memory_order_relaxed) == byte) {
-          return p->children[i].load(std::memory_order_acquire);
-        }
-      }
-      return nullptr;
-    }
+    case NodeType::kNode4: return GetSortedChild<Node4>(n, byte);
+    case NodeType::kNode16: return GetSortedChild<Node16>(n, byte);
     case NodeType::kNode48: {
       auto* p = static_cast<const Node48*>(n);
       uint8_t idx = p->child_index[byte].load(std::memory_order_acquire);
@@ -59,8 +122,8 @@ Node* GetChild(const Node* n, uint8_t byte) {
 bool IsFull(const Node* n) {
   int cnt = n->num_children.load(std::memory_order_relaxed);
   switch (n->type) {
-    case NodeType::kNode4: return cnt >= 4;
-    case NodeType::kNode16: return cnt >= 16;
+    case NodeType::kNode4: return cnt >= Node4::kCapacity;
+    case NodeType::kNode16: return cnt >= Node16::kCapacity;
     case NodeType::kNode48: return cnt >= 48;
     case NodeType::kNode256: return false;
   }
@@ -71,38 +134,8 @@ bool IsFull(const Node* n) {
 // key arrays sorted so ordered scans are cheap.
 void AddChild(Node* n, uint8_t byte, Node* child) {
   switch (n->type) {
-    case NodeType::kNode4: {
-      auto* p = static_cast<Node4*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      int pos = 0;
-      while (pos < cnt && p->keys[pos].load(std::memory_order_relaxed) < byte) ++pos;
-      for (int i = cnt; i > pos; --i) {
-        p->keys[i].store(p->keys[i - 1].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        p->children[i].store(p->children[i - 1].load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-      }
-      p->keys[pos].store(byte, std::memory_order_relaxed);
-      p->children[pos].store(child, std::memory_order_release);
-      n->num_children.store(static_cast<uint16_t>(cnt + 1), std::memory_order_release);
-      return;
-    }
-    case NodeType::kNode16: {
-      auto* p = static_cast<Node16*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      int pos = 0;
-      while (pos < cnt && p->keys[pos].load(std::memory_order_relaxed) < byte) ++pos;
-      for (int i = cnt; i > pos; --i) {
-        p->keys[i].store(p->keys[i - 1].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        p->children[i].store(p->children[i - 1].load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-      }
-      p->keys[pos].store(byte, std::memory_order_relaxed);
-      p->children[pos].store(child, std::memory_order_release);
-      n->num_children.store(static_cast<uint16_t>(cnt + 1), std::memory_order_release);
-      return;
-    }
+    case NodeType::kNode4: AddSortedChild<Node4>(n, byte, child); return;
+    case NodeType::kNode16: AddSortedChild<Node16>(n, byte, child); return;
     case NodeType::kNode48: {
       auto* p = static_cast<Node48*>(n);
       int slot = 0;
@@ -124,28 +157,8 @@ void AddChild(Node* n, uint8_t byte, Node* child) {
 // Overwrite an existing (byte -> child) mapping.
 void ReplaceChild(Node* n, uint8_t byte, Node* child) {
   switch (n->type) {
-    case NodeType::kNode4: {
-      auto* p = static_cast<Node4*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      for (int i = 0; i < cnt; ++i) {
-        if (p->keys[i].load(std::memory_order_relaxed) == byte) {
-          p->children[i].store(child, std::memory_order_release);
-          return;
-        }
-      }
-      break;
-    }
-    case NodeType::kNode16: {
-      auto* p = static_cast<Node16*>(n);
-      int cnt = n->num_children.load(std::memory_order_relaxed);
-      for (int i = 0; i < cnt; ++i) {
-        if (p->keys[i].load(std::memory_order_relaxed) == byte) {
-          p->children[i].store(child, std::memory_order_release);
-          return;
-        }
-      }
-      break;
-    }
+    case NodeType::kNode4: ReplaceSortedChild<Node4>(n, byte, child); return;
+    case NodeType::kNode16: ReplaceSortedChild<Node16>(n, byte, child); return;
     case NodeType::kNode48: {
       auto* p = static_cast<Node48*>(n);
       uint8_t idx = p->child_index[byte].load(std::memory_order_relaxed);
@@ -158,46 +171,13 @@ void ReplaceChild(Node* n, uint8_t byte, Node* child) {
       return;
     }
   }
-  assert(false && "ReplaceChild: byte not present");
 }
 
 // Remove the (byte -> child) mapping; requires the entry to exist.
 void RemoveChildEntry(Node* n, uint8_t byte) {
   switch (n->type) {
-    case NodeType::kNode4:
-    case NodeType::kNode16: {
-      // Shared layout up to capacity; handle via per-type arrays.
-      if (n->type == NodeType::kNode4) {
-        auto* p = static_cast<Node4*>(n);
-        int cnt = n->num_children.load(std::memory_order_relaxed);
-        int pos = 0;
-        while (pos < cnt && p->keys[pos].load(std::memory_order_relaxed) != byte) ++pos;
-        assert(pos < cnt);
-        for (int i = pos; i < cnt - 1; ++i) {
-          p->keys[i].store(p->keys[i + 1].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-          p->children[i].store(p->children[i + 1].load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-        }
-        p->children[cnt - 1].store(nullptr, std::memory_order_relaxed);
-        n->num_children.store(static_cast<uint16_t>(cnt - 1), std::memory_order_release);
-      } else {
-        auto* p = static_cast<Node16*>(n);
-        int cnt = n->num_children.load(std::memory_order_relaxed);
-        int pos = 0;
-        while (pos < cnt && p->keys[pos].load(std::memory_order_relaxed) != byte) ++pos;
-        assert(pos < cnt);
-        for (int i = pos; i < cnt - 1; ++i) {
-          p->keys[i].store(p->keys[i + 1].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-          p->children[i].store(p->children[i + 1].load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-        }
-        p->children[cnt - 1].store(nullptr, std::memory_order_relaxed);
-        n->num_children.store(static_cast<uint16_t>(cnt - 1), std::memory_order_release);
-      }
-      return;
-    }
+    case NodeType::kNode4: RemoveSortedEntry<Node4>(n, byte); return;
+    case NodeType::kNode16: RemoveSortedEntry<Node16>(n, byte); return;
     case NodeType::kNode48: {
       auto* p = static_cast<Node48*>(n);
       uint8_t idx = p->child_index[byte].load(std::memory_order_relaxed);
@@ -216,63 +196,6 @@ void RemoveChildEntry(Node* n, uint8_t byte) {
   }
 }
 
-// The single remaining child of a node with num_children == 1.
-Node* GetOnlyChild(Node* n, uint8_t* byte_out) {
-  switch (n->type) {
-    case NodeType::kNode4: {
-      auto* p = static_cast<Node4*>(n);
-      *byte_out = p->keys[0].load(std::memory_order_relaxed);
-      return p->children[0].load(std::memory_order_relaxed);
-    }
-    case NodeType::kNode16: {
-      auto* p = static_cast<Node16*>(n);
-      *byte_out = p->keys[0].load(std::memory_order_relaxed);
-      return p->children[0].load(std::memory_order_relaxed);
-    }
-    case NodeType::kNode48: {
-      auto* p = static_cast<Node48*>(n);
-      for (int b = 0; b < 256; ++b) {
-        uint8_t idx = p->child_index[b].load(std::memory_order_relaxed);
-        if (idx != Node48::kEmpty) {
-          *byte_out = static_cast<uint8_t>(b);
-          return p->children[idx].load(std::memory_order_relaxed);
-        }
-      }
-      return nullptr;
-    }
-    case NodeType::kNode256: {
-      auto* p = static_cast<Node256*>(n);
-      for (int b = 0; b < 256; ++b) {
-        Node* c = p->children[b].load(std::memory_order_relaxed);
-        if (c != nullptr) {
-          *byte_out = static_cast<uint8_t>(b);
-          return c;
-        }
-      }
-      return nullptr;
-    }
-  }
-  return nullptr;
-}
-
-// Node4/Node16 half of CollectEntries: the key array is sorted, so the
-// window is a contiguous run.
-template <typename SortedNode>
-int CollectSortedEntries(const SortedNode* p, int cap, uint8_t blo, uint8_t bhi,
-                         uint8_t* bytes, Node** children) {
-  int cnt = p->num_children.load(std::memory_order_relaxed);
-  if (cnt > cap) cnt = cap;
-  int out = 0;
-  for (int i = 0; i < cnt; ++i) {
-    const uint8_t b = p->keys[i].load(std::memory_order_relaxed);
-    if (b < blo) continue;
-    if (b > bhi) break;
-    bytes[out] = b;
-    children[out++] = p->children[i].load(std::memory_order_acquire);
-  }
-  return out;
-}
-
 // Copy the (byte, child) entries of `n` with blo <= byte <= bhi into caller
 // arrays in byte order; returns the count. Only the window's cells are read,
 // so a scan never touches children it cannot use.
@@ -280,11 +203,9 @@ int CollectEntries(const Node* n, uint8_t* bytes, Node** children, uint8_t blo =
                    uint8_t bhi = 0xFF) {
   switch (n->type) {
     case NodeType::kNode4:
-      return CollectSortedEntries(static_cast<const Node4*>(n), 4, blo, bhi, bytes,
-                                  children);
+      return CollectSortedEntries<Node4>(n, blo, bhi, bytes, children);
     case NodeType::kNode16:
-      return CollectSortedEntries(static_cast<const Node16*>(n), 16, blo, bhi, bytes,
-                                  children);
+      return CollectSortedEntries<Node16>(n, blo, bhi, bytes, children);
     case NodeType::kNode48: {
       auto* p = static_cast<const Node48*>(n);
       int out = 0;
@@ -313,6 +234,15 @@ int CollectEntries(const Node* n, uint8_t* bytes, Node** children, uint8_t blo =
   return 0;
 }
 
+// The single remaining child of a node with num_children == 1.
+Node* GetOnlyChild(const Node* n, uint8_t* byte_out) {
+  uint8_t bytes[256];
+  Node* children[256];
+  if (CollectEntries(n, bytes, children) == 0) return nullptr;
+  *byte_out = bytes[0];
+  return children[0];
+}
+
 // Mask of key bytes [0, n): the bytes a node at branch depth n has fixed.
 Key BytesAbove(int n) { return n == 0 ? 0 : ~Key{0} << (8 * (kKeyBytes - n)); }
 
@@ -338,7 +268,7 @@ Node* Grow(Node* n) {
     case NodeType::kNode48: bigger = new Node256(); break;
     case NodeType::kNode256: assert(false && "Node256 cannot grow"); return nullptr;
   }
-  bigger->InitLocked();
+  bigger->lock.InitLocked();
   CopyHeader(bigger, n);
   for (int i = 0; i < cnt; ++i) AddChild(bigger, bytes[i], children[i]);
   return bigger;
@@ -357,7 +287,7 @@ Node* ShrinkWithout(Node* n, uint8_t skip_byte) {
     case NodeType::kNode256: smaller = new Node48(); break;
     case NodeType::kNode4: assert(false && "Node4 cannot shrink"); return nullptr;
   }
-  smaller->InitLocked();
+  smaller->lock.InitLocked();
   CopyHeader(smaller, n);
   for (int i = 0; i < cnt; ++i) {
     if (bytes[i] == skip_byte) continue;
@@ -425,72 +355,36 @@ ArtTree::~ArtTree() {
 
 // ---- Lookup ----------------------------------------------------------------
 
-ArtTree::OpResult ArtTree::LookupImpl(Node* start, Key key, int* steps,
-                                      Found* found) const {
-  bool restart = false;
-  Node* node = start;
-  uint64_t v = node->ReadLockOrRestart(&restart);
-  if (restart) return (start == root_) ? OpResult::kRestart : OpResult::kNeedRoot;
-  int depth = node->match_level.load(std::memory_order_relaxed);
-
+ArtTree::OpResult ArtTree::LookupImpl(Node* start, Key key, Value* out, int* steps,
+                                      DescentState* ds) const ALT_REQUIRES_EPOCH {
+  // Only a stale hint can be obsolete: the root never is.
+  if (!DescentInit(start, ds)) return OpResult::kNeedRoot;
   for (;;) {
-    if (steps != nullptr) ++(*steps);
-    const int plen = node->prefix_len.load(std::memory_order_relaxed);
-    if (plen > 0) {
-      const uint64_t pword = node->prefix_word.load(std::memory_order_relaxed);
-      for (int i = 0; i < plen; ++i) {
-        if (Node::PrefixByte(pword, i) != KeyByte(key, depth + i)) {
-          node->CheckOrRestart(v, &restart);
-          return restart ? OpResult::kRestart : OpResult::kNotFound;
-        }
-      }
-      depth += plen;
+    switch (DescentStep(ds, key, out, steps)) {
+      case StepResult::kFound: return OpResult::kDone;
+      case StepResult::kNotFound: return OpResult::kNotFound;
+      case StepResult::kRestart: return OpResult::kRestart;
+      case StepResult::kStepped: break;
     }
-    assert(depth < kKeyBytes);
-    const uint8_t byte = KeyByte(key, depth);
-    Node* child = GetChild(node, byte);
-    node->CheckOrRestart(v, &restart);
-    if (restart) return OpResult::kRestart;
-    if (child == nullptr) return OpResult::kNotFound;
-    if (IsLeaf(child)) {
-      Leaf* leaf = ToLeaf(child);
-      if (leaf->key != key) return OpResult::kNotFound;
-      *found = Found{leaf, node, v};
-      return OpResult::kDone;
-    }
-    Node* next = child;
-    uint64_t nv = next->ReadLockOrRestart(&restart);
-    if (restart) return OpResult::kRestart;
-    node->CheckOrRestart(v, &restart);
-    if (restart) return OpResult::kRestart;
-    node = next;
-    v = nv;
-    depth += 1;
   }
 }
 
 bool ArtTree::Lookup(Key key, Value* out, int* steps) const {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::Lookup", epoch_);
   for (;;) {
-    Found f;
-    const OpResult r = LookupImpl(root_, key, steps, &f);
-    if (r == OpResult::kDone) {
-      *out = f.leaf->value.load(std::memory_order_acquire);
-      return true;
-    }
+    DescentState ds;
+    const OpResult r = LookupImpl(root_, key, out, steps, &ds);
+    if (r == OpResult::kDone) return true;
     if (r == OpResult::kNotFound) return false;
   }
 }
 
 HintOutcome ArtTree::LookupFrom(Node* hint, Key key, Value* out, int* steps) const {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::LookupFrom", epoch_);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    Found f;
-    const OpResult r = LookupImpl(hint, key, steps, &f);
-    switch (r) {
-      case OpResult::kDone:
-        *out = f.leaf->value.load(std::memory_order_acquire);
-        return HintOutcome::kFound;
+  for (int attempt = 0; attempt < kMaxHintAttempts; ++attempt) {
+    DescentState ds;
+    switch (LookupImpl(hint, key, out, steps, &ds)) {
+      case OpResult::kDone: return HintOutcome::kFound;
       case OpResult::kNotFound: return HintOutcome::kNotFound;
       case OpResult::kNeedRoot: return HintOutcome::kNeedRoot;
       default: break;  // kRestart: retry from the hint
@@ -505,8 +399,9 @@ bool ArtTree::DescentInit(Node* start, DescentState* s) const {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::DescentInit", epoch_);
   bool restart = false;
   s->pending = nullptr;
+  s->leaf = nullptr;
   s->node = start;
-  s->version = start->ReadLockOrRestart(&restart);
+  s->version = start->lock.ReadLockOrRestart(&restart);
   if (restart) return false;  // obsolete start (stale hint)
   s->depth = start->match_level.load(std::memory_order_relaxed);
   return true;
@@ -517,45 +412,47 @@ StepResult ArtTree::DescentStep(DescentState* s, Key key, Value* out, int* steps
   bool restart = false;
 
   // Enter the child selected (and prefetched) by the previous step. This is
-  // the second half of the OLC lock coupling from LookupImpl: read-lock the
-  // child, then re-validate the parent version that produced the pointer.
+  // the second half of the OLC lock coupling: read-lock the child, then
+  // re-validate the parent version that produced the pointer.
   if (s->pending != nullptr) {
     Node* child = s->pending;
     s->pending = nullptr;
     if (IsLeaf(child)) {
-      const Leaf* leaf = ToLeaf(child);
+      Leaf* leaf = ToLeaf(child);
       if (leaf->key != key) return StepResult::kNotFound;
+      s->leaf = leaf;
       if (out != nullptr) *out = leaf->value.load(std::memory_order_acquire);
       return StepResult::kFound;
     }
-    uint64_t nv = child->ReadLockOrRestart(&restart);
+    uint64_t nv = child->lock.ReadLockOrRestart(&restart);
     if (restart) return StepResult::kRestart;
-    s->node->CheckOrRestart(s->version, &restart);
+    s->node->lock.CheckOrRestart(s->version, &restart);
     if (restart) return StepResult::kRestart;
     s->node = child;
     s->version = nv;
     s->depth += 1;
   }
 
-  // Process one node: compressed path, then child dispatch (LookupImpl's loop
-  // body, minus the immediate child dereference — that is next touch's work).
+  // Process one node: compressed path, then child dispatch. The child is only
+  // prefetched here; dereferencing it is the next step's work.
   Node* node = s->node;
   if (steps != nullptr) ++(*steps);
   const int plen = node->prefix_len.load(std::memory_order_relaxed);
+  // Only a torn read (an SMO in flight) branches past the last key byte.
+  if (s->depth + plen >= kKeyBytes) return StepResult::kRestart;
   if (plen > 0) {
     const uint64_t pword = node->prefix_word.load(std::memory_order_relaxed);
     for (int i = 0; i < plen; ++i) {
       if (Node::PrefixByte(pword, i) != KeyByte(key, s->depth + i)) {
-        node->CheckOrRestart(s->version, &restart);
+        node->lock.CheckOrRestart(s->version, &restart);
         return restart ? StepResult::kRestart : StepResult::kNotFound;
       }
     }
     s->depth += plen;
   }
-  assert(s->depth < kKeyBytes);
   const uint8_t byte = KeyByte(key, s->depth);
   Node* child = GetChild(node, byte);
-  node->CheckOrRestart(s->version, &restart);
+  node->lock.CheckOrRestart(s->version, &restart);
   if (restart) return StepResult::kRestart;
   if (child == nullptr) return StepResult::kNotFound;
   s->pending = child;
@@ -574,26 +471,22 @@ StepResult ArtTree::DescentStep(DescentState* s, Key key, Value* out, int* steps
 // OLC writer escape: every node crossing is version-checked (CheckOrRestart)
 // and lock acquisition is a conditional upgrade (UpgradeToWriteLockOrRestart);
 // any mismatch restarts from `start`.
-ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
-                                      uint8_t start_parent_byte, Key key,
+ArtTree::OpResult ArtTree::InsertImpl(Node* start, Key key,
                                       Value value) ALT_OPTIMISTIC_PATH {
   bool restart = false;
-  Node* parent = start_parent;
+  Node* parent = nullptr;
   uint64_t pv = 0;
-  uint8_t pbyte = start_parent_byte;
+  uint8_t pbyte = 0;
 
   Node* node = start;
-  uint64_t v = node->ReadLockOrRestart(&restart);
+  uint64_t v = node->lock.ReadLockOrRestart(&restart);
   if (restart) return (start == root_) ? OpResult::kRestart : OpResult::kNeedRoot;
-  if (parent != nullptr) {
-    pv = parent->ReadLockOrRestart(&restart);
-    if (restart) return OpResult::kRestart;
-  }
   int depth = node->match_level.load(std::memory_order_relaxed);
 
   for (;;) {
     // -- compressed path --------------------------------------------------
     const int plen = node->prefix_len.load(std::memory_order_relaxed);
+    if (depth + plen >= kKeyBytes) return OpResult::kRestart;  // torn read
     if (plen > 0) {
       const uint64_t pword = node->prefix_word.load(std::memory_order_relaxed);
       int cpl = 0;
@@ -601,18 +494,18 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
       if (cpl < plen) {
         // Prefix mismatch: extract the shared prefix into a new parent Node4
         // (paper scenario ① when `node` carries a fast pointer).
-        node->CheckOrRestart(v, &restart);
+        node->lock.CheckOrRestart(v, &restart);
         if (restart) return OpResult::kRestart;
         if (parent == nullptr) return OpResult::kNeedRoot;  // hint-based: parent unknown
-        parent->UpgradeToWriteLockOrRestart(pv, &restart);
+        parent->lock.UpgradeToWriteLockOrRestart(pv, &restart);
         if (restart) return OpResult::kRestart;
-        node->UpgradeToWriteLockOrRestart(v, &restart);
+        node->lock.UpgradeToWriteLockOrRestart(v, &restart);
         if (restart) {
-          parent->WriteUnlock();
+          parent->lock.WriteUnlock();
           return OpResult::kRestart;
         }
         auto* np = new Node4();
-        np->InitLocked();
+        np->lock.InitLocked();
         np->prefix_word.store(pword, std::memory_order_relaxed);
         np->prefix_len.store(static_cast<uint8_t>(cpl), std::memory_order_relaxed);
         np->match_level.store(static_cast<uint8_t>(depth), std::memory_order_relaxed);
@@ -631,30 +524,29 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
           if (listener_ != nullptr) listener_->OnPrefixSplit(slot, node, np);
         }
         ReplaceChild(parent, pbyte, np);
-        node->WriteUnlock();
-        np->WriteUnlock();
-        parent->WriteUnlock();
+        node->lock.WriteUnlock();
+        np->lock.WriteUnlock();
+        parent->lock.WriteUnlock();
         size_.fetch_add(1, std::memory_order_relaxed);
         return OpResult::kDone;
       }
       depth += plen;
     }
-    assert(depth < kKeyBytes);
 
     const uint8_t byte = KeyByte(key, depth);
     Node* child = GetChild(node, byte);
-    node->CheckOrRestart(v, &restart);
+    node->lock.CheckOrRestart(v, &restart);
     if (restart) return OpResult::kRestart;
 
     if (child == nullptr) {
       if (IsFull(node)) {
         // Node expansion (paper scenario ②): replace with the next size.
         if (parent == nullptr) return OpResult::kNeedRoot;  // hint itself must grow
-        parent->UpgradeToWriteLockOrRestart(pv, &restart);
+        parent->lock.UpgradeToWriteLockOrRestart(pv, &restart);
         if (restart) return OpResult::kRestart;
-        node->UpgradeToWriteLockOrRestart(v, &restart);
+        node->lock.UpgradeToWriteLockOrRestart(v, &restart);
         if (restart) {
-          parent->WriteUnlock();
+          parent->lock.WriteUnlock();
           return OpResult::kRestart;
         }
         Node* bigger = Grow(node);
@@ -666,21 +558,21 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
           if (listener_ != nullptr) listener_->OnNodeReplaced(slot, node, bigger);
         }
         ReplaceChild(parent, pbyte, bigger);
-        node->WriteUnlockObsolete();
+        node->lock.WriteUnlockObsolete();
         RetireNode(epoch_, node);
-        bigger->WriteUnlock();
-        parent->WriteUnlock();
+        bigger->lock.WriteUnlock();
+        parent->lock.WriteUnlock();
         size_.fetch_add(1, std::memory_order_relaxed);
         return OpResult::kDone;
       }
-      node->UpgradeToWriteLockOrRestart(v, &restart);
+      node->lock.UpgradeToWriteLockOrRestart(v, &restart);
       if (restart) return OpResult::kRestart;
       // Re-check under the lock: another writer may have added `byte` between
       // our optimistic read and the upgrade... impossible: upgrade validated
       // the version, so the optimistic read still holds. Insert directly.
       auto* leaf = new Leaf(key, value);
       AddChild(node, byte, TagLeaf(leaf));
-      node->WriteUnlock();
+      node->lock.WriteUnlock();
       size_.fetch_add(1, std::memory_order_relaxed);
       return OpResult::kDone;
     }
@@ -688,12 +580,12 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
     if (IsLeaf(child)) {
       Leaf* existing = ToLeaf(child);
       const Key ekey = existing->key;
-      node->CheckOrRestart(v, &restart);
+      node->lock.CheckOrRestart(v, &restart);
       if (restart) return OpResult::kRestart;
       if (ekey == key) return OpResult::kExists;
       // Split the leaf: new Node4 holding the two leaves under their first
       // divergent byte, with the shared bytes as its compressed path.
-      node->UpgradeToWriteLockOrRestart(v, &restart);
+      node->lock.UpgradeToWriteLockOrRestart(v, &restart);
       if (restart) return OpResult::kRestart;
       const int d2 = depth + 1;
       int cpl = 0;
@@ -705,7 +597,7 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
       AddChild(nn, KeyByte(ekey, d2 + cpl), child);
       AddChild(nn, KeyByte(key, d2 + cpl), TagLeaf(leaf));
       ReplaceChild(node, byte, nn);
-      node->WriteUnlock();
+      node->lock.WriteUnlock();
       size_.fetch_add(1, std::memory_order_relaxed);
       return OpResult::kDone;
     }
@@ -715,9 +607,9 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
     pv = v;
     pbyte = byte;
     Node* next = child;
-    uint64_t nv = next->ReadLockOrRestart(&restart);
+    uint64_t nv = next->lock.ReadLockOrRestart(&restart);
     if (restart) return OpResult::kRestart;
-    node->CheckOrRestart(v, &restart);
+    node->lock.CheckOrRestart(v, &restart);
     if (restart) return OpResult::kRestart;
     node = next;
     v = nv;
@@ -728,7 +620,7 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Node* start_parent,
 bool ArtTree::Insert(Key key, Value value) {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::Insert", epoch_);
   for (;;) {
-    OpResult r = InsertImpl(root_, nullptr, 0, key, value);
+    OpResult r = InsertImpl(root_, key, value);
     if (r == OpResult::kDone) return true;
     if (r == OpResult::kExists) return false;
   }
@@ -736,8 +628,8 @@ bool ArtTree::Insert(Key key, Value value) {
 
 HintOutcome ArtTree::InsertFrom(Node* hint, Key key, Value value) {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::InsertFrom", epoch_);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    OpResult r = InsertImpl(hint, nullptr, 0, key, value);
+  for (int attempt = 0; attempt < kMaxHintAttempts; ++attempt) {
+    OpResult r = InsertImpl(hint, key, value);
     switch (r) {
       case OpResult::kDone: return HintOutcome::kInserted;
       case OpResult::kExists: return HintOutcome::kExists;
@@ -751,15 +643,15 @@ HintOutcome ArtTree::InsertFrom(Node* hint, Key key, Value value) {
 bool ArtTree::Update(Key key, Value value) {
   ALT_ASSERT_EPOCH_PINNED("ArtTree::Update", epoch_);
   for (;;) {
-    Found f;
-    const OpResult r = LookupImpl(root_, key, nullptr, &f);
+    DescentState ds;
+    const OpResult r = LookupImpl(root_, key, nullptr, nullptr, &ds);
     if (r == OpResult::kNotFound) return false;
     if (r != OpResult::kDone) continue;
-    f.leaf->value.store(value, std::memory_order_release);
+    ds.leaf->value.store(value, std::memory_order_release);
     // Validate the leaf was still reachable when we stored; else retry so we
     // do not update a detached leaf that a remove already unlinked.
     bool restart = false;
-    f.node->CheckOrRestart(f.version, &restart);
+    ds.node->lock.CheckOrRestart(ds.version, &restart);
     if (!restart) return true;
   }
 }
@@ -775,17 +667,18 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
   uint8_t pbyte = 0;
 
   Node* node = root_;
-  uint64_t v = node->ReadLockOrRestart(&restart);
+  uint64_t v = node->lock.ReadLockOrRestart(&restart);
   if (restart) return OpResult::kRestart;
   int depth = 0;
 
   for (;;) {
     const int plen = node->prefix_len.load(std::memory_order_relaxed);
+    if (depth + plen >= kKeyBytes) return OpResult::kRestart;  // torn read
     if (plen > 0) {
       const uint64_t pword = node->prefix_word.load(std::memory_order_relaxed);
       for (int i = 0; i < plen; ++i) {
         if (Node::PrefixByte(pword, i) != KeyByte(key, depth + i)) {
-          node->CheckOrRestart(v, &restart);
+          node->lock.CheckOrRestart(v, &restart);
           return restart ? OpResult::kRestart : OpResult::kNotFound;
         }
       }
@@ -793,14 +686,14 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
     }
     const uint8_t byte = KeyByte(key, depth);
     Node* child = GetChild(node, byte);
-    node->CheckOrRestart(v, &restart);
+    node->lock.CheckOrRestart(v, &restart);
     if (restart) return OpResult::kRestart;
     if (child == nullptr) return OpResult::kNotFound;
 
     if (IsLeaf(child)) {
       Leaf* leaf = ToLeaf(child);
       const Key ekey = leaf->key;
-      node->CheckOrRestart(v, &restart);
+      node->lock.CheckOrRestart(v, &restart);
       if (restart) return OpResult::kRestart;
       if (ekey != key) return OpResult::kNotFound;
       if (old_value != nullptr) {
@@ -813,11 +706,11 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
         // Merging the node away: its one remaining child absorbs the node's
         // compressed path plus the branch byte.
         if (parent == nullptr) return OpResult::kRestart;
-        parent->UpgradeToWriteLockOrRestart(pv, &restart);
+        parent->lock.UpgradeToWriteLockOrRestart(pv, &restart);
         if (restart) return OpResult::kRestart;
-        node->UpgradeToWriteLockOrRestart(v, &restart);
+        node->lock.UpgradeToWriteLockOrRestart(v, &restart);
         if (restart) {
-          parent->WriteUnlock();
+          parent->lock.WriteUnlock();
           return OpResult::kRestart;
         }
         RemoveChildEntry(node, byte);
@@ -838,17 +731,11 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
           // Lock the sibling, then prepend node's path + branch byte to it.
           // Safe to spin while holding parent+node: writers acquire locks
           // strictly top-down, so whoever holds the sibling cannot be waiting
-          // on locks we hold.
-          for (;;) {
-            uint64_t sv = sibling->version.load(std::memory_order_acquire);
-            if (!Node::IsLocked(sv) &&
-                sibling->version.compare_exchange_weak(sv, sv + 2,
-                                                       std::memory_order_acquire)) {
-              break;
-            }
-            CpuRelax();
-          }
-          ALT_DEBUG_NOTE_ACQUIRED(sibling, "art-node");
+          // on locks we hold. It cannot fail: making the sibling obsolete
+          // means replacing it, which needs `node`'s lock, held here.
+          const bool locked = sibling->lock.WriteLockOrFail();
+          assert(locked && "merge sibling obsolete under its parent's lock");
+          (void)locked;
           const int nplen = node->prefix_len.load(std::memory_order_relaxed);
           const uint64_t npword = node->prefix_word.load(std::memory_order_relaxed);
           const int splen = sibling->prefix_len.load(std::memory_order_relaxed);
@@ -869,22 +756,22 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
             if (listener_ != nullptr) listener_->OnNodeRemoved(slot, node, sibling);
           }
           ReplaceChild(parent, pbyte, sibling);
-          sibling->WriteUnlock();
+          sibling->lock.WriteUnlock();
         }
-        node->WriteUnlockObsolete();
+        node->lock.WriteUnlockObsolete();
         RetireNode(epoch_, node);
         RetireLeaf(epoch_, leaf);
-        parent->WriteUnlock();
+        parent->lock.WriteUnlock();
         size_.fetch_sub(1, std::memory_order_relaxed);
         return OpResult::kDone;
       }
 
       if (ShouldShrink(node, cnt - 1) && node != root_ && parent != nullptr) {
-        parent->UpgradeToWriteLockOrRestart(pv, &restart);
+        parent->lock.UpgradeToWriteLockOrRestart(pv, &restart);
         if (restart) return OpResult::kRestart;
-        node->UpgradeToWriteLockOrRestart(v, &restart);
+        node->lock.UpgradeToWriteLockOrRestart(v, &restart);
         if (restart) {
-          parent->WriteUnlock();
+          parent->lock.WriteUnlock();
           return OpResult::kRestart;
         }
         Node* smaller = ShrinkWithout(node, byte);
@@ -894,20 +781,20 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
           if (listener_ != nullptr) listener_->OnNodeReplaced(slot, node, smaller);
         }
         ReplaceChild(parent, pbyte, smaller);
-        node->WriteUnlockObsolete();
+        node->lock.WriteUnlockObsolete();
         RetireNode(epoch_, node);
-        smaller->WriteUnlock();
-        parent->WriteUnlock();
+        smaller->lock.WriteUnlock();
+        parent->lock.WriteUnlock();
         RetireLeaf(epoch_, leaf);
         size_.fetch_sub(1, std::memory_order_relaxed);
         return OpResult::kDone;
       }
 
       // Plain removal in place.
-      node->UpgradeToWriteLockOrRestart(v, &restart);
+      node->lock.UpgradeToWriteLockOrRestart(v, &restart);
       if (restart) return OpResult::kRestart;
       RemoveChildEntry(node, byte);
-      node->WriteUnlock();
+      node->lock.WriteUnlock();
       RetireLeaf(epoch_, leaf);
       size_.fetch_sub(1, std::memory_order_relaxed);
       return OpResult::kDone;
@@ -917,9 +804,9 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
     pv = v;
     pbyte = byte;
     Node* next = child;
-    uint64_t nv = next->ReadLockOrRestart(&restart);
+    uint64_t nv = next->lock.ReadLockOrRestart(&restart);
     if (restart) return OpResult::kRestart;
-    node->CheckOrRestart(v, &restart);
+    node->lock.CheckOrRestart(v, &restart);
     if (restart) return OpResult::kRestart;
     node = next;
     v = nv;
@@ -945,7 +832,7 @@ bool ArtTree::ScanCollect(const Node* node, int depth, Key acc, Key lo, Key hi,
   Node* children[256];
   for (;;) {
     bool restart = false;
-    const uint64_t v = node->ReadLockOrRestart(&restart);
+    const uint64_t v = node->lock.ReadLockOrRestart(&restart);
     // Obsolete: replaced by a grow/shrink or merged away.
     if (restart) return false;
     // `depth` is where the parent's validated branch put this node. A prefix
@@ -970,7 +857,7 @@ bool ArtTree::ScanCollect(const Node* node, int depth, Key acc, Key lo, Key hi,
       const uint8_t bhi = folded == (hi & above) ? KeyByte(hi, branch_depth) : 0xFF;
       if (blo <= bhi) cnt = CollectEntries(node, bytes, children, blo, bhi);
     }
-    node->CheckOrRestart(v, &restart);
+    node->lock.CheckOrRestart(v, &restart);
     if (restart) continue;  // re-read this node
     const int shift = 8 * (kKeyBytes - 1 - branch_depth);
     for (int i = 0; i < cnt; ++i) {

@@ -47,10 +47,10 @@ enum class HintOutcome {
 
 /// Outcome of one DescentStep (incremental lookup) touch.
 enum class StepResult : uint8_t {
-  kFound,     ///< leaf matched; *out was set
+  kFound,     ///< leaf matched; s->leaf and (if non-null) *out were set
   kNotFound,  ///< authoritative miss from this start node (see LookupFrom caveat)
   kStepped,   ///< descended one level; the next node line is being prefetched
-  kRestart,   ///< version validation failed — re-DescentInit and retry
+  kRestart,   ///< a version check failed or a read was torn — re-DescentInit, retry
 };
 
 /// \brief Adaptive Radix Tree over fixed 8-byte keys with optimistic lock
@@ -99,15 +99,16 @@ class ArtTree {
   ///     case ... kFound / kNotFound: done;
   ///   }
   ///
-  /// The step sequence validates exactly what the recursive LookupImpl
-  /// validates (same OLC read-lock coupling), so a kFound / kNotFound result
-  /// is identical to what Lookup / LookupFrom starting at the same node could
-  /// have returned. As with LookupFrom, a kNotFound from a hint start is not
-  /// authoritative under concurrent SMOs — the caller falls back to the root.
+  /// This is the one read descent: Lookup, LookupFrom and Update drive the
+  /// same steps back to back, so a kFound / kNotFound result is one they
+  /// could have returned from the same start node. As with LookupFrom, a
+  /// kNotFound from a hint start is not authoritative under concurrent SMOs —
+  /// the caller falls back to the root.
   struct DescentState {
     Node* node = nullptr;     ///< current node, read under `version`
     uint64_t version = 0;     ///< optimistic read version of `node`
     Node* pending = nullptr;  ///< prefetched child (possibly tagged leaf) not yet entered
+    Leaf* leaf = nullptr;     ///< on kFound: the matched leaf, a child of `node`
     int depth = 0;            ///< key bytes consumed on entry to `node`
   };
 
@@ -185,21 +186,16 @@ class ArtTree {
  private:
   enum class OpResult { kDone, kRestart, kExists, kNotFound, kNeedRoot };
 
-  /// A LookupImpl hit: the leaf, and the node and version it was read under
-  /// (Update re-checks them after its store).
-  struct Found {
-    Leaf* leaf = nullptr;
-    Node* node = nullptr;
-    uint64_t version = 0;
-  };
-  /// The one read descent (Lookup, LookupFrom, Update).
-  OpResult LookupImpl(Node* start, Key key, int* steps, Found* found) const;
+  /// Lookup, LookupFrom and Update: DescentInit + DescentStep driven to a
+  /// result. On kDone, `ds` holds the leaf and the node and version it was
+  /// read under (Update re-checks them after its store).
+  OpResult LookupImpl(Node* start, Key key, Value* out, int* steps,
+                      DescentState* ds) const ALT_REQUIRES_EPOCH;
   // The two OLC write paths acquire node locks via conditional upgrades
   // (UpgradeToWriteLockOrRestart) that the static analysis cannot model —
   // documented ALT_OPTIMISTIC_PATH escapes; the lock protocol is enforced
   // dynamically under ALT_DEBUG_CHECKS and by the sanitizer CI matrix.
-  OpResult InsertImpl(Node* start, Node* start_parent, uint8_t start_parent_byte,
-                      Key key, Value value) ALT_OPTIMISTIC_PATH;
+  OpResult InsertImpl(Node* start, Key key, Value value) ALT_OPTIMISTIC_PATH;
   // Same restart-validated OLC escape as InsertImpl above.
   OpResult RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_PATH;
 

@@ -9,9 +9,10 @@
 
 namespace alt {
 
-/// \brief Standalone optimistic version lock (the DaMoN'16 scheme used inside
-/// ART nodes), for baseline index nodes: bit 1 = locked, bit 0 = obsolete,
-/// bits 63..2 = version counter.
+/// \brief The optimistic version lock of optimistic lock coupling (Leis et
+/// al., DaMoN'16): bit 1 = locked, bit 0 = obsolete, bits 63..2 = version
+/// counter. Every OLC node in the repo holds one: ART-OPT's `art::Node` and
+/// the OLC baselines' nodes.
 ///
 /// Annotated as a clang thread-safety capability on its *exclusive* side:
 /// WriteLockOrFail / WriteUnlock are a conventional try-lock pair the analysis
@@ -21,6 +22,15 @@ namespace alt {
 /// version re-validation (see DESIGN.md "Locking protocol").
 class CAPABILITY("optimistic lock") OptLock {
  public:
+  /// Construct-time lock: a freshly allocated node starts write-locked so it
+  /// cannot be modified between publication and its creator's WriteUnlock.
+  /// Not an ACQUIRE for the static analysis — the creator is always inside an
+  /// ALT_OPTIMISTIC_PATH write path that releases it.
+  void InitLocked() {
+    v_.store(2u, std::memory_order_relaxed);
+    ALT_DEBUG_NOTE_ACQUIRED(this, "optlock");
+  }
+
   static bool IsLocked(uint64_t v) { return (v & 2u) != 0; }
   static bool IsObsolete(uint64_t v) { return (v & 1u) != 0; }
 

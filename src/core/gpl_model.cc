@@ -67,34 +67,6 @@ GplModel::~GplModel() {
   }
 }
 
-uint32_t GplModel::CountOccupied() const ALT_REQUIRES_EPOCH {
-  uint32_t n = 0;
-  uint32_t i = 0;
-  // Hoisted dispatch: one vector step classifies 8 slots (a gather over the
-  // leading state words). Busy lanes (in-flight writer) are re-read through
-  // SlotWord::Read(), which spins to a stable word.
-  if (cpu::SimdEnabled()) {
-    for (; i + 8 <= num_slots_; i += 8) {
-      const simd::SlotScan8 scan = simd::ScanSlotWords8(&slots_[i], sizeof(GplSlot));
-      n += static_cast<uint32_t>(
-          __builtin_popcount(scan.state_mask[static_cast<int>(SlotState::kOccupied)]));
-      uint8_t busy = scan.busy_mask;
-      while (busy != 0) {
-        const int lane = __builtin_ctz(busy);
-        busy = static_cast<uint8_t>(busy & (busy - 1));
-        if (SlotWord::StateOf(slots_[i + static_cast<uint32_t>(lane)].word.Read()) ==
-            SlotState::kOccupied) {
-          ++n;
-        }
-      }
-    }
-  }
-  for (; i < num_slots_; ++i) {
-    if (SlotWord::StateOf(slots_[i].word.Read()) == SlotState::kOccupied) ++n;
-  }
-  return n;
-}
-
 void GplModel::CountSlotStates(size_t counts[4]) const ALT_REQUIRES_EPOCH {
   uint32_t i = 0;
   if (cpu::SimdEnabled()) {

@@ -230,9 +230,6 @@ class alignas(64) GplModel {
     return expansion_.compare_exchange_strong(expected, e, std::memory_order_acq_rel);
   }
 
-  /// Count slots currently kOccupied (O(num_slots); stats & finish threshold).
-  uint32_t CountOccupied() const ALT_REQUIRES_EPOCH;
-
   /// Count slots by state: counts[i] += slots in SlotState i (kEmpty /
   /// kOccupied / kTombstone / kMigrated). O(num_slots); structural stats.
   void CountSlotStates(size_t counts[4]) const ALT_REQUIRES_EPOCH;

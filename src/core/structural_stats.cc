@@ -79,7 +79,9 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
       const GplModel* model = m.load(std::memory_order_acquire);
       st.model_bytes += model->MemoryBytes();
       st.total_slots += model->num_slots();
-      model->CountSlotStates(st.slot_states);
+      size_t counts[4] = {0, 0, 0, 0};
+      model->CountSlotStates(counts);
+      for (int s = 0; s < 4; ++s) st.slot_states[s] += counts[s];
       if (!model->strict_empty()) st.tail_models++;
       if (model->slab() != nullptr) st.slab_models++;
 
@@ -88,8 +90,8 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
       st.max_segment = std::max(st.max_segment, seg);
       st.segment_len_hist[SegmentBucket(seg)]++;
 
-      const uint32_t occupied = model->CountOccupied();
-      size_t decile = (static_cast<size_t>(occupied) * 10) / model->num_slots();
+      const size_t occupied = counts[static_cast<int>(SlotState::kOccupied)];
+      size_t decile = (occupied * 10) / model->num_slots();
       if (decile > 9) decile = 9;
       st.occupancy_hist[decile]++;
 

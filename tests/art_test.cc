@@ -345,6 +345,132 @@ TEST_F(ArtTest, ConcurrentMixedReadWriteRemove) {
   }
 }
 
+// Update and hinted lookups (the two ART reads ALT-index's point ops make)
+// racing every structure modification: a churn thread inserts and removes
+// keys that grow and shrink the node above the stable keys, split and merge
+// compressed paths above and below them, and split and merge their leaves.
+TEST_F(ArtTest, ConcurrentUpdatesAndHintedLookupsUnderChurn) {
+  constexpr int kGroups = 4;
+  constexpr int kUpdaters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kChurnRounds = 100;
+  // Group g's keys share bytes [g+1, AB, CD]; the stable keys branch at byte
+  // 3 (EE or EF) into a node branching at byte 4 on multiples of 32.
+  auto key_of = [](int g, uint8_t b2, uint8_t b3, uint8_t b4, uint8_t b6, uint8_t b7) {
+    return (Key{static_cast<uint8_t>(g + 1)} << 56) | (Key{0xAB} << 48) |
+           (Key{b2} << 40) | (Key{b3} << 32) | (Key{b4} << 24) | (Key{b6} << 8) |
+           Key{b7};
+  };
+  std::vector<Key> stable;
+  std::vector<Key> churn;
+  for (int g = 0; g < kGroups; ++g) {
+    // Prefix splits above the group node: its path [AB CD] diverges at CD.
+    churn.push_back(key_of(g, 0x30, 0, 0, 0, 0));
+    churn.push_back(key_of(g, 0x40, 0, 0, 0, 0));
+    // Extra children of the group node; it stays a Node4 with >= 2 children,
+    // so it is never replaced and its hint never goes stale.
+    churn.push_back(key_of(g, 0xCD, 0x10, 0, 0, 0));
+    churn.push_back(key_of(g, 0xCD, 0x20, 0, 0, 0));
+    for (const uint8_t b3 : {uint8_t{0xEE}, uint8_t{0xEF}}) {
+      for (int i = 0; i < 8; ++i) {
+        const auto b4 = static_cast<uint8_t>(32 * i);
+        stable.push_back(key_of(g, 0xCD, b3, b4, 0, 0));
+        // Grows the byte-4 node to Node256; removal shrinks it back.
+        for (int k = 1; k <= 6; ++k) {
+          churn.push_back(key_of(g, 0xCD, b3, static_cast<uint8_t>(b4 + k), 0, 0));
+        }
+        // A leaf split of the stable leaf, then a prefix split of that Node4.
+        churn.push_back(key_of(g, 0xCD, b3, b4, 0, 1));
+        churn.push_back(key_of(g, 0xCD, b3, b4, 1, 0));
+      }
+    }
+  }
+  auto encode = [](size_t idx, uint32_t round) { return (Value{idx} << 32) | round; };
+
+  ArtTree tree;
+  std::vector<art::Node*> hints(kGroups);
+  {
+    EpochGuard g;
+    for (size_t i = 0; i < stable.size(); ++i) {
+      ASSERT_TRUE(tree.Insert(stable[i], encode(i, 0)));
+    }
+    const size_t per_group = stable.size() / kGroups;
+    for (int grp = 0; grp < kGroups; ++grp) {
+      int depth = 0;
+      hints[grp] = tree.FindLcaNode(stable[grp * per_group],
+                                    stable[(grp + 1) * per_group - 1], &depth);
+      ASSERT_NE(hints[grp], tree.root());
+    }
+  }
+  auto group_of = [](Key k) { return static_cast<int>(k >> 56) - 1; };
+
+  std::atomic<bool> churn_done{false};
+  std::atomic<bool> failed{false};
+  std::vector<uint32_t> last_round(kUpdaters, 0);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int r = 0; r < kChurnRounds; ++r) {
+      EpochGuard g;
+      // Alternate the orders so merges see both leaf and inner-node siblings.
+      const bool fwd = (r % 2) == 0;
+      for (size_t i = 0; i < churn.size(); ++i) {
+        const Key k = churn[fwd ? i : churn.size() - 1 - i];
+        if (!tree.Insert(k, k)) failed.store(true);
+      }
+      for (size_t i = 0; i < churn.size(); ++i) {
+        const Key k = churn[fwd ? churn.size() - 1 - i : i];
+        if (!tree.Remove(k)) failed.store(true);
+      }
+    }
+    churn_done.store(true);
+  });
+  for (int t = 0; t < kUpdaters; ++t) {
+    threads.emplace_back([&, t] {
+      uint32_t round = 0;
+      while (!churn_done.load()) {
+        ++round;
+        EpochGuard g;
+        for (size_t i = static_cast<size_t>(t); i < stable.size(); i += kUpdaters) {
+          if (!tree.Update(stable[i], encode(i, round))) failed.store(true);
+        }
+      }
+      last_round[t] = round;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      // Each key has one writer, so one reader's successive reads of it can
+      // never go back to an older round.
+      std::vector<uint32_t> seen(stable.size(), 0);
+      while (!churn_done.load()) {
+        EpochGuard g;
+        for (size_t i = 0; i < stable.size(); ++i) {
+          Value v = 0;
+          const Key k = stable[i];
+          const HintOutcome o = tree.LookupFrom(hints[group_of(k)], k, &v);
+          if (o != HintOutcome::kFound && !tree.Lookup(k, &v)) {
+            failed.store(true);
+            continue;
+          }
+          const auto round = static_cast<uint32_t>(v);
+          if ((v >> 32) != i || round < seen[i]) failed.store(true);
+          seen[i] = round;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(failed.load());
+
+  EpochGuard g;
+  EXPECT_EQ(tree.Size(), stable.size());
+  for (size_t i = 0; i < stable.size(); ++i) {
+    Value v = 0;
+    ASSERT_TRUE(tree.Lookup(stable[i], &v)) << i;
+    EXPECT_EQ(v, encode(i, last_round[i % kUpdaters])) << i;
+  }
+}
+
 TEST_F(ArtTest, ConcurrentScansDuringInserts) {
   ArtTree tree;
   std::vector<Key> keys = GenerateKeys(Dataset::kLibio, 20000, 66);

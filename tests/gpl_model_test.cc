@@ -126,16 +126,20 @@ TEST(GplModelTest, CollectRangeReturnsSortedOccupied) {
   }
 }
 
-TEST(GplModelTest, CountOccupied) {
+TEST(GplModelTest, CountSlotStates) {
   GplModel m(0, 1.0, 64, 10);
-  EXPECT_EQ(m.CountOccupied(), 0u);
+  size_t before[4] = {0, 0, 0, 0};
+  m.CountSlotStates(before);
+  EXPECT_EQ(before[static_cast<int>(SlotState::kOccupied)], 0u);
   for (uint32_t i = 0; i < 10; ++i) {
     GplSlot& s = m.slot(i);
     const uint32_t lw = s.word.Lock();
     s.key.store(i, std::memory_order_relaxed);
     s.word.Unlock(lw, SlotState::kOccupied);
   }
-  EXPECT_EQ(m.CountOccupied(), 10u);
+  size_t after[4] = {0, 0, 0, 0};
+  m.CountSlotStates(after);
+  EXPECT_EQ(after[static_cast<int>(SlotState::kOccupied)], 10u);
 }
 
 TEST(GplModelTest, ExpansionInstallIsExclusive) {

@@ -201,13 +201,17 @@ TEST(SlotSlabTest, ModelInSlabWorksRegardlessOfBacking) {
     EXPECT_EQ(model.slab(), slab);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(&model.slot(0)) % 64, 0u);
     EpochGuard g;
-    EXPECT_EQ(model.CountOccupied(), 0u);
+    size_t counts[4] = {0, 0, 0, 0};
+    model.CountSlotStates(counts);
+    EXPECT_EQ(counts[static_cast<int>(SlotState::kOccupied)], 0u);
     GplSlot& s = model.slot(model.Predict(12345));
     const uint32_t w = s.word.Lock();
     s.key.store(12345, std::memory_order_relaxed);
     s.value.store(99, std::memory_order_relaxed);
     s.word.Unlock(w, SlotState::kOccupied);
-    EXPECT_EQ(model.CountOccupied(), 1u);
+    size_t after[4] = {0, 0, 0, 0};
+    model.CountSlotStates(after);
+    EXPECT_EQ(after[static_cast<int>(SlotState::kOccupied)], 1u);
   }
   slab->Unref();
 }
