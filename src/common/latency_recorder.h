@@ -57,16 +57,24 @@ class LatencyHistogram {
 /// Each recorder therefore starts at a pseudo-random phase derived from a
 /// process-wide instance counter via Mix64, so concurrent threads sample
 /// de-correlated op indices while the 1-in-`sample_every` rate is unchanged.
+///
+/// Not thread-safe: one recorder per thread.
 class LatencyRecorder {
  public:
   explicit LatencyRecorder(uint32_t sample_every = 16)
-      : sample_every_(sample_every),
-        counter_(sample_every > 1
-                     ? static_cast<uint32_t>(Mix64(NextInstanceId()) % sample_every)
-                     : 0) {}
+      : sample_every_(sample_every > 1 ? sample_every : 1),
+        countdown_(static_cast<uint32_t>(Mix64(NextInstanceId()) % sample_every_)) {}
 
-  /// \return true if the caller should time this operation.
-  bool ShouldSample() { return (counter_++ % sample_every_) == 0; }
+  /// \return true if the caller should time this operation. A countdown, not
+  /// a modulo: no division on the per-op path.
+  bool ShouldSample() {
+    if (countdown_ != 0) {
+      --countdown_;
+      return false;
+    }
+    countdown_ = sample_every_ - 1;
+    return true;
+  }
 
   void Record(uint64_t ns) { hist_.Record(ns); }
 
@@ -80,7 +88,7 @@ class LatencyRecorder {
   }
 
   uint32_t sample_every_;
-  uint32_t counter_;
+  uint32_t countdown_;  ///< calls left before the next sampled one
   LatencyHistogram hist_;
 };
 

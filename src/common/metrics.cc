@@ -27,32 +27,7 @@ const char* CounterName(Counter c) {
     case Counter::kTailModelsAppended: return "tail_models_appended";
     case Counter::kBatchLookups: return "batch_lookups";
     case Counter::kBatchScalarFallbacks: return "batch_scalar_fallbacks";
-    case Counter::kServerAccepts: return "server_accepts";
-    case Counter::kServerFramesIn: return "server_frames_in";
-    case Counter::kServerBatchFlushes: return "server_batch_flushes";
-    case Counter::kServerBatchKeys: return "server_batch_keys";
-    case Counter::kServerMalformedFrames: return "server_malformed_frames";
-    case Counter::kServerWorkerFailures: return "server_worker_failures";
     case Counter::kCount: break;
-  }
-  return "unknown";
-}
-
-const char* GaugeName(Gauge g) {
-  switch (g) {
-    case Gauge::kNumModels: return "num_models";
-    case Gauge::kLiveKeys: return "live_keys";
-    case Gauge::kCount: break;
-  }
-  return "unknown";
-}
-
-const char* EventTypeName(EventType t) {
-  switch (t) {
-    case EventType::kBulkLoad: return "bulk_load";
-    case EventType::kRetrainStart: return "retrain_start";
-    case EventType::kRetrainFinish: return "retrain_finish";
-    case EventType::kTailModelAppend: return "tail_model_append";
   }
   return "unknown";
 }
@@ -60,13 +35,6 @@ const char* EventTypeName(EventType t) {
 Registry& Registry::Global() {
   static Registry registry;
   return registry;
-}
-
-void Registry::RecordEvent(EventType type, uint64_t duration_ns, uint64_t detail) {
-  const Event e{type, NowNanos(), duration_ns, detail};
-  SpinLockGuard g(event_lock_);
-  events_[event_head_ % kEventCapacity] = e;
-  ++event_head_;
 }
 
 Snapshot Registry::TakeSnapshot() const {
@@ -81,19 +49,6 @@ Snapshot Registry::TakeSnapshot() const {
           shard.cells[kNumCounters + i].load(std::memory_order_relaxed);
     }
   }
-  for (size_t i = 0; i < kNumGauges; ++i) {
-    s.gauges[i] = gauges_[i].load(std::memory_order_relaxed);
-  }
-  {
-    SpinLockGuard g(event_lock_);
-    const uint64_t n = std::min<uint64_t>(event_head_, kEventCapacity);
-    s.events.reserve(static_cast<size_t>(n));
-    // Oldest retained event first.
-    for (uint64_t i = event_head_ - n; i < event_head_; ++i) {
-      s.events.push_back(events_[i % kEventCapacity]);
-    }
-    s.dropped_events = event_head_ - n;
-  }
   return s;
 }
 
@@ -101,9 +56,6 @@ void Registry::ResetForTest() {
   for (Shard& shard : shards_) {
     for (auto& cell : shard.cells) cell.store(0, std::memory_order_relaxed);
   }
-  for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
-  SpinLockGuard g(event_lock_);
-  event_head_ = 0;
 }
 
 Snapshot Snapshot::DeltaSince(const Snapshot& base) const {
@@ -114,12 +66,6 @@ Snapshot Snapshot::DeltaSince(const Snapshot& base) const {
   for (size_t i = 0; i < kFpDepthBuckets; ++i) {
     d.fp_hit_depth[i] -= std::min(base.fp_hit_depth[i], d.fp_hit_depth[i]);
   }
-  // Events recorded at or before the baseline snapshot are not part of the
-  // delta. Ring drops in `base` are counted once: only newly dropped remain.
-  d.events.erase(std::remove_if(d.events.begin(), d.events.end(),
-                                [&](const Event& e) { return e.at_ns <= base.at_ns; }),
-                 d.events.end());
-  d.dropped_events -= std::min(base.dropped_events, d.dropped_events);
   return d;
 }
 
@@ -147,17 +93,11 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(buf);
 }
 
-void AppendI64(std::string* out, int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out->append(buf);
-}
-
 }  // namespace
 
 std::string ToJson(const Snapshot& s) {
   std::string out;
-  out.reserve(1024 + 96 * s.events.size());
+  out.reserve(1024);
   out += "{\"at_ns\":";
   AppendU64(&out, s.at_ns);
   out += ",\"counters\":{";
@@ -174,30 +114,7 @@ std::string ToJson(const Snapshot& s) {
     if (i != 0) out += ',';
     AppendU64(&out, s.fp_hit_depth[i]);
   }
-  out += "],\"gauges\":{";
-  for (size_t i = 0; i < kNumGauges; ++i) {
-    if (i != 0) out += ',';
-    AppendJsonQuoted(GaugeName(static_cast<Gauge>(i)), &out);
-    out += ':';
-    AppendI64(&out, s.gauges[i]);
-  }
-  out += "},\"events\":[";
-  for (size_t i = 0; i < s.events.size(); ++i) {
-    const Event& e = s.events[i];
-    if (i != 0) out += ',';
-    out += "{\"type\":";
-    AppendJsonQuoted(EventTypeName(e.type), &out);
-    out += ",\"at_ns\":";
-    AppendU64(&out, e.at_ns);
-    out += ",\"duration_ns\":";
-    AppendU64(&out, e.duration_ns);
-    out += ",\"detail\":";
-    AppendU64(&out, e.detail);
-    out += '}';
-  }
-  out += "],\"dropped_events\":";
-  AppendU64(&out, s.dropped_events);
-  out += '}';
+  out += "]}";
   return out;
 }
 

@@ -3,11 +3,8 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/prefetch.h"
-#include "common/spinlock.h"
-#include "common/thread_annotations.h"
 
 namespace alt {
 namespace metrics {
@@ -24,10 +21,12 @@ namespace metrics {
 ///    per-thread-collapse pattern as LatencyHistogram::Merge). Threads are
 ///    assigned shards round-robin on first use; two threads sharing a shard
 ///    is a performance detail, never a correctness one.
-///  - **Gauges** are last-write-wins values (relaxed store / load).
-///  - **Events** (retrains, tail appends, bulk loads) go into a bounded ring
-///    under a spin lock — events are rare (structural changes), so a lock
-///    there costs nothing on the op hot paths.
+///  - The **fast-pointer hit-depth histogram** lives in the same shards.
+///
+/// The registry holds nothing else. Structural events (bulk loads, retrains,
+/// tail appends) and their durations are spans in the flight recorder
+/// (common/trace.h); per-index facts such as the model count come from
+/// StructuralStats; serving counters live in ServerStats (STATS "server").
 ///
 /// Snapshot() collapses the shards; counter values in successive snapshots
 /// are monotonically non-decreasing. DeltaSince() subtracts a baseline, which
@@ -60,12 +59,6 @@ enum class Counter : uint32_t {
   kTailModelsAppended,  ///< tail models appended after a last-model retrain
   kBatchLookups,        ///< keys resolved through the batched read path
   kBatchScalarFallbacks,  ///< batch cursors that dropped to the scalar path
-  kServerAccepts,       ///< connections accepted by alt_server (DESIGN.md §13)
-  kServerFramesIn,      ///< request frames decoded by server workers
-  kServerBatchFlushes,  ///< coalesced LookupBatch flushes issued by workers
-  kServerBatchKeys,     ///< GET keys carried by those flushes (keys/flushes = mean occupancy)
-  kServerMalformedFrames,  ///< frames rejected by protocol validation
-  kServerWorkerFailures,   ///< worker threads that exited on an epoll error
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);
@@ -73,59 +66,27 @@ constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);
 /// Stable JSON key for `c` (snake_case, e.g. "learned_hits").
 const char* CounterName(Counter c);
 
-/// Last-write-wins gauges.
-enum class Gauge : uint32_t {
-  kNumModels = 0,  ///< GPL models in the directory
-  kLiveKeys,       ///< approximate live key count (set by the runner)
-  kCount
-};
-constexpr size_t kNumGauges = static_cast<size_t>(Gauge::kCount);
-
-const char* GaugeName(Gauge g);
-
 /// Fast-pointer hits histogrammed by the hint node's ART depth (key bytes
 /// matched, 0..8): how deep into the tree the §III-C buffer lets secondary
 /// searches start.
 constexpr size_t kFpDepthBuckets = 9;
 
-/// Structural events recorded in the bounded ring.
-enum class EventType : uint32_t {
-  kBulkLoad = 0,    ///< detail = keys loaded
-  kRetrainStart,    ///< detail = expanding model's first key
-  kRetrainFinish,   ///< detail = published model's first key; duration = §III-F total
-  kTailModelAppend, ///< detail = tail model's first key
-};
-
-const char* EventTypeName(EventType t);
-
-struct Event {
-  EventType type;
-  uint64_t at_ns;        ///< NowNanos() when the event completed
-  uint64_t duration_ns;  ///< 0 for instantaneous events
-  uint64_t detail;       ///< event-specific payload (see EventType)
-};
-
 /// A collapsed, point-in-time view of the registry.
 struct Snapshot {
   uint64_t counters[kNumCounters] = {};
   uint64_t fp_hit_depth[kFpDepthBuckets] = {};
-  int64_t gauges[kNumGauges] = {};
-  std::vector<Event> events;  ///< oldest-first; at most the ring capacity
-  uint64_t dropped_events = 0;  ///< events overwritten before this snapshot
   uint64_t at_ns = 0;
 
   uint64_t counter(Counter c) const { return counters[static_cast<size_t>(c)]; }
-  int64_t gauge(Gauge g) const { return gauges[static_cast<size_t>(g)]; }
 
-  /// Counters/histogram subtracted against `base`; gauges and the event list
-  /// keep this snapshot's values (events already in `base` are dropped).
+  /// Counters and histogram subtracted against `base`; at_ns is this
+  /// snapshot's.
   Snapshot DeltaSince(const Snapshot& base) const;
 };
 
 class Registry {
  public:
   static constexpr size_t kShards = 64;  // power of two
-  static constexpr size_t kEventCapacity = 256;
 
   static Registry& Global();
 
@@ -141,18 +102,12 @@ class Registry {
         .fetch_add(delta, std::memory_order_relaxed);
   }
 
-  void SetGauge(Gauge g, int64_t v) {
-    gauges_[static_cast<size_t>(g)].store(v, std::memory_order_relaxed);
-  }
-
-  void RecordEvent(EventType type, uint64_t duration_ns, uint64_t detail);
-
-  /// Collapse all shards + copy the event ring. Counter values across
-  /// successive snapshots are monotonically non-decreasing.
+  /// Collapse all shards. Counter values across successive snapshots are
+  /// monotonically non-decreasing.
   Snapshot TakeSnapshot() const;
 
-  /// Zero every counter/gauge and clear the ring. Only safe while no thread
-  /// is concurrently recording (between test cases / benchmark phases).
+  /// Zero every counter and histogram bucket. Only safe while no thread is
+  /// concurrently recording (between test cases / benchmark phases).
   void ResetForTest();
 
  private:
@@ -174,12 +129,7 @@ class Registry {
   }
 
   mutable Shard shards_[kShards];
-  std::atomic<int64_t> gauges_[kNumGauges] = {};
   std::atomic<size_t> next_shard_{0};
-
-  mutable SpinLock event_lock_;
-  Event events_[kEventCapacity] GUARDED_BY(event_lock_);
-  uint64_t event_head_ GUARDED_BY(event_lock_) = 0;  ///< total events ever recorded
 };
 
 // ---------------------------------------------------------------------------
@@ -191,16 +141,10 @@ class Registry {
 #if defined(ALT_METRICS_DISABLED)
 inline void Inc(Counter, uint64_t = 1) {}
 inline void FpDepthHit(int, uint64_t = 1) {}
-inline void SetGauge(Gauge, int64_t) {}
-inline void RecordEvent(EventType, uint64_t, uint64_t) {}
 #else
 inline void Inc(Counter c, uint64_t delta = 1) { Registry::Global().Inc(c, delta); }
 inline void FpDepthHit(int depth, uint64_t delta = 1) {
   Registry::Global().IncFpDepth(depth, delta);
-}
-inline void SetGauge(Gauge g, int64_t v) { Registry::Global().SetGauge(g, v); }
-inline void RecordEvent(EventType type, uint64_t duration_ns, uint64_t detail) {
-  Registry::Global().RecordEvent(type, duration_ns, detail);
 }
 #endif
 
@@ -211,9 +155,7 @@ Snapshot TakeSnapshot();
 void ResetForTest();
 
 /// Serialize `s` as one compact JSON object:
-///   {"at_ns":..,"counters":{..},"fp_hit_depth":[..],"gauges":{..},
-///    "events":[{"type":..,"at_ns":..,"duration_ns":..,"detail":..},..],
-///    "dropped_events":..}
+///   {"at_ns":..,"counters":{..},"fp_hit_depth":[..]}
 std::string ToJson(const Snapshot& s);
 
 }  // namespace metrics

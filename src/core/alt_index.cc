@@ -105,7 +105,6 @@ Status AltIndex::BulkLoad(const std::vector<std::pair<Key, Value>>& sorted_pairs
 }
 
 Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
-  const Stopwatch load_clock;
   trace::Span span("bulk_load", "build", n);
   if (directory_.NumModels() != 0) {
     return Status::InvalidArgument("BulkLoad may only run once");
@@ -126,8 +125,6 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
       model->set_fp_index(slot);
     }
     directory_.Build({model}, options_.upper_radix_bits);
-    metrics::SetGauge(metrics::Gauge::kNumModels, 1);
-    metrics::RecordEvent(metrics::EventType::kBulkLoad, load_clock.ElapsedNanos(), 0);
     return Status::OK();
   }
   for (size_t i = 1; i < n; ++i) {
@@ -254,9 +251,6 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   }
 
   size_.store(n, std::memory_order_relaxed);
-  metrics::SetGauge(metrics::Gauge::kNumModels,
-                    static_cast<int64_t>(directory_.NumModels()));
-  metrics::RecordEvent(metrics::EventType::kBulkLoad, load_clock.ElapsedNanos(), n);
   return Status::OK();
 }
 
@@ -810,7 +804,6 @@ void AltIndex::MaybeTriggerExpansion(GplModel* model) {
   }
   retrain_started_.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(Counter::kRetrainStarted);
-  metrics::RecordEvent(metrics::EventType::kRetrainStart, 0, model->first_key());
   trace::RecordInstant("retrain_start", "retrain", model->first_key());
 }
 
@@ -873,8 +866,11 @@ void AltIndex::FinishExpansion(GplModel* model,
   exp->done.store(true, std::memory_order_release);
   retrain_finished_.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(Counter::kRetrainFinished);
-  metrics::RecordEvent(metrics::EventType::kRetrainFinish,
-                       NowNanos() - exp->start_ns, published->first_key());
+  // The whole expansion, trigger to publish (retrain_start marks its start).
+  if (trace::Enabled()) {
+    trace::RecordSpan("retrain", "retrain", exp->start_ns, NowNanos() - exp->start_ns,
+                      published->first_key());
+  }
 
   AppendTailModelIfLast(published);
 }
@@ -885,7 +881,6 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPO
   if (n == 0 || snap->models[n - 1].load(std::memory_order_acquire) != published) {
     return;
   }
-  trace::Span span("tail_append", "retrain");
   // §III-F: "if the retraining GPL model is the last one, we create a new GPL
   // model behind it" — first key just beyond the published model's coverage.
   const Key tail_first = published->coverage_end();
@@ -908,9 +903,7 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPO
     return;
   }
   metrics::Inc(Counter::kTailModelsAppended);
-  metrics::RecordEvent(metrics::EventType::kTailModelAppend, 0, tail_first);
-  metrics::SetGauge(metrics::Gauge::kNumModels,
-                    static_cast<int64_t>(directory_.NumModels()));
+  trace::Span span("tail_append", "retrain", tail_first);
   std::vector<std::pair<Key, Value>> strays;
   art_.RangeQuery(tail_first, ~Key{0}, &strays);
   // Once an insert storm starts expanding the (already published) tail,

@@ -145,9 +145,9 @@ struct Expansion {
   /// max(64, old model's build_size): the paper's "old model size", using
   /// the build size rather than a live-key count (set before install).
   uint32_t finish_threshold = 0;
-  /// NowNanos() when the expansion was prepared; the §III-F retrain-finish
-  /// event's duration is measured from here (set before install, never
-  /// written again).
+  /// NowNanos() when the expansion was prepared: the start of its `retrain`
+  /// trace span, trigger to publish (set before install, never written
+  /// again).
   uint64_t start_ns = 0;
   /// Exactly one thread runs the finishing sweep.
   std::atomic<bool> finishing{false};

@@ -134,10 +134,9 @@ class KvServer::Worker {
   uint64_t frames_in() const { return frames_in_.load(std::memory_order_relaxed); }
   uint64_t responses_out() const { return responses_out_.load(std::memory_order_relaxed); }
   uint64_t malformed() const { return malformed_.load(std::memory_order_relaxed); }
-  uint64_t batch_flushes() const { return batch_flushes_.load(std::memory_order_relaxed); }
-  uint64_t batch_keys() const { return batch_keys_.load(std::memory_order_relaxed); }
   uint64_t open_conns() const { return open_conns_.load(std::memory_order_relaxed); }
   uint64_t occ_hist(size_t n) const { return occ_hist_[n].load(std::memory_order_relaxed); }
+  bool failed() const { return failed_.load(std::memory_order_relaxed); }
 
  private:
   struct BatchEntry {
@@ -160,10 +159,11 @@ class KvServer::Worker {
         if (errno == EINTR) continue;
         // Unrecoverable epoll failure: this worker can no longer serve. Flag
         // it so the acceptor stops routing new connections here, and leave a
-        // trail (stderr + counter) — silence would look like a client hang.
+        // trail (stderr + STATS worker_failures) — silence would look like a
+        // client hang.
         std::fprintf(stderr, "[alt_server] worker %d: epoll_wait failed: %s; worker exiting\n",
                      id_, std::strerror(errno));
-        metrics::Inc(metrics::Counter::kServerWorkerFailures);
+        failed_.store(true, std::memory_order_relaxed);
         break;
       }
       bool any_ready = n > 0;
@@ -280,7 +280,6 @@ class KvServer::Worker {
         // notice does not overtake responses to earlier coalesced GETs.
         FlushBatch();
         malformed_.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(metrics::Counter::kServerMalformedFrames);
         AppendStatusResponse(&c->out, 0, RespStatus::kMalformed);
         responses_out_.fetch_add(1, std::memory_order_relaxed);
         c->closing = true;
@@ -309,14 +308,12 @@ class KvServer::Worker {
 
   void HandleFrame(Conn* c, const FrameHeader& h, const uint8_t* body) {
     frames_in_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(metrics::Counter::kServerFramesIn);
     const RespStatus v = ValidateRequest(h);
     if (v != RespStatus::kOk) {
       // Error responses obey per-connection order too (PROTOCOL.md lets
       // clients match positionally): flush coalesced GETs before replying.
       FlushBatch();
       malformed_.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(metrics::Counter::kServerMalformedFrames);
       Respond(c, [&] { AppendStatusResponse(&c->out, h.request_id, v, h.code); });
       // A body-size mismatch means the client's encoder is broken; later
       // frames cannot be trusted even though framing still parses.
@@ -421,11 +418,7 @@ class KvServer::Worker {
       }
       responses_out_.fetch_add(1, std::memory_order_relaxed);
     }
-    batch_flushes_.fetch_add(1, std::memory_order_relaxed);
-    batch_keys_.fetch_add(n, std::memory_order_relaxed);
     occ_hist_[n].fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(metrics::Counter::kServerBatchFlushes);
-    metrics::Inc(metrics::Counter::kServerBatchKeys, n);
   }
 
   void FlushOut(Conn* c) {
@@ -501,10 +494,9 @@ class KvServer::Worker {
   std::atomic<uint64_t> frames_in_{0};
   std::atomic<uint64_t> responses_out_{0};
   std::atomic<uint64_t> malformed_{0};
-  std::atomic<uint64_t> batch_flushes_{0};
-  std::atomic<uint64_t> batch_keys_{0};
   std::atomic<uint64_t> open_conns_{0};
   std::atomic<bool> exited_{false};
+  std::atomic<bool> failed_{false};  ///< exited on an epoll_wait error
   std::array<std::atomic<uint64_t>, kMaxBatch + 1> occ_hist_;
 };
 
@@ -623,7 +615,6 @@ void KvServer::AcceptLoop() {
         }
         workers_[w]->Enqueue(c);
         accepts_.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(metrics::Counter::kServerAccepts);
         ++accepted;
       }
       span.set_detail(accepted);
@@ -668,10 +659,16 @@ ServerStats KvServer::CollectStats() const {
     s.frames_in += w->frames_in();
     s.responses_out += w->responses_out();
     s.malformed += w->malformed();
-    s.batch_flushes += w->batch_flushes();
-    s.batch_keys += w->batch_keys();
+    s.worker_failures += w->failed() ? 1 : 0;
     s.open_connections += w->open_conns();
     for (size_t i = 0; i <= kMaxBatch; ++i) s.occupancy_hist[i] += w->occ_hist(i);
+  }
+  // Flush totals are the histogram's mass and first moment.
+  s.batch_flushes = 0;
+  s.batch_keys = 0;
+  for (size_t n = 0; n <= kMaxBatch; ++n) {
+    s.batch_flushes += s.occupancy_hist[n];
+    s.batch_keys += n * s.occupancy_hist[n];
   }
   return s;
 }
@@ -691,6 +688,7 @@ std::string KvServer::StatsJson() const {
   field("frames_in", s.frames_in);
   field("responses_out", s.responses_out);
   field("malformed_frames", s.malformed);
+  field("worker_failures", s.worker_failures);
   field("batch_flushes", s.batch_flushes);
   field("batch_keys", s.batch_keys);
   out += "\"mean_batch_occupancy\":";

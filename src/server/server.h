@@ -64,13 +64,15 @@ struct ServerOptions {
   shard::ShardedOptions sharded;
 };
 
-/// Aggregated server-side counters (also exported through the STATS opcode
-/// and the process metrics registry — see common/metrics.h kServer*).
+/// Aggregated server-side counters: the one home of every serving count,
+/// exported as the STATS opcode's "server" object. batch_flushes and
+/// batch_keys are derived from occupancy_hist (Σ hist[n], Σ n·hist[n]).
 struct ServerStats {
   uint64_t accepts = 0;
   uint64_t frames_in = 0;
   uint64_t responses_out = 0;
   uint64_t malformed = 0;
+  uint64_t worker_failures = 0;  ///< workers that exited on an epoll error
   uint64_t batch_flushes = 0;
   uint64_t batch_keys = 0;
   uint64_t open_connections = 0;

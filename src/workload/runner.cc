@@ -10,7 +10,6 @@
 #include "common/json.h"
 #include "common/latency_recorder.h"
 #include "common/metrics.h"
-#include "common/random.h"
 #include "common/spinlock.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -48,9 +47,11 @@ void AppendDouble(std::string* out, double v) {
 }
 
 /// One JSON line of the --metrics_json stream. `result` is null for interval
-/// snapshots (the run is still executing).
+/// snapshots (the run is still executing); the final line carries it and the
+/// index's `live_keys` after the run.
 std::string RunJsonLine(const std::string& label, const char* phase,
-                        const RunResult* result, const metrics::Snapshot& delta) {
+                        const RunResult* result, const metrics::Snapshot& delta,
+                        size_t live_keys = 0) {
   std::string line = "{\"label\":";
   AppendJsonQuoted(label, &line);
   line += ",\"phase\":";
@@ -66,6 +67,7 @@ std::string RunJsonLine(const std::string& label, const char* phase,
     line += ",\"p50_ns\":" + std::to_string(result->p50_ns);
     line += ",\"p99_ns\":" + std::to_string(result->p99_ns);
     line += ",\"p999_ns\":" + std::to_string(result->p999_ns);
+    line += ",\"live_keys\":" + std::to_string(live_keys);
     if (result->perf.enabled) {
       const PerfStatResult& pf = result->perf;
       line += ",\"perf\":{\"tier\":";
@@ -203,7 +205,8 @@ RunResult RunWorkload(ConcurrentIndex* index,
   const size_t read_batch = options.read_batch > 0 ? options.read_batch : 1;
   const bool paths = options.path_breakdown;
   const bool perf_stat = options.perf_stat;
-  std::vector<LatencyHistogram> hists(static_cast<size_t>(num_threads));
+  // One sampler per worker; each starts at its own phase (LatencyRecorder).
+  std::vector<LatencyRecorder> recorders(static_cast<size_t>(num_threads));
   std::vector<PathGrid> grids(paths ? static_cast<size_t>(num_threads) : 0);
   std::vector<uint64_t> fails(static_cast<size_t>(num_threads), 0);
   std::vector<uint64_t> empties(static_cast<size_t>(num_threads), 0);
@@ -218,7 +221,7 @@ RunResult RunWorkload(ConcurrentIndex* index,
 
   auto worker = [&](int tid) {
     const auto& stream = streams[static_cast<size_t>(tid)];
-    LatencyHistogram& hist = hists[static_cast<size_t>(tid)];
+    LatencyRecorder& rec = recorders[static_cast<size_t>(tid)];
     PathGrid* grid = paths ? &grids[static_cast<size_t>(tid)] : nullptr;
     // Per-thread counter group, opened before the barrier (fd setup excluded
     // from the measured window) and started only after `go` (barrier spin
@@ -239,26 +242,20 @@ RunResult RunWorkload(ConcurrentIndex* index,
     std::vector<Value> batch_vals(read_batch);
     std::unique_ptr<bool[]> batch_found(new bool[read_batch]);
     size_t pending = 0;
-    // 1-in-16 latency sampling, with the starting phase de-correlated across
-    // threads (see LatencyRecorder's class comment: identical phases would
-    // sample the same op indices in lockstep and alias with synchronized
-    // periodic work such as epoch advances or batch flushes).
-    uint32_t tick = static_cast<uint32_t>(
-        Mix64(0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(tid)));
     ready.fetch_add(1, std::memory_order_acq_rel);
     while (!go.load(std::memory_order_acquire)) CpuRelax();
     if (counters != nullptr) counters->Start();
     trace::Span worker_span("worker", "runner", stream.size());
     auto flush_reads = [&] {
       if (pending == 0) return;
-      const bool sample = (tick++ & 15u) == 0;
+      const bool sample = rec.ShouldSample();
       const uint64_t t0 = sample ? NowNanos() : 0;
       const size_t hits =
           index->LookupBatch(batch_keys.data(), pending, batch_vals.data(),
                              batch_found.get());
       failed += pending - hits;
       const uint64_t per_op = sample ? (NowNanos() - t0) / pending : 0;
-      if (sample) hist.Record(per_op);
+      if (sample) rec.Record(per_op);
       if (grid != nullptr) {
         // The batch pipeline does not attribute individual keys; the whole
         // group lands in (read, unattributed) at its mean per-op latency.
@@ -278,7 +275,7 @@ RunResult RunWorkload(ConcurrentIndex* index,
         }
         flush_reads();  // a non-read op breaks the run of coalescible reads
       }
-      const bool sample = (tick++ & 15u) == 0;
+      const bool sample = rec.ShouldSample();
       const uint64_t t0 = sample ? NowNanos() : 0;
       bool ok = true;
       ServedBy served = ServedBy::kUnattributed;
@@ -307,7 +304,7 @@ RunResult RunWorkload(ConcurrentIndex* index,
       }
       if (!ok) ++failed;
       const uint64_t ns = sample ? NowNanos() - t0 : 0;
-      if (sample) hist.Record(ns);
+      if (sample) rec.Record(ns);
       if (grid != nullptr) grid->Account(op.type, served, sample, ns);
     }
     if (read_batch > 1) flush_reads();
@@ -365,7 +362,7 @@ RunResult RunWorkload(ConcurrentIndex* index,
   RunResult r;
   LatencyHistogram merged;
   for (int t = 0; t < num_threads; ++t) {
-    merged.Merge(hists[static_cast<size_t>(t)]);
+    merged.Merge(recorders[static_cast<size_t>(t)].histogram());
     r.total_ops += streams[static_cast<size_t>(t)].size();
     r.failed_ops += fails[static_cast<size_t>(t)];
     r.empty_scans += empties[static_cast<size_t>(t)];
@@ -419,13 +416,12 @@ RunResult RunWorkload(ConcurrentIndex* index,
   }
 
   if (export_metrics) {
-    metrics::SetGauge(metrics::Gauge::kLiveKeys,
-                      static_cast<int64_t>(index->Size()));
     const metrics::Snapshot delta = metrics::TakeSnapshot().DeltaSince(baseline);
     std::ofstream out(options.metrics_json, std::ios::app);
     if (out) {
       for (const std::string& line : interval_lines) out << line << '\n';
-      out << RunJsonLine(options.metrics_label, "final", &r, delta) << '\n';
+      out << RunJsonLine(options.metrics_label, "final", &r, delta, index->Size())
+          << '\n';
     } else {
       std::fprintf(stderr, "runner: cannot open metrics_json file '%s'\n",
                    options.metrics_json.c_str());

@@ -72,30 +72,10 @@ TEST_F(MetricsTest, SnapshotsAreMonotonicWhileRecording) {
 
 TEST_F(MetricsTest, DeltaSinceScopesToOnePhase) {
   Inc(Counter::kLearnedHits, 100);
-  RecordEvent(EventType::kBulkLoad, 5, 1000);
   const Snapshot base = TakeSnapshot();
   Inc(Counter::kLearnedHits, 7);
-  RecordEvent(EventType::kRetrainFinish, 42, 77);
   const Snapshot delta = TakeSnapshot().DeltaSince(base);
   EXPECT_EQ(delta.counter(Counter::kLearnedHits), 7u);
-  ASSERT_EQ(delta.events.size(), 1u);
-  EXPECT_EQ(delta.events[0].type, EventType::kRetrainFinish);
-  EXPECT_EQ(delta.events[0].duration_ns, 42u);
-  EXPECT_EQ(delta.events[0].detail, 77u);
-}
-
-TEST_F(MetricsTest, EventRingIsBoundedAndCountsDrops) {
-  const uint64_t total = Registry::kEventCapacity + 37;
-  for (uint64_t i = 0; i < total; ++i) {
-    RecordEvent(EventType::kRetrainStart, i, i);
-  }
-  const Snapshot s = TakeSnapshot();
-  ASSERT_EQ(s.events.size(), Registry::kEventCapacity);
-  EXPECT_EQ(s.dropped_events, 37u);
-  // Oldest-retained-first ordering: details are the last kEventCapacity i's.
-  for (size_t i = 0; i < s.events.size(); ++i) {
-    EXPECT_EQ(s.events[i].detail, 37 + i);
-  }
 }
 
 TEST_F(MetricsTest, FpDepthBucketsClampOutOfRangeDepths) {
@@ -108,26 +88,13 @@ TEST_F(MetricsTest, FpDepthBucketsClampOutOfRangeDepths) {
   EXPECT_EQ(s.fp_hit_depth[kFpDepthBuckets - 1], 6u);
 }
 
-TEST_F(MetricsTest, GaugesAreLastWriteWins) {
-  SetGauge(Gauge::kNumModels, 12);
-  SetGauge(Gauge::kNumModels, 17);
-  SetGauge(Gauge::kLiveKeys, 1000000);
-  const Snapshot s = TakeSnapshot();
-  EXPECT_EQ(s.gauge(Gauge::kNumModels), 17);
-  EXPECT_EQ(s.gauge(Gauge::kLiveKeys), 1000000);
-}
-
 TEST_F(MetricsTest, ToJsonGolden) {
   Inc(Counter::kLearnedHits, 3);
   Inc(Counter::kConflictInserts, 2);
   FpDepthHit(4);
-  SetGauge(Gauge::kNumModels, 5);
-  RecordEvent(EventType::kTailModelAppend, 0, 99);
   Snapshot s = TakeSnapshot();
-  // Pin the nondeterministic clock fields so the output is fully golden.
+  // Pin the nondeterministic clock field so the output is fully golden.
   s.at_ns = 123;
-  ASSERT_EQ(s.events.size(), 1u);
-  s.events[0].at_ns = 456;
   EXPECT_EQ(ToJson(s),
             "{\"at_ns\":123,\"counters\":{\"learned_hits\":3,"
             "\"learned_negatives\":0,\"slot_inserts\":0,\"conflict_inserts\":2,"
@@ -135,15 +102,8 @@ TEST_F(MetricsTest, ToJsonGolden) {
             "\"fast_pointer_hits\":0,\"write_backs\":0,\"scan_ops\":0,"
             "\"empty_scans\":0,\"retrain_started\":0,\"retrain_finished\":0,"
             "\"tail_models_appended\":0,\"batch_lookups\":0,"
-            "\"batch_scalar_fallbacks\":0,\"server_accepts\":0,"
-            "\"server_frames_in\":0,\"server_batch_flushes\":0,"
-            "\"server_batch_keys\":0,\"server_malformed_frames\":0,"
-            "\"server_worker_failures\":0},"
-            "\"fp_hit_depth\":[0,0,0,0,1,0,0,0,0],"
-            "\"gauges\":{\"num_models\":5,\"live_keys\":0},"
-            "\"events\":[{\"type\":\"tail_model_append\",\"at_ns\":456,"
-            "\"duration_ns\":0,\"detail\":99}],"
-            "\"dropped_events\":0}");
+            "\"batch_scalar_fallbacks\":0},"
+            "\"fp_hit_depth\":[0,0,0,0,1,0,0,0,0]}");
 }
 
 TEST_F(MetricsTest, RecordingOverheadSmoke) {
@@ -161,12 +121,8 @@ TEST_F(MetricsTest, RecordingOverheadSmoke) {
 TEST_F(MetricsTest, DisabledRecordingIsANoop) {
   Inc(Counter::kLearnedHits, 3);
   FpDepthHit(4);
-  SetGauge(Gauge::kNumModels, 5);
-  RecordEvent(EventType::kBulkLoad, 1, 2);
   const Snapshot s = TakeSnapshot();
   EXPECT_EQ(s.counter(Counter::kLearnedHits), 0u);
-  EXPECT_EQ(s.gauge(Gauge::kNumModels), 0);
-  EXPECT_TRUE(s.events.empty());
   // ToJson stays available so exporters need no #ifdefs.
   EXPECT_NE(ToJson(s).find("\"learned_hits\":0"), std::string::npos);
 }

@@ -8,6 +8,7 @@
 
 #include "common/epoch.h"
 #include "common/random.h"
+#include "common/trace.h"
 #include "core/alt_index.h"
 #include "datasets/dataset.h"
 
@@ -48,6 +49,38 @@ TEST_F(RetrainingTest, HotInsertsTriggerAndFinishExpansion) {
   }
   EXPECT_EQ(index.Size(), kBulk * 4);
 }
+
+#if !defined(ALT_TRACING_DISABLED)
+// The whole-expansion duration (trigger to publish) lives in the flight
+// recorder as one complete `retrain` span per finished expansion.
+TEST_F(RetrainingTest, FinishedExpansionRecordsRetrainSpan) {
+  trace::ResetForTest();
+  trace::SetEnabled(true);
+  AltOptions opts;
+  opts.retrain_trigger_ratio = 0.5;
+  AltIndex index(opts);
+  constexpr Key kBulk = 15000;
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 0; k < kBulk; ++k) pairs.emplace_back(k * 4, ValueFor(k * 4));
+  ASSERT_TRUE(index.BulkLoad(pairs).ok());
+  for (Key k = 0; k < kBulk; ++k) {
+    for (Key d = 1; d <= 3; ++d) {
+      ASSERT_TRUE(index.Insert(k * 4 + d, ValueFor(k * 4 + d))) << k;
+    }
+  }
+  trace::SetEnabled(false);
+  EXPECT_GT(index.CollectStructuralStats().retrain_finished, 0u);
+  size_t spans = 0;
+  for (const trace::Record& r : trace::Collect()) {
+    if (std::string(r.name) != "retrain") continue;
+    EXPECT_EQ(r.phase, trace::Phase::kComplete);
+    EXPECT_GT(r.dur_ns, 0u);
+    ++spans;
+  }
+  EXPECT_GT(spans, 0u) << "no retrain span recorded";
+  trace::ResetForTest();
+}
+#endif
 
 TEST_F(RetrainingTest, DisabledRetrainingNeverExpands) {
   AltOptions opts;

@@ -463,6 +463,16 @@ TEST_F(ServerTest, LoopbackLoadgenClosedLoopZeroFailures) {
   EXPECT_GT(stats.mean_batch_occupancy(), 1.0);
   // ops + the STATS frame RunLoadgen itself sends to snapshot the server.
   EXPECT_EQ(stats.frames_in, lg.ops + 1);
+  // The flush totals are the occupancy histogram's mass and first moment.
+  uint64_t flushes = 0, keys = 0;
+  for (size_t n = 0; n < stats.occupancy_hist.size(); ++n) {
+    flushes += stats.occupancy_hist[n];
+    keys += n * stats.occupancy_hist[n];
+  }
+  EXPECT_EQ(stats.batch_flushes, flushes);
+  EXPECT_EQ(stats.batch_keys, keys);
+  EXPECT_EQ(stats.worker_failures, 0u);
+  EXPECT_NE(server_->StatsJson().find("\"worker_failures\":0"), std::string::npos);
 }
 
 TEST_F(ServerTest, LoopbackLoadgenOpenLoopCompletes) {

@@ -300,11 +300,12 @@ TEST(RunnerTest, MetricsJsonEmitsParseableFinalLine) {
   EXPECT_NE(line.find("\"label\":\"alt/balanced/2t\""), std::string::npos);
   EXPECT_NE(line.find("\"phase\":\"final\""), std::string::npos);
   // The issue's minimum payload: learned hits, ART lookups, conflict inserts,
-  // fast-pointer hits, retrain counters (events carry the durations).
+  // fast-pointer hits, retrain counters (the trace carries the durations),
+  // and the index's live key count after the run.
   for (const char* field :
        {"\"learned_hits\":", "\"art_lookups\":", "\"conflict_inserts\":",
         "\"fast_pointer_hits\":", "\"retrain_started\":", "\"retrain_finished\":",
-        "\"events\":", "\"throughput_mops\":", "\"empty_scans\":"}) {
+        "\"live_keys\":", "\"throughput_mops\":", "\"empty_scans\":"}) {
     EXPECT_NE(line.find(field), std::string::npos) << field;
   }
 #if !defined(ALT_METRICS_DISABLED)

@@ -71,7 +71,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--port") {
-      opt.port = static_cast<uint16_t>(ParseU64(next("--port"), "--port"));
+      const char* value = next("--port");
+      const uint64_t port = ParseU64(value, "--port");
+      if (port > 65535) {
+        std::fprintf(stderr, "alt_server: --port must be at most 65535: '%s'\n", value);
+        return 2;
+      }
+      opt.port = static_cast<uint16_t>(port);
     } else if (a == "--workers") {
       opt.num_workers = static_cast<int>(ParseU64(next("--workers"), "--workers"));
     } else if (a == "--batch") {
