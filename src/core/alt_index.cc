@@ -21,37 +21,19 @@ namespace {
 
 using metrics::Counter;
 
-// Merge two ascending (key, value) runs, truncating at `limit`. Each run may
-// briefly contain a key the other also holds (a migration or write-back can
-// move a key between the learned layer and ART mid-collection), so equal keys
-// are emitted once — the first observed copy wins.
-void MergePairs(std::vector<std::pair<Key, Value>>& a,
-                std::vector<std::pair<Key, Value>>& b, size_t limit,
-                std::vector<std::pair<Key, Value>>* out) {
-  out->clear();
-  out->reserve(std::min(limit, a.size() + b.size()));
-  size_t i = 0, j = 0;
-  while (out->size() < limit && (i < a.size() || j < b.size())) {
-    std::pair<Key, Value> next;
-    if (j >= b.size() || (i < a.size() && a[i].first <= b[j].first)) {
-      next = a[i++];
-    } else {
-      next = b[j++];
-    }
-    if (!out->empty() && out->back().first == next.first) continue;
-    out->push_back(next);
-  }
-}
-
-// Drop all but the first copy of each key from the sorted tail [begin, end) of
-// `v` (§III-F scan dedupe: during an expansion the old model and the temporal
-// buffer are collected over the same key range, and a key migrated between the
-// two per-slot-atomic collection passes appears in both).
-void DedupeSortedTail(std::vector<std::pair<Key, Value>>* v, size_t begin) {
-  auto first = v->begin() + static_cast<ptrdiff_t>(begin);
+// Merge the ascending run [mid, end) of `v` into the ascending run
+// [begin, mid) in place, keep one copy of each key and truncate `v` to `limit`
+// pairs. A key that a migration or write-back moves between layers mid-scan
+// is observed by two collection passes; the stable merge keeps the first.
+void MergeRun(std::vector<std::pair<Key, Value>>* v, size_t begin, size_t mid,
+              size_t limit) {
+  const auto first = v->begin() + static_cast<ptrdiff_t>(begin);
+  std::inplace_merge(first, v->begin() + static_cast<ptrdiff_t>(mid), v->end(),
+                     [](const auto& x, const auto& y) { return x.first < y.first; });
   v->erase(std::unique(first, v->end(),
                        [](const auto& x, const auto& y) { return x.first == y.first; }),
            v->end());
+  if (v->size() > limit) v->resize(limit);
 }
 
 // Smallest BulkLoad slab worth a helper thread for the slot fill (about 860k
@@ -173,8 +155,12 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
       const Segment& seg = segments[m];
       uint32_t prev = 0;
       for (size_t i = 0; i < seg.length; ++i) {
-        const uint32_t p = models[m]->Predict(keys[seg.start + i]);
-        visit(models[m], p, i > 0 && p == prev, keys[seg.start + i], values[seg.start + i]);
+        const Key k = keys[seg.start + i];
+        const uint32_t p = models[m]->Predict(k);
+        // ProbeSlot never reads a slot for a key at or past coverage_end
+        // (here only ~Key{0}), so that key goes to ART like a conflict.
+        visit(models[m], p, (i > 0 && p == prev) || k >= models[m]->coverage_end(), k,
+              values[seg.start + i]);
         prev = p;
       }
     }
@@ -279,7 +265,7 @@ AltIndex::Probe AltIndex::ProbeSlot(GplModel* model, Key key, Value* out,
       case SlotState::kMigrated:
         return Probe::kMigrated;
       case SlotState::kTombstone:
-        return Probe::kGoArtTombstone;
+        return Probe::kGoArt;
       case SlotState::kOccupied:
         break;
     }
@@ -305,8 +291,6 @@ AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
     switch (ProbeSlot(t, key, out, &route->slot, &route->word)) {
       case Probe::kHit:
         return Resolve::kInSlot;
-      case Probe::kGoArtTombstone:
-        return Resolve::kGoArt;
       case Probe::kGoArt:
         // Coverage gap (§III-F): the temporal buffer spans slightly more key
         // space than the old model, so a key beyond the old coverage may
@@ -466,7 +450,6 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
       // itself expanding: re-route from the top.
       return Placed::kRetry;
     case Probe::kGoArt:
-    case Probe::kGoArtTombstone:
       // Conflict (§III-A), or out of coverage (no slot state): the key
       // belongs in ART-OPT. Tombstone inserts go there too — ART's insert is
       // atomic w.r.t. duplicates; writing in place would race the write-back.
@@ -560,25 +543,21 @@ void AltIndex::CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH {
 
 void AltIndex::MigrateInto(GplModel* new_model, Key key,
                            Value value) ALT_REQUIRES_EPOCH {
-  if (key >= new_model->coverage_end()) {
-    // Pre-expansion clamp-slot resident beyond the new coverage: its home is
-    // now ART (a future tail model takes the range over from there).
-    const bool ok = ArtInsert(new_model, key, value);
-    assert(ok && "migrated victim unexpectedly present in ART");
-    (void)ok;
-    return;
+  if (key < new_model->coverage_end()) {
+    GplSlot& s = new_model->slot(new_model->Predict(key));
+    const uint32_t lw = s.word.Lock();
+    if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
+      s.key.store(key, std::memory_order_relaxed);
+      s.value.store(value, std::memory_order_relaxed);
+      s.word.Unlock(lw, SlotState::kOccupied);
+      return;
+    }
+    s.word.Unlock(lw, SlotWord::StateOf(lw));
   }
-  GplSlot& s = new_model->slot(new_model->Predict(key));
-  const uint32_t lw = s.word.Lock();
-  if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
-    s.key.store(key, std::memory_order_relaxed);
-    s.value.store(value, std::memory_order_relaxed);
-    s.word.Unlock(lw, SlotState::kOccupied);
-    return;
-  }
-  s.word.Unlock(lw, SlotWord::StateOf(lw));
-  // Conflict in the temporal buffer too: the victim goes to ART-OPT. Victims
-  // are unique keys that lived only in the old model, so this cannot collide.
+  // Conflict in the temporal buffer too, or a pre-expansion clamp-slot
+  // resident beyond the new coverage (a future tail model takes its range
+  // over from ART): the victim goes to ART-OPT. Victims are unique keys that
+  // lived only in the old model, so this cannot collide.
   const bool ok = ArtInsert(new_model, key, value);
   assert(ok && "migrated victim unexpectedly present in ART");
   (void)ok;
@@ -649,8 +628,7 @@ size_t AltIndex::Scan(Key start, size_t count,
                       std::vector<std::pair<Key, Value>>* out) const {
   out->clear();
   if (count == 0) return 0;
-  ScanRange(start, ~Key{0}, count, out);
-  if (out->empty()) metrics::Inc(Counter::kEmptyScans);
+  if (ScanRange(start, ~Key{0}, count, out) == 0) metrics::Inc(Counter::kEmptyScans);
   return out->size();
 }
 
@@ -667,12 +645,12 @@ size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
   metrics::Inc(Counter::kScanOps);
 
   // Sized once, so neither a retry nor a typical (<= kScanReserve) scan
-  // reallocates; an unbounded `limit` must not reserve unboundedly.
+  // reallocates; an unbounded `limit` must not reserve unboundedly. A merge
+  // briefly holds two capped runs, hence twice the cap in `out`.
   constexpr size_t kScanReserve = 256;
-  std::vector<std::pair<Key, Value>> learned;
-  std::vector<std::pair<Key, Value>> art_items;
-  learned.reserve(std::min(limit, kScanReserve));
-  art_items.reserve(std::min(limit, kScanReserve));
+  std::vector<std::pair<Key, Value>> art_run;
+  out->reserve(2 * std::min(limit, kScanReserve));
+  art_run.reserve(std::min(limit, kScanReserve));
   for (;;) {
     // Write-back seqlock read side: a concurrent ART→slot write-back could
     // move a key out of ART after its (EMPTY) slot was already collected,
@@ -684,48 +662,41 @@ size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
       CpuRelax();
       continue;
     }
-    learned.clear();
-    art_items.clear();
+    out->clear();
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
     const size_t num_models = snap->first_keys.size();
     for (size_t i = ModelDirectory::Locate(*snap, lo);
-         i < num_models && learned.size() < limit; ++i) {
+         i < num_models && out->size() < limit; ++i) {
       if (snap->first_keys[i] > hi) break;
       GplModel* model = snap->models[i].load(std::memory_order_acquire);
-      const size_t before = learned.size();
-      model->CollectRange(lo, hi, &learned, limit);
-      bool expanded = false;
+      // The first `want` keys of a union of ascending (slot-ordered) runs
+      // lie within the first `want` keys of each run, so capping every run
+      // at `want` is exact (DESIGN.md §12.5).
+      const size_t before = out->size();
+      const size_t want = limit - before;
+      model->CollectRange(lo, hi, out, want);
       // Walk the whole §III-F expansion chain, not just one level: under
       // churn the temporal buffer may itself be expanding (its old slots are
       // marked kMigrated, so they no longer show up as occupied), and a
       // one-level walk would skip every key already migrated to the second
-      // level. The chain passes also run uncapped — their `limit` counts
-      // pairs appended per call, so a cap would drop migrated keys inside
-      // the window whenever a buffer holds more than `limit` residents; cost
-      // is bounded by the chain's residents, and excess is truncated
-      // downstream.
+      // level.
       for (Expansion* e = model->expansion(); e != nullptr;
            e = e->new_model->expansion()) {
-        e->new_model->CollectRange(lo, hi, &learned);
-        expanded = true;
-      }
-      if (expanded) {
-        std::sort(learned.begin() + static_cast<ptrdiff_t>(before), learned.end());
-        // A key migrated to the temporal buffer between two per-slot-atomic
-        // collection passes is observed by both; keep the first copy.
-        DedupeSortedTail(&learned, before);
+        const size_t mid = out->size();
+        e->new_model->CollectRange(lo, hi, out, want);
+        MergeRun(out, before, mid, limit);
       }
     }
-    // Keys in the learned layer are slot-ordered per model and models are
-    // disjoint and ascending, so `learned` is sorted. Once it holds `limit`
-    // keys, ART keys past the limit-th one cannot reach the merged result.
-    const Key art_hi = learned.size() >= limit ? learned[limit - 1].first : hi;
-
-    art_.RangeQuery(lo, art_hi, &art_items, limit);
+    // Models are disjoint and ascending, so `out` is sorted. Once it holds
+    // `limit` keys, ART keys past the last one cannot reach the result.
+    const Key art_hi = out->size() >= limit ? out->back().first : hi;
+    art_.RangeQuery(lo, art_hi, &art_run, limit);
     if (write_back_gen_.load(std::memory_order_acquire) == wb_gen) break;
   }
 
-  MergePairs(learned, art_items, limit, out);
+  const size_t learned = out->size();
+  out->insert(out->end(), art_run.begin(), art_run.end());
+  MergeRun(out, 0, learned, limit);
   return out->size();
 }
 
@@ -835,27 +806,10 @@ void AltIndex::FinishExpansion(GplModel* model,
   }
 
   {
-    // Step 2: restore the zero-error invariant — ART keys of this model whose
-    // new predicted slot is empty are written back (§III-F).
+    // Step 2: restore the zero-error invariant (§III-F).
     trace::Span wb_span("retrain_write_back", "retrain");
-    WriteBackSection wb(this);
-    const ModelDirectory::Snapshot* snap = directory_.snapshot();
-    const size_t idx = ModelDirectory::Locate(*snap, model->first_key());
-    const Key lo = model->first_key();
-    const Key hi = (idx + 1 < snap->first_keys.size()) ? snap->first_keys[idx + 1] - 1
-                                                       : ~Key{0};
-    std::vector<std::pair<Key, Value>> art_keys;
-    art_.RangeQuery(lo, hi, &art_keys);
-    wb_span.set_detail(art_keys.size());
-    for (const auto& [k, unused_v] : art_keys) {
-      if (k >= nm->coverage_end()) continue;  // stays in ART (tail range)
-      WriteBack(nm, nm->slot(nm->Predict(k)), k, SlotState::kEmpty);
-    }
+    wb_span.set_detail(AdoptArtRange(nm));
   }
-
-  // The invariant now holds for the temporal buffer: every ART key of this
-  // range either has an occupied predicted slot or was just written back.
-  nm->set_strict_empty(true);
 
   // Step 3: publish the temporal buffer as the model (§III-F step 3);
   // ownership moves to the directory (see Expansion dtor).
@@ -894,8 +848,9 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPO
   }
   // The tail steals [tail_first, +inf) from the published model; ART keys in
   // that range would otherwise look "absent" behind the tail's EMPTY slots.
-  // Publish with the invariant suspended, write those ART keys back, then
-  // re-arm it.
+  // Publish with the invariant suspended, then adopt those ART keys. Once an
+  // insert storm starts expanding the (already published) tail, WriteBack
+  // declines and that expansion's finish sweep takes over.
   tail->set_strict_empty(false);
   if (!directory_.AppendTail(tail)) {
     // A concurrent finishing thread appended a covering tail first.
@@ -904,15 +859,30 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPO
   }
   metrics::Inc(Counter::kTailModelsAppended);
   trace::Span span("tail_append", "retrain", tail_first);
-  std::vector<std::pair<Key, Value>> strays;
-  art_.RangeQuery(tail_first, ~Key{0}, &strays);
-  // Once an insert storm starts expanding the (already published) tail,
-  // WriteBack declines and that expansion's finish sweep takes over.
+  AdoptArtRange(tail);
+}
+
+size_t AltIndex::AdoptArtRange(GplModel* m) ALT_REQUIRES_EPOCH {
+  // m's routing range (from key 0 for the first model), clipped below
+  // coverage_end: keys at or past it never live in slots (ProbeSlot).
+  const ModelDirectory::Snapshot* snap = directory_.snapshot();
+  const size_t idx = ModelDirectory::Locate(*snap, m->first_key());
+  const Key lo = idx == 0 ? 0 : m->first_key();
+  Key hi = m->coverage_end() - 1;
+  if (idx + 1 < snap->first_keys.size()) hi = std::min(hi, snap->first_keys[idx + 1] - 1);
+  // Collected before the section opens, since scans spin while one is open.
+  // A key inserted into ART after this collection makes itself visible
+  // (EnsureArtKeyVisible).
+  std::vector<std::pair<Key, Value>> keys;
+  art_.RangeQuery(lo, hi, &keys);
   WriteBackSection wb(this);
-  for (const auto& [k, unused_v] : strays) {
-    WriteBack(tail, tail->slot(tail->Predict(k)), k, SlotState::kEmpty);
+  for (const auto& [k, unused_v] : keys) {
+    WriteBack(m, m->slot(m->Predict(k)), k, SlotState::kEmpty);
   }
-  tail->set_strict_empty(true);
+  // The invariant now holds: every ART key of the range either has an
+  // occupied predicted slot or was just written back.
+  m->set_strict_empty(true);
+  return keys.size();
 }
 
 size_t AltIndex::MemoryUsage() const {

@@ -183,10 +183,11 @@ class AltIndex final : public ConcurrentIndex {
   const ModelDirectory& directory() const { return directory_; }
 
  private:
-  enum class Probe { kHit, kEmpty, kGoArt, kGoArtTombstone, kMigrated };
+  enum class Probe { kHit, kEmpty, kGoArt, kMigrated };
 
-  /// Read `model`'s predicted slot for `key`. On kHit, *out is set. Returns
-  /// the observed slot + word (no slot for an out-of-coverage key).
+  /// Read `model`'s predicted slot for `key`. On kHit, *out is set; kGoArt
+  /// means a conflict, a tombstone or an out-of-coverage key (no slot).
+  /// Returns the observed slot + word.
   Probe ProbeSlot(GplModel* model, Key key, Value* out, GplSlot** slot_out,
                   uint32_t* word_out) const ALT_REQUIRES_EPOCH;
 
@@ -292,8 +293,14 @@ class AltIndex final : public ConcurrentIndex {
   void FinishExpansion(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
   void AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPOCH;
 
-  /// RAII bracket around every WriteBack call (finish sweep, tail-append
-  /// sweep, EnsureArtKeyVisible, Alg. 2's tombstone write-back in Lookup).
+  /// The one ART-range adoption step of the §III-F finish and tail-append
+  /// sweeps: collect ART's keys in m's routing range outside any
+  /// WriteBackSection, write them back into m's EMPTY predicted slots inside
+  /// one, then re-arm m's strict_empty. \return the keys collected.
+  size_t AdoptArtRange(GplModel* m) ALT_REQUIRES_EPOCH;
+
+  /// RAII bracket around every WriteBack call (AdoptArtRange,
+  /// EnsureArtKeyVisible, Alg. 2's tombstone write-back in Lookup).
   /// A write-back removes the key from ART after locking its slot, so a scan
   /// that read the slot before the lock and queries ART after the removal
   /// sees the key in *neither* layer. Point lookups survive this by

@@ -172,7 +172,6 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
           // An expansion raced in after kLocate; let the scalar path re-route.
           return fallback();
         case Probe::kGoArt:
-        case Probe::kGoArtTombstone:
           // Secondary search. The scalar path's tombstone write-back is an
           // opportunistic repair, not needed for result correctness — the
           // batch path skips it rather than taking a slot lock mid-pipeline.

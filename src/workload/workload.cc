@@ -89,7 +89,9 @@ std::vector<std::vector<Op>> GenerateOpStreams(const std::vector<Key>& loaded_ke
           insert_pct > 0 && shard_size > 0 &&
           rng.NextBounded(100) < static_cast<uint64_t>(insert_pct);
       if (do_insert) {
-        const size_t pick = order[shard_next++ % shard_size];
+        // The shard is used up: end the stream rather than repeat a key.
+        if (shard_next == shard_size) break;
+        const size_t pick = order[shard_next++];
         stream.push_back(Op{OpType::kInsert, insert_pool[shard_begin + pick]});
       } else if (scans) {
         stream.push_back(Op{OpType::kScan, loaded_keys[zipf.Next()]});

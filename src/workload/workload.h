@@ -40,6 +40,8 @@ struct Op {
 /// loaded keys.
 struct WorkloadOptions {
   WorkloadType type = WorkloadType::kBalanced;
+  /// Upper bound: a stream ends early once its insert shard is used up, so
+  /// no insert key repeats.
   size_t ops_per_thread = 200000;
   double zipf_theta = 0.99;
   size_t scan_length = 100;

@@ -414,6 +414,21 @@ TEST_F(AltIndexTest, ScanCountEdgesAndFullRangeAcrossExpansion) {
     EXPECT_TRUE(same_as_suffix(mid)) << phase;
     EXPECT_EQ(index.RangeQuery(0, ~Key{0}, &out), oracle.size()) << phase;
     EXPECT_TRUE(same_as_suffix(0)) << phase;
+    // Short scans from starts spread over the keys, on and between them: the
+    // capped per-run collection must return exactly the oracle's next keys.
+    for (size_t j = 0; j < 20; ++j) {
+      const Key start = oracle[j * (oracle.size() - 1) / 19] - (j % 2);
+      const auto from = std::lower_bound(oracle.begin(), oracle.end(), start);
+      for (size_t count : {size_t{10}, size_t{100}}) {
+        const size_t expect =
+            std::min(count, static_cast<size_t>(oracle.end() - from));
+        ASSERT_EQ(index.Scan(start, count, &out), expect) << phase << " start " << start;
+        for (size_t i = 0; i < expect; ++i) {
+          EXPECT_EQ(out[i].first, from[static_cast<ptrdiff_t>(i)]) << phase << " start " << start;
+          EXPECT_EQ(out[i].second, ValueFor(out[i].first)) << phase << " start " << start;
+        }
+      }
+    }
   };
   check("bulk-loaded");
 
@@ -423,8 +438,10 @@ TEST_F(AltIndexTest, ScanCountEdgesAndFullRangeAcrossExpansion) {
       ASSERT_TRUE(index.Insert(k * 8 + d, ValueFor(k * 8 + d)));
       oracle.push_back(k * 8 + d);
     }
-    if (!saw_expanding && k % 50 == 0 &&
-        index.CollectStructuralStats().expanding_models > 0) {
+    // The first check finds an expansion early; later ones see its temporal
+    // buffer fill, so the short scans' starts reach its chain runs too.
+    const bool probe = saw_expanding ? k % 1000 == 0 : k % 50 == 0;
+    if (probe && index.CollectStructuralStats().expanding_models > 0) {
       saw_expanding = true;
       check("mid-expansion");
     }
@@ -540,6 +557,50 @@ TEST_F(AltIndexTest, KeyZeroIsALegalKey) {
   EXPECT_TRUE(index.Insert(0, 444));
   ASSERT_TRUE(index.Lookup(0, &v));
   EXPECT_EQ(v, 444u);
+}
+
+// No slot ever holds ~Key{0}: every model's coverage_end is exclusive and at
+// most ~Key{0}, so ProbeSlot sends the key to ART. Bulk load and the
+// tail-append sweep must therefore leave it there.
+TEST_F(AltIndexTest, BulkLoadedMaxKeyIsVisible) {
+  constexpr Key kMax = ~Key{0};
+  auto expect_visible_once = [&](AltIndex& index, const char* phase) {
+    Value v = 0;
+    EXPECT_TRUE(index.Lookup(kMax, &v)) << phase;
+    EXPECT_EQ(v, ValueFor(kMax)) << phase;
+    EXPECT_FALSE(index.Insert(kMax, 1)) << phase;
+    std::vector<std::pair<Key, Value>> out;
+    index.Scan(0, SIZE_MAX, &out);
+    EXPECT_EQ(std::count_if(out.begin(), out.end(),
+                            [&](const auto& p) { return p.first == kMax; }),
+              1)
+        << phase;
+    ASSERT_FALSE(out.empty()) << phase;
+    EXPECT_EQ(out.back().first, kMax) << phase;
+  };
+  {
+    AltIndex index;
+    ASSERT_TRUE(index.BulkLoad(MakePairs({1, 5, kMax})).ok());
+    expect_visible_once(index, "bulk-loaded");
+  }
+  {
+    // Insert the key, then expand the last model until a tail model is
+    // appended behind it: the tail's ART sweep covers [tail_first, kMax].
+    AltOptions opts;
+    opts.retrain_trigger_ratio = 0.5;
+    AltIndex index(opts);
+    std::vector<std::pair<Key, Value>> pairs;
+    for (Key k = 0; k < 4000; ++k) pairs.emplace_back(k * 4, ValueFor(k * 4));
+    ASSERT_TRUE(index.BulkLoad(pairs).ok());
+    const size_t models_before = index.CollectStructuralStats().num_models;
+    ASSERT_TRUE(index.Insert(kMax, ValueFor(kMax)));
+    for (Key k = 0; k < 4000; ++k) {
+      for (Key d = 1; d <= 3; ++d) ASSERT_TRUE(index.Insert(k * 4 + d, ValueFor(k * 4 + d)));
+    }
+    ASSERT_GT(index.CollectStructuralStats().num_models, models_before)
+        << "the last model's expansion must append a tail model";
+    expect_visible_once(index, "after tail append");
+  }
 }
 
 class RadixUpperModelTest : public ::testing::TestWithParam<int> {

@@ -129,6 +129,34 @@ TEST_F(RetrainingTest, InvariantRestoredAfterFinish) {
   }
 }
 
+// The first model also routes every key below its first key. One such key
+// that sits in ART behind a tombstoned slot 0 must survive the model's
+// expansion: the finish sweep's ART range has to start at key 0, or the
+// published model's EMPTY slot 0 would answer "absent" for it.
+TEST_F(RetrainingTest, FinishSweepAdoptsKeysBelowTheFirstModel) {
+  AltOptions opts;
+  opts.retrain_trigger_ratio = 0.5;
+  AltIndex index(opts);
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 0; k < 4000; ++k) pairs.emplace_back(1000 + k * 4, ValueFor(1000 + k * 4));
+  ASSERT_TRUE(index.BulkLoad(pairs).ok());
+  ASSERT_TRUE(index.Remove(1000));        // tombstone in the first model's slot 0
+  ASSERT_TRUE(index.Insert(500, ValueFor(500)));  // predicts slot 0: goes to ART
+  // Expand the first model once (~7k inserts: past its 2k trigger plus 4k
+  // finish threshold, short of the published model's own 3k trigger), with
+  // keys away from its start so none lands in the temporal buffer's slot 0.
+  for (Key k = 10; k < 2400; ++k) {
+    for (Key d = 1; d <= 3; ++d) ASSERT_TRUE(index.Insert(1000 + k * 4 + d, 1));
+  }
+  const auto st = index.CollectStructuralStats();
+  ASSERT_GT(st.retrain_finished, 0u);
+  ASSERT_EQ(st.expanding_models, 0u);
+  Value v = 0;
+  ASSERT_TRUE(index.Lookup(500, &v));
+  EXPECT_EQ(v, ValueFor(500));
+  EXPECT_FALSE(index.Insert(500, 1));
+}
+
 TEST_F(RetrainingTest, TailModelAppendedWhenLastModelRetrains) {
   AltOptions opts;
   opts.retrain_trigger_ratio = 0.5;

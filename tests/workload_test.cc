@@ -140,6 +140,24 @@ TEST(WorkloadTest, InsertKeysAreDisjointAcrossThreads) {
   }
 }
 
+TEST(WorkloadTest, StreamsEndWhenTheInsertShardIsUsedUp) {
+  // Asking for more inserts than a thread's shard holds must not wrap the
+  // shard: a repeated insert is a rejected duplicate, not throughput.
+  const auto loaded = GenerateKeys(Dataset::kUniform, 1000, 3);
+  const auto pool = GenerateKeys(Dataset::kUniform, 4000, 77);
+  WorkloadOptions opts;
+  opts.type = WorkloadType::kWriteOnly;
+  opts.ops_per_thread = 5000;  // above each thread's 1000-key shard
+  auto streams = GenerateOpStreams(loaded, pool, 4, opts);
+  std::set<Key> seen;
+  for (const auto& s : streams) {
+    EXPECT_EQ(s.size(), pool.size() / 4);
+    for (const auto& op : s) {
+      EXPECT_TRUE(seen.insert(op.key).second) << "insert key repeated";
+    }
+  }
+}
+
 TEST(WorkloadTest, ScanWorkloadEmitsScans) {
   const auto loaded = GenerateKeys(Dataset::kUniform, 1000, 3);
   WorkloadOptions opts;
@@ -199,16 +217,17 @@ TEST(RunnerTest, EndToEndBalancedRunProducesSaneNumbers) {
       index->BulkLoad(setup.loaded.data(), vals.data(), setup.loaded.size()).ok());
   WorkloadOptions opts;
   opts.type = WorkloadType::kBalanced;
-  opts.ops_per_thread = 20000;
+  // About 7.5k inserts per thread against a ~10k-key shard, so no stream
+  // ends early.
+  opts.ops_per_thread = 15000;
   auto streams = GenerateOpStreams(setup.loaded, setup.pool, 2, opts);
   const RunResult r = RunWorkload(index.get(), streams);
-  EXPECT_EQ(r.total_ops, 40000u);
+  EXPECT_EQ(r.total_ops, 30000u);
   EXPECT_GT(r.throughput_mops, 0.0);
   EXPECT_GT(r.p999_ns, 0u);
   EXPECT_GE(r.p999_ns, r.p50_ns);
-  // Reads draw from loaded keys and inserts are fresh; only the tail of the
-  // insert pool may repeat once a thread's shard is exhausted (<1% here).
-  EXPECT_LE(r.failed_ops, r.total_ops / 100);
+  // Reads draw from loaded keys and inserts are fresh keys.
+  EXPECT_EQ(r.failed_ops, 0u);
   EpochManager::Global().DrainAll();
 }
 
