@@ -527,7 +527,7 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Key key,
         node->lock.WriteUnlock();
         np->lock.WriteUnlock();
         parent->lock.WriteUnlock();
-        size_.fetch_add(1, std::memory_order_relaxed);
+        size_.Add(1);
         return OpResult::kDone;
       }
       depth += plen;
@@ -562,7 +562,7 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Key key,
         RetireNode(epoch_, node);
         bigger->lock.WriteUnlock();
         parent->lock.WriteUnlock();
-        size_.fetch_add(1, std::memory_order_relaxed);
+        size_.Add(1);
         return OpResult::kDone;
       }
       node->lock.UpgradeToWriteLockOrRestart(v, &restart);
@@ -573,7 +573,7 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Key key,
       auto* leaf = new Leaf(key, value);
       AddChild(node, byte, TagLeaf(leaf));
       node->lock.WriteUnlock();
-      size_.fetch_add(1, std::memory_order_relaxed);
+      size_.Add(1);
       return OpResult::kDone;
     }
 
@@ -598,7 +598,7 @@ ArtTree::OpResult ArtTree::InsertImpl(Node* start, Key key,
       AddChild(nn, KeyByte(key, d2 + cpl), TagLeaf(leaf));
       ReplaceChild(node, byte, nn);
       node->lock.WriteUnlock();
-      size_.fetch_add(1, std::memory_order_relaxed);
+      size_.Add(1);
       return OpResult::kDone;
     }
 
@@ -762,7 +762,7 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
         RetireNode(epoch_, node);
         RetireLeaf(epoch_, leaf);
         parent->lock.WriteUnlock();
-        size_.fetch_sub(1, std::memory_order_relaxed);
+        size_.Add(-1);
         return OpResult::kDone;
       }
 
@@ -786,7 +786,7 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
         smaller->lock.WriteUnlock();
         parent->lock.WriteUnlock();
         RetireLeaf(epoch_, leaf);
-        size_.fetch_sub(1, std::memory_order_relaxed);
+        size_.Add(-1);
         return OpResult::kDone;
       }
 
@@ -796,7 +796,7 @@ ArtTree::OpResult ArtTree::RemoveImpl(Key key, Value* old_value) ALT_OPTIMISTIC_
       RemoveChildEntry(node, byte);
       node->lock.WriteUnlock();
       RetireLeaf(epoch_, leaf);
-      size_.fetch_sub(1, std::memory_order_relaxed);
+      size_.Add(-1);
       return OpResult::kDone;
     }
 

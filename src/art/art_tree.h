@@ -6,6 +6,7 @@
 
 #include "art/art_node.h"
 #include "common/key_codec.h"
+#include "common/sharded_counter.h"
 
 namespace alt {
 
@@ -178,7 +179,7 @@ class ArtTree {
   /// Total bytes of nodes + leaves (quiescent-only).
   size_t MemoryUsage() const { return CollectCensus().total_bytes; }
 
-  size_t Size() const { return size_.load(std::memory_order_relaxed); }
+  size_t Size() const { return size_.Value(); }
   bool Empty() const { return Size() == 0; }
 
   Node* root() const { return root_; }
@@ -208,7 +209,7 @@ class ArtTree {
   Node* root_;  // fixed Node256, never replaced, never obsolete
   EpochManager* epoch_;  // resolved at construction, never null
   ArtStructureListener* listener_ = nullptr;
-  std::atomic<size_t> size_{0};
+  ShardedCounter size_;  ///< live keys (see ShardedCounter)
 };
 
 }  // namespace art

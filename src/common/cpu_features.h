@@ -2,19 +2,10 @@
 
 // ALT_SIMD_X86: this build contains the AVX2 code paths (function-level
 // `target("avx2")` attributes; no global -mavx2, so the baseline code stays
-// runnable on any x86-64). Vector slot-state scans read slot words with plain
-// (non-atomic) loads — the same seqlock-escape idiom as the optimistic
-// accessors, but invisible to ThreadSanitizer — so TSan builds compile the
-// scalar paths only and every report stays actionable.
-#if defined(__SANITIZE_THREAD__)
-#define ALT_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ALT_TSAN_BUILD 1
-#endif
-#endif
-#if !defined(ALT_SIMD_DISABLED) && !defined(ALT_TSAN_BUILD) && \
-    defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// runnable on any x86-64). The one kernel reads immutable directory snapshots
+// only, so sanitizer builds run it like any other build.
+#if !defined(ALT_SIMD_DISABLED) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
 #define ALT_SIMD_X86 1
 #else
 #define ALT_SIMD_X86 0

@@ -88,11 +88,21 @@ class EpochManager {
   void Enter() {
     ThreadState& ts = LocalState();
     if (ts.nesting++ == 0) {
+      // Publish, then re-read the global epoch: the store-buffering pattern.
+      // A release store could still sit in this core's store buffer while the
+      // re-read and the section's pointer loads run, so a reclaimer's
+      // MinPinnedEpoch could read kIdle for a thread already holding a
+      // pointer. The seq_cst RMW (a full fence, as crossbeam-epoch's pin has)
+      // pairs with AdvanceAndCollect's seq_cst advance and scan: either the
+      // reclaimer sees this pin, or the re-read sees its advance and with it
+      // every unlink made before that advance (DESIGN.md §7.2).
       uint64_t e = global_epoch_.load(std::memory_order_acquire);
-      slots_[ts.slot].epoch.store(e, std::memory_order_release);
-      // A second load catches an advance that raced with our publication.
-      uint64_t e2 = global_epoch_.load(std::memory_order_acquire);
-      if (e2 != e) slots_[ts.slot].epoch.store(e2, std::memory_order_release);
+      slots_[ts.slot].epoch.exchange(e, std::memory_order_seq_cst);
+      // The epoch moved between the first load and the publication: the pin
+      // at `e` is already safe (older is more conservative); republish so it
+      // holds back no more than it must.
+      const uint64_t e2 = global_epoch_.load(std::memory_order_seq_cst);
+      if (e2 != e) slots_[ts.slot].epoch.exchange(e2, std::memory_order_seq_cst);
     }
   }
 
@@ -319,7 +329,8 @@ class EpochManager {
   uint64_t MinPinnedEpoch() const {
     uint64_t m = kIdle;
     for (const Slot& s : slots_) {
-      uint64_t e = s.epoch.load(std::memory_order_acquire);
+      // seq_cst: the scan half of the store-buffering pair with Enter().
+      uint64_t e = s.epoch.load(std::memory_order_seq_cst);
       if (e < m) m = e;
     }
     return m;
@@ -327,7 +338,7 @@ class EpochManager {
 
   void AdvanceAndCollect(ThreadState& ts) {
     trace::Span span("epoch_advance", trace_category_);
-    global_epoch_.fetch_add(1, std::memory_order_acq_rel);
+    global_epoch_.fetch_add(1, std::memory_order_seq_cst);
     uint64_t min_pinned = MinPinnedEpoch();
     std::vector<Retired> free_now;
     {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/prefetch.h"
+#include "common/sharded_counter.h"
 
 namespace alt {
 namespace metrics {
@@ -122,14 +123,9 @@ class Registry {
   }
 
   /// Round-robin shard assignment on first use per thread.
-  size_t ShardIndex() {
-    thread_local const size_t shard =
-        next_shard_.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-    return shard;
-  }
+  static size_t ShardIndex() { return ThreadShardIndex() & (kShards - 1); }
 
   mutable Shard shards_[kShards];
-  std::atomic<size_t> next_shard_{0};
 };
 
 // ---------------------------------------------------------------------------

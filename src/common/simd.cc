@@ -1,29 +1,11 @@
 #include "common/simd.h"
 
-#include <cstring>
-
 #if ALT_SIMD_X86
 #include <immintrin.h>
 #endif
 
 namespace alt {
 namespace simd {
-
-SlotScan8 ScanSlotWords8Scalar(const void* first_slot,
-                               size_t stride) ALT_REQUIRES_EPOCH {
-  SlotScan8 r;
-  const auto* base = static_cast<const unsigned char*>(first_slot);
-  for (int lane = 0; lane < 8; ++lane) {
-    uint32_t w;
-    std::memcpy(&w, base + stride * static_cast<size_t>(lane), sizeof(w));
-    if ((w & 1u) != 0) {
-      r.busy_mask |= static_cast<uint8_t>(1u << lane);
-      continue;
-    }
-    r.state_mask[(w >> 1) & 3u] |= static_cast<uint8_t>(1u << lane);
-  }
-  return r;
-}
 
 #if ALT_SIMD_X86
 namespace detail {
@@ -73,54 +55,6 @@ __attribute__((target("avx2"))) size_t UpperBoundU64Avx2(const uint64_t* data,
     if (data[i] > key) return i;
   }
   return hi;
-}
-
-__attribute__((target("avx2"))) SlotScan8 ScanSlotWords8Avx2(
-    const void* first_slot, size_t stride) ALT_REQUIRES_EPOCH {
-  const auto* base = static_cast<const unsigned char*>(first_slot);
-  __m256i words;
-  if (stride == 32) {
-    // 8 slots of exactly 32 bytes each: one 256-bit load per slot puts the
-    // state word in 32-bit lane 0, and a three-level unpack tree packs the
-    // eight lane-0 words into one vector. VPGATHERDD is 1-2 cycles *per
-    // element* on most cores, so eight plain loads (same cache lines either
-    // way) plus seven shuffles measure ~3x faster than the gather variant.
-    const __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base));
-    const __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 32));
-    const __m256i v2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 64));
-    const __m256i v3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 96));
-    const __m256i v4 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 128));
-    const __m256i v5 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 160));
-    const __m256i v6 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 192));
-    const __m256i v7 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 224));
-    const __m256i a01 = _mm256_unpacklo_epi32(v0, v1);  // low lane: w0 w1 . .
-    const __m256i a23 = _mm256_unpacklo_epi32(v2, v3);  // low lane: w2 w3 . .
-    const __m256i a45 = _mm256_unpacklo_epi32(v4, v5);
-    const __m256i a67 = _mm256_unpacklo_epi32(v6, v7);
-    const __m256i b03 = _mm256_unpacklo_epi64(a01, a23);  // low lane: w0..w3
-    const __m256i b47 = _mm256_unpacklo_epi64(a45, a67);  // low lane: w4..w7
-    words = _mm256_permute2x128_si256(b03, b47, 0x20);    // w0..w7
-  } else {
-    // Generic stride: one gather replaces 8 strided scalar loads; scale 1
-    // keeps the byte stride free-form.
-    const int s = static_cast<int>(stride);
-    const __m256i vidx = _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s,
-                                           6 * s, 7 * s);
-    words = _mm256_i32gather_epi32(reinterpret_cast<const int*>(first_slot),
-                                   vidx, 1);
-  }
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i three = _mm256_set1_epi32(3);
-  SlotScan8 r;
-  r.busy_mask = static_cast<uint8_t>(_mm256_movemask_ps(_mm256_castsi256_ps(
-      _mm256_cmpeq_epi32(_mm256_and_si256(words, one), one))));
-  const __m256i state = _mm256_and_si256(_mm256_srli_epi32(words, 1), three);
-  for (int st = 0; st < 4; ++st) {
-    const uint8_t m = static_cast<uint8_t>(_mm256_movemask_ps(_mm256_castsi256_ps(
-        _mm256_cmpeq_epi32(state, _mm256_set1_epi32(st)))));
-    r.state_mask[st] = static_cast<uint8_t>(m & ~r.busy_mask);
-  }
-  return r;
 }
 
 }  // namespace detail

@@ -4,16 +4,15 @@
 #include <cstdint>
 
 #include "common/cpu_features.h"
-#include "common/lint_annotations.h"
 
 namespace alt {
 namespace simd {
 
-/// \brief Vector kernels for the two read-path hot loops (DESIGN.md §10): the
-/// upper-model first-key search and the slot-state skip-scan. Every kernel has
-/// an always-compiled scalar twin with bit-identical results; dispatch is one
-/// cached-bool branch (cpu::SimdEnabled), so ALT_FORCE_SCALAR=1 or a non-AVX2
-/// machine degrades to exactly the pre-vectorization behaviour.
+/// \brief The read path's vector kernel (DESIGN.md §10): the upper-model
+/// first-key search. It has an always-compiled scalar twin with bit-identical
+/// results; dispatch is one cached-bool branch (cpu::SimdEnabled), so
+/// ALT_FORCE_SCALAR=1 or a non-AVX2 machine degrades to exactly the
+/// pre-vectorization behaviour.
 
 // ---------------------------------------------------------------------------
 // Upper-model probe: branchless lower/upper bound over sorted u64 arrays
@@ -58,45 +57,6 @@ inline size_t UpperBoundU64(const uint64_t* data, size_t lo, size_t hi,
   if (cpu::SimdEnabled()) return detail::UpperBoundU64Avx2(data, lo, hi, key);
 #endif
   return UpperBoundU64Scalar(data, lo, hi, key);
-}
-
-// ---------------------------------------------------------------------------
-// Slot-state scan: 8 strided 32-bit slot words per step
-// ---------------------------------------------------------------------------
-
-/// One vector step over 8 slot words read (plain, non-atomic — see the TSan
-/// note in cpu_features.h) from `first_slot`, `first_slot + stride`, ...,
-/// `first_slot + 7*stride`.
-///
-/// `state_mask[s]` has bit L set iff lane L's word carries SlotState s *and*
-/// the writer bit is clear; `busy_mask` collects lanes with the writer bit set
-/// (an in-flight writer). Busy lanes appear in no state mask — callers re-read
-/// them through SlotWord::Read(), which spins to a stable word.
-struct SlotScan8 {
-  uint8_t state_mask[4] = {0, 0, 0, 0};
-  uint8_t busy_mask = 0;
-};
-
-/// Scalar twin of the gather kernel; also the oracle for the differential
-/// test. Reads the words with plain loads like the vector path so both see
-/// the same (possibly in-flight) values under concurrency.
-SlotScan8 ScanSlotWords8Scalar(const void* first_slot, size_t stride)
-    ALT_REQUIRES_EPOCH;
-
-#if ALT_SIMD_X86
-namespace detail {
-/// AVX2 gather kernel (simd.cc, target("avx2")).
-SlotScan8 ScanSlotWords8Avx2(const void* first_slot, size_t stride)
-    ALT_REQUIRES_EPOCH;
-}  // namespace detail
-#endif
-
-inline SlotScan8 ScanSlotWords8(const void* first_slot,
-                                size_t stride) ALT_REQUIRES_EPOCH {
-#if ALT_SIMD_X86
-  if (cpu::SimdEnabled()) return detail::ScanSlotWords8Avx2(first_slot, stride);
-#endif
-  return ScanSlotWords8Scalar(first_slot, stride);
 }
 
 }  // namespace simd

@@ -36,10 +36,10 @@ void MergeRun(std::vector<std::pair<Key, Value>>* v, size_t begin, size_t mid,
   if (v->size() > limit) v->resize(limit);
 }
 
-// Smallest BulkLoad slab worth a helper thread for the slot fill (about 860k
-// keys at the default gap factor). Below 35MB the helper lost in every timed
-// run; from 47MB up it won or lost with the host's load (EXPERIMENTS.md "Slot
-// slab: helper-thread cutoff").
+// Smallest BulkLoad slab worth a helper thread for the slot fill (about 1.3M
+// keys at the default gap factor, three slots per line). Below 35MB the helper
+// lost in every timed run; from 47MB up it won or lost with the host's load
+// (EXPERIMENTS.md "Slot slab: helper-thread cutoff", measured at 32 B slots).
 constexpr size_t kFillThreadBytes = size_t{64} << 20;
 
 // Terminal accounting for lookups the learned layer answers by itself.
@@ -139,7 +139,8 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
         2 * static_cast<uint64_t>(epsilon_) + 16;
     if (slots > cap) slots = cap;
     slot_counts.push_back(static_cast<uint32_t>(slots));
-    slab_bytes += SlotSlab::SliceFootprint(sizeof(GplSlot) * slots);
+    slab_bytes +=
+        SlotSlab::SliceFootprint(GplModel::SlotArrayBytes(static_cast<uint32_t>(slots)));
   }
   slab_ = SlotSlab::Create(slab_bytes);
   if (slab_ == nullptr) throw std::bad_alloc();
@@ -169,7 +170,7 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   auto fill = [&] {
     for_each_key([](GplModel* model, uint32_t p, bool conflict, Key k, Value v) {
       if (conflict) return;
-      GplSlot& s = model->slot(p);
+      const SlotRef s = model->slot(p);
       // Bulk load owns the index, but writing under the slot lock keeps the
       // key/value stores inside the capability the analysis checks (the
       // uncontended CAS costs nothing next to the O(n) load itself).
@@ -236,7 +237,7 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
     }
   }
 
-  size_.store(n, std::memory_order_relaxed);
+  size_.Add(static_cast<int64_t>(n));
   return Status::OK();
 }
 
@@ -245,20 +246,20 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
 // ---------------------------------------------------------------------------
 
 AltIndex::Probe AltIndex::ProbeSlot(GplModel* model, Key key, Value* out,
-                                    GplSlot** slot_out,
-                                    uint32_t* word_out) const ALT_REQUIRES_EPOCH {
+                                    ArtRoute* route) const ALT_REQUIRES_EPOCH {
+  route->target = model;
   if (key >= model->coverage_end()) {
     // Out-of-coverage keys are never stored in slots (see GplModel ctor doc);
     // ART is their authoritative home and there is no slot to validate.
-    *slot_out = nullptr;
-    *word_out = 0;
+    route->pos = ArtRoute::kNoSlot;
+    route->word = 0;
     return Probe::kGoArt;
   }
-  GplSlot& s = model->slot(model->Predict(key));
-  *slot_out = &s;
+  route->pos = model->Predict(key);
+  const SlotRef s = model->slot(route->pos);
   for (;;) {
     const uint32_t w = s.word.Read();
-    *word_out = w;
+    route->word = w;
     switch (SlotWord::StateOf(w)) {
       case SlotState::kEmpty:
         return Probe::kEmpty;
@@ -287,15 +288,14 @@ AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
     // During a §III-F expansion the old model defers to its temporal buffer
     // for every key it no longer answers for.
     const bool buffer_next = t == model && exp != nullptr;
-    route->target = t;
-    switch (ProbeSlot(t, key, out, &route->slot, &route->word)) {
+    switch (ProbeSlot(t, key, out, route)) {
       case Probe::kHit:
         return Resolve::kInSlot;
       case Probe::kGoArt:
         // Coverage gap (§III-F): the temporal buffer spans slightly more key
         // space than the old model, so a key beyond the old coverage may
         // live in a temporal slot.
-        if (route->slot == nullptr && buffer_next) continue;
+        if (!route->has_slot() && buffer_next) continue;
         return Resolve::kGoArt;
       case Probe::kEmpty:
         // New inserts land in the temporal buffer. Otherwise the zero-error
@@ -311,7 +311,7 @@ AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
 }
 
 bool AltIndex::RouteHolds(const ArtRoute& route, Key key) const ALT_REQUIRES_EPOCH {
-  if (route.slot != nullptr) return route.slot->word.Validate(route.word);
+  if (route.has_slot()) return route.slot().word.Validate(route.word);
   return RoutedModel(key) == route.model;
 }
 
@@ -403,11 +403,11 @@ bool AltIndex::LookupInternal(Key key, Value* out, ServedBy* served) const {
       // slot transitions then; WriteBack re-checks under the slot lock). The
       // write-back only moves a key between layers, so a const Lookup may
       // perform it.
-      if (route.slot != nullptr &&
+      if (route.has_slot() &&
           SlotWord::StateOf(route.word) == SlotState::kTombstone &&
           route.model->expansion() == nullptr) {
         WriteBackSection wb(this);
-        const_cast<AltIndex*>(this)->WriteBack(route.model, *route.slot, key,
+        const_cast<AltIndex*>(this)->WriteBack(route.model, route.slot(), key,
                                                SlotState::kTombstone, out);
       }
       return true;
@@ -439,9 +439,8 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
                                       Value value,
                                       ServedBy* served) ALT_REQUIRES_EPOCH {
   GplModel* t = exp != nullptr ? exp->new_model : model;
-  GplSlot* slot = nullptr;
-  uint32_t w = 0;
-  switch (ProbeSlot(t, key, nullptr, &slot, &w)) {
+  ArtRoute route;
+  switch (ProbeSlot(t, key, nullptr, &route)) {
     case Probe::kHit:
       SetServedBy(served, ServedBy::kLearnedSlot);
       return Placed::kExists;  // exists in place
@@ -461,14 +460,14 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
     case Probe::kEmpty:
       break;
   }
-  GplSlot& s = *slot;
+  const SlotRef s = route.slot();
   if (!t->strict_empty()) {
     // Suspended invariant (fresh tail model, temporal buffer before its
     // finish sweep): the key may still sit in ART; check before placing,
     // then re-validate the slot so a racing write-back sweep is observed.
     Value existing = 0;
     const bool in_art = ArtLookup(t, key, &existing);
-    if (!s.word.Validate(w)) return Placed::kRetry;
+    if (!s.word.Validate(route.word)) return Placed::kRetry;
     if (in_art) {
       SetServedBy(served, ServedBy::kArtRoot);
       return Placed::kExists;
@@ -502,12 +501,11 @@ AltIndex::Placed AltIndex::InsertExpanding(GplModel* model, Expansion* exp,
     // The temporal buffer will not store this key; InsertInto sends it to
     // ART. The old model's clamp slot may still hold it from before the
     // expansion — check for a duplicate there first.
-    GplSlot* slot = nullptr;
-    uint32_t w = 0;
-    if (ProbeSlot(model, key, nullptr, &slot, &w) == Probe::kHit) return Placed::kExists;
+    ArtRoute route;
+    if (ProbeSlot(model, key, nullptr, &route) == Probe::kHit) return Placed::kExists;
     return InsertInto(model, exp, key, value, nullptr);
   }
-  GplSlot& s = model->slot(model->Predict(key));
+  const SlotRef s = model->slot(model->Predict(key));
   const SlotState st = SlotWord::StateOf(s.word.Read());
   if (st == SlotState::kOccupied || st == SlotState::kTombstone) {
     const uint32_t lw = s.word.Lock();
@@ -531,7 +529,7 @@ AltIndex::Placed AltIndex::InsertExpanding(GplModel* model, Expansion* exp,
 }
 
 void AltIndex::CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH {
-  size_.fetch_add(1, std::memory_order_relaxed);
+  size_.Add(1);
   if (exp == nullptr) {
     model->BumpInsertCount();
     MaybeTriggerExpansion(model);
@@ -544,7 +542,7 @@ void AltIndex::CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH {
 void AltIndex::MigrateInto(GplModel* new_model, Key key,
                            Value value) ALT_REQUIRES_EPOCH {
   if (key < new_model->coverage_end()) {
-    GplSlot& s = new_model->slot(new_model->Predict(key));
+    const SlotRef s = new_model->slot(new_model->Predict(key));
     const uint32_t lw = s.word.Lock();
     if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
       s.key.store(key, std::memory_order_relaxed);
@@ -586,7 +584,7 @@ bool AltIndex::UpdateOrRemove(Key key, const Value* value, ServedBy* served) {
         SetServedBy(served, ServedBy::kLearnedNegative);
         return false;
       case Resolve::kInSlot: {
-        GplSlot& s = *route.slot;
+        const SlotRef s = route.slot();
         const uint32_t lw = s.word.Lock();
         if (SlotWord::StateOf(lw) != SlotState::kOccupied ||
             s.key.load(std::memory_order_relaxed) != key) {
@@ -600,7 +598,7 @@ bool AltIndex::UpdateOrRemove(Key key, const Value* value, ServedBy* served) {
           // In-place delete leaves a tombstone (§III-G): conflicting keys in
           // ART rely on this slot staying non-empty.
           s.word.Unlock(lw, SlotState::kTombstone);
-          size_.fetch_sub(1, std::memory_order_relaxed);
+          size_.Add(-1);
         }
         SetServedBy(served, ServedBy::kLearnedSlot);
         return true;
@@ -609,7 +607,7 @@ bool AltIndex::UpdateOrRemove(Key key, const Value* value, ServedBy* served) {
         break;
     }
     if (value != nullptr ? art_.Update(key, *value) : art_.Remove(key)) {
-      if (value == nullptr) size_.fetch_sub(1, std::memory_order_relaxed);
+      if (value == nullptr) size_.Add(-1);
       SetServedBy(served, ServedBy::kArtRoot);
       return true;
     }
@@ -711,14 +709,14 @@ void AltIndex::EnsureArtKeyVisible(Key key) ALT_REQUIRES_EPOCH {
   // write-back even while the slot's model has the invariant suspended: the
   // sweep that will re-arm strict_empty may already have passed this key's
   // position in ART, so the inserter itself must make the key slot-visible.
-  if (route.slot == nullptr || SlotWord::StateOf(route.word) != SlotState::kEmpty) {
+  if (!route.has_slot() || SlotWord::StateOf(route.word) != SlotState::kEmpty) {
     return;
   }
   WriteBackSection wb(this);
-  WriteBack(route.target, *route.slot, key, SlotState::kEmpty);
+  WriteBack(route.target, route.slot(), key, SlotState::kEmpty);
 }
 
-void AltIndex::WriteBack(GplModel* owner, GplSlot& s, Key key, SlotState from,
+void AltIndex::WriteBack(GplModel* owner, SlotRef s, Key key, SlotState from,
                          Value* moved) ALT_REQUIRES_EPOCH {
   ALT_DEBUG_CHECK(::alt::debug::LockHeldByThisThread(&write_backs_active_), "write-back",
                   "ART->slot write-back outside a WriteBackSection", this);
@@ -794,7 +792,7 @@ void AltIndex::FinishExpansion(GplModel* model,
     // Step 1: sweep the remaining old slots into the temporal buffer.
     trace::Span sweep_span("retrain_sweep", "retrain", model->num_slots());
     for (uint32_t i = 0; i < model->num_slots(); ++i) {
-      GplSlot& s = model->slot(i);
+      const SlotRef s = model->slot(i);
       const uint32_t lw = s.word.Lock();
       if (SlotWord::StateOf(lw) == SlotState::kOccupied) {
         const Key k = s.key.load(std::memory_order_relaxed);

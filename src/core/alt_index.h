@@ -12,6 +12,7 @@
 #include "common/index_interface.h"
 #include "common/key_codec.h"
 #include "common/path_tag.h"
+#include "common/sharded_counter.h"
 #include "common/status.h"
 #include "core/alt_options.h"
 #include "core/fast_pointer_buffer.h"
@@ -101,8 +102,9 @@ class AltIndex final : public ConcurrentIndex {
   /// All pairs with lo <= key <= hi, ascending.
   size_t RangeQuery(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out) const;
 
-  /// Approximate live key count (maintained with relaxed counters).
-  size_t Size() const override { return size_.load(std::memory_order_relaxed); }
+  /// Live key count: exact at a quiescent point, approximate while writers
+  /// run (a per-thread-sharded counter; see ShardedCounter).
+  size_t Size() const override { return size_.Value(); }
 
   /// \brief Structural / behavioural statistics (quiescent-only; defined in
   /// structural_stats.cc, DESIGN.md §9.3). The component byte fields are
@@ -185,11 +187,13 @@ class AltIndex final : public ConcurrentIndex {
  private:
   enum class Probe { kHit, kEmpty, kGoArt, kMigrated };
 
+  struct ArtRoute;
+
   /// Read `model`'s predicted slot for `key`. On kHit, *out is set; kGoArt
   /// means a conflict, a tombstone or an out-of-coverage key (no slot).
-  /// Returns the observed slot + word.
-  Probe ProbeSlot(GplModel* model, Key key, Value* out, GplSlot** slot_out,
-                  uint32_t* word_out) const ALT_REQUIRES_EPOCH;
+  /// Records `model`, the slot and its observed word in `route`.
+  Probe ProbeSlot(GplModel* model, Key key, Value* out,
+                  ArtRoute* route) const ALT_REQUIRES_EPOCH;
 
   /// The model the current directory snapshot routes `key` to. Inline: the
   /// batched path calls it once per key from another translation unit.
@@ -202,10 +206,15 @@ class AltIndex final : public ConcurrentIndex {
   /// Where a point op's routing ended: the revalidation token for an ART
   /// miss (RouteHolds) and the slot an in-place action or write-back uses.
   struct ArtRoute {
+    static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
     GplModel* model = nullptr;   ///< the model the directory routed to
-    GplModel* target = nullptr;  ///< `model` or its temporal buffer: owns `slot`
-    GplSlot* slot = nullptr;     ///< nullptr: ART is the key's only home
-    uint32_t word = 0;           ///< `slot`'s word as read
+    GplModel* target = nullptr;  ///< `model` or its temporal buffer: owns `pos`
+    uint32_t pos = kNoSlot;      ///< target's slot; kNoSlot: ART is the key's only home
+    uint32_t word = 0;           ///< the slot's word as read
+
+    bool has_slot() const { return pos != kNoSlot; }
+    SlotRef slot() const { return target->slot(pos); }
   };
 
   enum class Resolve {
@@ -285,7 +294,7 @@ class AltIndex final : public ConcurrentIndex {
   /// it is still in state `from` and `owner` has no expansion, move `key`
   /// from ART-OPT into it (its value to *moved). Must run inside a
   /// WriteBackSection; ALT_DEBUG_CHECKS enforces it.
-  void WriteBack(GplModel* owner, GplSlot& s, Key key, SlotState from,
+  void WriteBack(GplModel* owner, SlotRef s, Key key, SlotState from,
                  Value* moved = nullptr) ALT_REQUIRES_EPOCH;
 
   void MaybeTriggerExpansion(GplModel* model);
@@ -337,7 +346,7 @@ class AltIndex final : public ConcurrentIndex {
   art::ArtTree art_;
   FastPointerBuffer fp_buffer_;
 
-  std::atomic<size_t> size_{0};
+  ShardedCounter size_;
   std::atomic<size_t> retrain_started_{0};
   std::atomic<size_t> retrain_finished_{0};
 

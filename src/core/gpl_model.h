@@ -30,8 +30,8 @@ enum class SlotState : uint32_t {
 /// sequence number bumped on every unlock. One 32-bit atomic per slot.
 ///
 /// A clang thread-safety capability guarding the slot's key/value (see
-/// GplSlot). Writers hold it via Lock/Unlock; optimistic readers carry no
-/// capability and must go through GplSlot's ALT_OPTIMISTIC_PATH accessors plus
+/// SlotRef). Writers hold it via Lock/Unlock; optimistic readers carry no
+/// capability and must go through SlotRef's ALT_OPTIMISTIC_PATH accessors plus
 /// Validate. Under ALT_DEBUG_CHECKS the version-lock protocol checker catches
 /// unlock-without-lock, same-thread double-lock, and stale unlock tokens.
 class CAPABILITY("slot word lock") SlotWord {
@@ -94,23 +94,21 @@ class CAPABILITY("slot word lock") SlotWord {
   std::atomic<uint32_t> word_{0};
 };
 
-/// One gapped-array slot: state word + key + value.
+/// \brief One slot's lane view into its slot line (§III-B gapped array):
+/// the slot's own version word and its (key, value) pair.
 ///
-/// `key`/`value` are GUARDED_BY the slot word: all writes happen between
+/// `key`/`value` are GUARDED_BY the lane's word: all writes happen between
 /// word.Lock() and word.Unlock(). Concurrent readers use the two
 /// ALT_OPTIMISTIC_PATH accessors — the sanctioned seqlock escape — and must
 /// discard the loads unless word.Validate(w) subsequently succeeds.
 ///
-/// Padded to 32 bytes: together with the 64-byte-aligned slot arrays
-/// (aligned_mem.h) every slot occupies exactly half a cache line and no probe
-/// ever straddles a line boundary — previously 2 of every 8 slots did, and
-/// PrefetchSlot papered over it with a two-line prefetch. The fixed
-/// power-of-two stride also lets the §10 vector state scan cover one slot
-/// per 256-bit load.
-struct alignas(32) GplSlot {
-  SlotWord word;
-  std::atomic<Key> key GUARDED_BY(word){0};
-  std::atomic<Value> value GUARDED_BY(word){0};
+/// A view is three references, built by GplModel::slot and passed by value;
+/// lock and guarded accesses go through one view variable so the analysis
+/// sees one capability.
+struct SlotRef {
+  SlotWord& word;
+  std::atomic<Key>& key GUARDED_BY(word);
+  std::atomic<Value>& value GUARDED_BY(word);
 
   /// Optimistic (seqlock) read of `key`, validated by caller: only valid if
   /// the caller's bracketing word.Read()/word.Validate() pair succeeds.
@@ -122,6 +120,32 @@ struct alignas(32) GplSlot {
   /// bracketing word.Read()/word.Validate() contract.
   Value OptimisticValue() const ALT_OPTIMISTIC_PATH ALT_REQUIRES_EPOCH {
     return value.load(std::memory_order_relaxed);
+  }
+};
+
+/// \brief The unit of a slot array: three slots in one 64 B cache line.
+///
+/// Layout: the three lanes' SlotWords (12 B) and 4 B of padding, then the
+/// three 16 B (key, value) pairs. Slot i lives in line i / 3, lane i % 3, so
+/// a probe touches exactly one line of a 64-byte-aligned array, and every lane
+/// keeps its own §III-E word (lock bit, state, sequence). 21⅓ B per slot
+/// against the 20 B payload; a 32 B padded slot would waste 12.
+///
+/// All-zero bytes are the initial state (every lane EMPTY, key 0, value 0),
+/// which is what lets a zero-filled slab slice serve as a slot array.
+struct alignas(64) SlotLine {
+  static constexpr uint32_t kLanes = 3;
+
+  struct Pair {
+    std::atomic<Key> key{0};
+    std::atomic<Value> value{0};
+  };
+
+  SlotWord word[kLanes];
+  Pair pair[kLanes];
+
+  SlotRef Lane(uint32_t lane) {
+    return SlotRef{word[lane], pair[lane].key, pair[lane].value};
   }
 };
 
@@ -198,13 +222,28 @@ class alignas(64) GplModel {
   uint32_t build_size() const { return build_size_; }
   Key coverage_end() const { return coverage_end_; }
 
-  GplSlot& slot(uint32_t i) { return slots_[i]; }
-  const GplSlot& slot(uint32_t i) const { return slots_[i]; }
+  /// Slot lines a `num_slots` array takes; the last may have unused lanes,
+  /// which stay EMPTY forever.
+  static uint32_t LinesFor(uint32_t num_slots) {
+    return (num_slots + SlotLine::kLanes - 1) / SlotLine::kLanes;
+  }
+  /// Bytes of a `num_slots` slot array: what the slab carves or the heap
+  /// allocates for it.
+  static size_t SlotArrayBytes(uint32_t num_slots) {
+    return sizeof(SlotLine) * static_cast<size_t>(LinesFor(num_slots));
+  }
+  uint32_t num_lines() const { return LinesFor(num_slots_); }
+
+  /// Lane view of slot `i` (line i / 3, lane i % 3). The view is mutable even
+  /// on a const model: slot state is concurrent state, guarded per lane by
+  /// its word, not part of the model's own constness.
+  SlotRef slot(uint32_t i) const {
+    return lines_[i / SlotLine::kLanes].Lane(i % SlotLine::kLanes);
+  }
 
   /// Batched read path stage hook: pull slot `i`'s line before it is probed.
-  /// One prefetch suffices — 32-byte slots in a 64-byte-aligned array never
-  /// straddle a line (enforced by static_asserts in gpl_model.cc).
-  void PrefetchSlot(uint32_t i) const { PrefetchRead(&slots_[i]); }
+  /// One prefetch suffices — the slot's word and pair share its line.
+  void PrefetchSlot(uint32_t i) const { PrefetchRead(&lines_[i / SlotLine::kLanes]); }
 
   /// Fast-pointer-buffer entry index for this model's key range (§III-C).
   int32_t fp_index() const { return fp_index_.load(std::memory_order_acquire); }
@@ -241,8 +280,8 @@ class alignas(64) GplModel {
   void CollectRange(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
                     size_t limit = ~size_t{0}) const ALT_REQUIRES_EPOCH;
 
-  /// Approximate heap footprint of this model (slots + header).
-  size_t MemoryBytes() const { return sizeof(GplModel) + sizeof(GplSlot) * num_slots_; }
+  /// Heap footprint of this model: header plus its slot lines.
+  size_t MemoryBytes() const { return sizeof(GplModel) + SlotArrayBytes(num_slots_); }
 
   /// The BulkLoad slab holding the slot array, or nullptr for a heap array.
   const SlotSlab* slab() const { return slab_; }
@@ -259,7 +298,7 @@ class alignas(64) GplModel {
   const Key first_key_;
   const double slope_;
   const Key coverage_end_;
-  GplSlot* slots_ = nullptr;
+  SlotLine* lines_ = nullptr;
   std::atomic<Expansion*> expansion_{nullptr};
   const uint32_t num_slots_;
   std::atomic<int32_t> fp_index_{-1};
@@ -267,7 +306,7 @@ class alignas(64) GplModel {
   // Cold tail (second line): write-path and teardown bookkeeping only.
   const uint32_t build_size_;
   std::atomic<uint32_t> insert_count_{0};
-  SlotSlab* const slab_;  ///< nullptr: slots_ is a heap array
+  SlotSlab* const slab_;  ///< nullptr: lines_ is a heap array
 };
 
 }  // namespace alt

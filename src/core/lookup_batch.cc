@@ -154,7 +154,7 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
 
     case Stage::kProbe: {
       Value v = 0;
-      switch (ProbeSlot(c.route.model, c.key, &v, &c.route.slot, &c.route.word)) {
+      switch (ProbeSlot(c.route.model, c.key, &v, &c.route)) {
         case Probe::kHit:
           out[c.index] = v;
           ++st->learned_hits;

@@ -545,6 +545,54 @@ TEST_F(AltIndexTest, MemoryUsageIsPlausible) {
   EXPECT_LT(bytes, pairs.size() * 120);
 }
 
+TEST_F(AltIndexTest, SizeIsExactAfterConcurrentDisjointInsertsAndRemoves) {
+  // Size() sums per-thread cells; once the writers are joined it must be the
+  // exact key count, and ART's own counter its census leaf count.
+  AltOptions o;
+  o.retrain_trigger_ratio = 0.5;  // expansions run under the churn too
+  AltIndex index(o);
+  const std::vector<Key> keys = GenerateKeys(Dataset::kOsm, 40000, 5);
+  std::vector<std::pair<Key, Value>> loaded;
+  std::vector<Key> extra;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i % 2 == 0) {
+      loaded.emplace_back(keys[i], ValueFor(keys[i]));
+    } else {
+      extra.push_back(keys[i]);
+    }
+  }
+  ASSERT_TRUE(index.BulkLoad(loaded).ok());
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> removed{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      size_t mine = 0;
+      for (size_t j = t; j < extra.size(); j += kThreads) {
+        EXPECT_TRUE(index.Insert(extra[j], ValueFor(extra[j])));
+      }
+      for (size_t j = t; j < extra.size(); j += kThreads) {
+        if (j % 3 == 0 && index.Remove(extra[j])) ++mine;
+      }
+      for (size_t j = t; j < loaded.size(); j += kThreads) {
+        if (j % 5 == 0 && index.Remove(loaded[j].first)) ++mine;
+      }
+      removed.fetch_add(mine);
+    });
+  }
+  for (auto& th : threads) th.join();
+  size_t expect_removed = 0;
+  for (size_t j = 0; j < extra.size(); j += 3) ++expect_removed;
+  for (size_t j = 0; j < loaded.size(); j += 5) ++expect_removed;
+  EXPECT_EQ(removed.load(), expect_removed);
+  const size_t expect = keys.size() - expect_removed;
+  EXPECT_EQ(index.Size(), expect);
+  EXPECT_EQ(index.art().Size(), index.art().CollectCensus().leaves);
+  std::vector<std::pair<Key, Value>> all;
+  index.Scan(0, keys.size() + 1, &all);
+  EXPECT_EQ(all.size(), expect);
+}
+
 TEST_F(AltIndexTest, KeyZeroIsALegalKey) {
   AltIndex index;
   std::vector<std::pair<Key, Value>> pairs{{0, 111}, {5, 222}, {10, 333}};

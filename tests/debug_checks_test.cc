@@ -51,34 +51,34 @@ TEST_F(DebugChecksDeathTest, SpinLockUnlockWithoutLockAborts) {
 // --- version-lock protocol checker: SlotWord (GPL slot seqlock) ---
 
 TEST_F(DebugChecksDeathTest, SlotWordDoubleLockAborts) {
-  GplSlot s;
-  const uint32_t w = s.word.Lock();
-  EXPECT_DEATH(s.word.Lock(), "slot-word: double-lock");
-  s.word.Unlock(w, SlotState::kOccupied);
+  SlotWord word;
+  const uint32_t w = word.Lock();
+  EXPECT_DEATH(word.Lock(), "slot-word: double-lock");
+  word.Unlock(w, SlotState::kOccupied);
 }
 
 TEST_F(DebugChecksDeathTest, SlotWordUnlockWithoutLockAborts) {
-  GplSlot s;
-  EXPECT_DEATH(s.word.Unlock(0, SlotState::kOccupied),
+  SlotWord word;
+  EXPECT_DEATH(word.Unlock(0, SlotState::kOccupied),
                "slot-word: unlock-without-lock");
 }
 
 TEST_F(DebugChecksDeathTest, SlotWordStaleUnlockTokenAborts) {
-  GplSlot s;
-  const uint32_t w = s.word.Lock();
+  SlotWord word;
+  const uint32_t w = word.Lock();
   // Publishing from a stale token would rewind the sequence number and let a
   // racing reader validate a torn snapshot.
-  EXPECT_DEATH(s.word.Unlock(w + (1u << 3), SlotState::kOccupied),
+  EXPECT_DEATH(word.Unlock(w + (1u << 3), SlotState::kOccupied),
                "slot-word: Unlock without the lock held or with a stale token");
-  s.word.Unlock(w, SlotState::kOccupied);
+  word.Unlock(w, SlotState::kOccupied);
 }
 
 TEST_F(DebugChecksDeathTest, SlotWordReadWhileWriteHeldAborts) {
-  GplSlot s;
-  const uint32_t w = s.word.Lock();
+  SlotWord word;
+  const uint32_t w = word.Lock();
   // Read() spins until the lock bit clears; self-read would hang forever.
-  EXPECT_DEATH(s.word.Read(), "slot-word: Read while this thread holds");
-  s.word.Unlock(w, SlotState::kOccupied);
+  EXPECT_DEATH(word.Read(), "slot-word: Read while this thread holds");
+  word.Unlock(w, SlotState::kOccupied);
 }
 
 // --- version-lock protocol checker: OptLock (ART optimistic lock coupling) ---

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <utility>
 #include <thread>
 #include <vector>
 
 #include "common/epoch.h"
+#include "common/random.h"
 #include "core/gpl_model.h"
 #include "core/model_directory.h"
 
@@ -103,7 +107,7 @@ TEST(GplModelTest, ZeroSlopeAlwaysSlotZero) {
 TEST(GplModelTest, CollectRangeReturnsSortedOccupied) {
   GplModel m(0, 1.0, 100, 50);
   for (uint32_t i = 0; i < 100; i += 2) {
-    GplSlot& s = m.slot(i);
+    const SlotRef s = m.slot(i);
     const uint32_t lw = s.word.Lock();
     s.key.store(i, std::memory_order_relaxed);
     s.value.store(i * 10, std::memory_order_relaxed);
@@ -111,7 +115,7 @@ TEST(GplModelTest, CollectRangeReturnsSortedOccupied) {
   }
   // A tombstone and a migrated slot must be skipped.
   {
-    GplSlot& s = m.slot(4);
+    const SlotRef s = m.slot(4);
     const uint32_t lw = s.word.Lock();
     s.word.Unlock(lw, SlotState::kTombstone);
   }
@@ -132,7 +136,7 @@ TEST(GplModelTest, CountSlotStates) {
   m.CountSlotStates(before);
   EXPECT_EQ(before[static_cast<int>(SlotState::kOccupied)], 0u);
   for (uint32_t i = 0; i < 10; ++i) {
-    GplSlot& s = m.slot(i);
+    const SlotRef s = m.slot(i);
     const uint32_t lw = s.word.Lock();
     s.key.store(i, std::memory_order_relaxed);
     s.word.Unlock(lw, SlotState::kOccupied);
@@ -151,6 +155,191 @@ TEST(GplModelTest, ExpansionInstallIsExclusive) {
   EXPECT_EQ(m.expansion(), e1);
   delete e2;
   // e1 is owned (and freed) by the model's destructor.
+}
+
+// ---------------------------------------------------------------------------
+// Slot lines: three slots per 64 B line, one word per lane (DESIGN.md §10.2)
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(SlotLine) == 64 && alignof(SlotLine) == 64, "one line per SlotLine");
+static_assert(SlotLine::kLanes == 3, "three lanes per line");
+
+void SetState(const SlotRef& s, SlotState state) {
+  const uint32_t lw = s.word.Lock();
+  s.word.Unlock(lw, state);
+}
+
+TEST(SlotLineTest, SlotIAddressesLineIOver3LaneIMod3) {
+  for (const uint32_t n : {1u, 2u, 3u, 4u, 100u, 101u}) {
+    GplModel m(0, 1.0, n, 0);
+    EXPECT_EQ(m.num_lines(), (n + 2) / 3) << "n=" << n;
+    EXPECT_EQ(m.MemoryBytes(), sizeof(GplModel) + 64u * m.num_lines()) << "n=" << n;
+    const auto base = reinterpret_cast<uintptr_t>(&m.slot(0).word);
+    EXPECT_EQ(base % 64, 0u) << "n=" << n;
+    for (uint32_t i = 0; i < n; ++i) {
+      const SlotRef s = m.slot(i);
+      const uintptr_t line = base + 64 * (i / 3);
+      const uintptr_t lane = i % 3;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(&s.word), line + 4 * lane) << i;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(&s.key), line + 16 + 16 * lane) << i;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(&s.value), line + 24 + 16 * lane) << i;
+    }
+  }
+}
+
+TEST(SlotLineTest, RaggedTailLanesStayEmpty) {
+  // 100 slots leave two unused lanes in the last line, 101 slots one.
+  for (const uint32_t n : {100u, 101u}) {
+    GplModel m(0, 1.0, n, 0);
+    ASSERT_NE(n % 3, 0u);
+    for (uint32_t i = 0; i < n; ++i) {
+      const SlotRef s = m.slot(i);
+      const uint32_t lw = s.word.Lock();
+      s.key.store(~Key{0} - i, std::memory_order_relaxed);
+      s.value.store(~Value{0} - i, std::memory_order_relaxed);
+      s.word.Unlock(lw, SlotState::kOccupied);
+    }
+    EpochGuard g;
+    size_t counts[4] = {0, 0, 0, 0};
+    m.CountSlotStates(counts);
+    EXPECT_EQ(counts[static_cast<int>(SlotState::kOccupied)], n) << "n=" << n;
+    EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3], n) << "n=" << n;
+    // The unused lanes are inside the last line but are no slot: never
+    // written, they still hold the all-zero EMPTY state.
+    for (uint32_t i = n; i < 3 * m.num_lines(); ++i) {
+      const SlotRef s = m.slot(i);
+      EXPECT_EQ(s.word.Read(), 0u) << "lane " << i;
+      EXPECT_EQ(s.OptimisticKey(), 0u) << "lane " << i;
+      EXPECT_EQ(s.OptimisticValue(), 0u) << "lane " << i;
+    }
+  }
+}
+
+TEST(SlotLineTest, LaneWritersNeverTearLaneReaders) {
+  // One line, three writers, one per lane, each rewriting its pair under its
+  // own word until the readers are done; readers validate every lane. A pair
+  // is (key, key * 7 + lane), so a reader that accepted a key from one write
+  // and a value from another, or a pair from the neighbouring lane, fails.
+  GplModel m(0, 1.0, 3, 0);
+  ASSERT_EQ(m.num_lines(), 1u);
+  constexpr uint64_t kValidatedPerLane = 5000;  // per reader
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> last_round[3] = {};
+  std::vector<std::thread> writers;
+  for (uint32_t lane = 0; lane < 3; ++lane) {
+    writers.emplace_back([&, lane] {
+      const SlotRef s = m.slot(lane);
+      uint64_t r = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Key k = ++r * 3 + lane;
+        const uint32_t lw = s.word.Lock();
+        s.key.store(k, std::memory_order_relaxed);
+        s.value.store(k * 7 + lane, std::memory_order_relaxed);
+        s.word.Unlock(lw, SlotState::kOccupied);
+      }
+      last_round[lane].store(r);
+    });
+  }
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      EpochGuard g;
+      uint64_t ok[3] = {0, 0, 0};
+      while (std::min({ok[0], ok[1], ok[2]}) < kValidatedPerLane) {
+        for (uint32_t lane = 0; lane < 3; ++lane) {
+          const SlotRef s = m.slot(lane);
+          const uint32_t w = s.word.Read();
+          if (SlotWord::StateOf(w) != SlotState::kOccupied) continue;
+          const Key k = s.OptimisticKey();
+          const Value v = s.OptimisticValue();
+          if (!s.word.Validate(w)) continue;
+          ASSERT_EQ(k % 3, lane);
+          ASSERT_EQ(v, k * 7 + lane);
+          ++ok[lane];
+        }
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  stop.store(true);
+  for (auto& th : writers) th.join();
+  EpochGuard g;
+  for (uint32_t lane = 0; lane < 3; ++lane) {
+    const SlotRef s = m.slot(lane);
+    const Key k = last_round[lane].load() * 3 + lane;
+    EXPECT_EQ(s.OptimisticKey(), k);
+    EXPECT_EQ(s.OptimisticValue(), k * 7 + lane);
+  }
+}
+
+TEST(SlotScanTest, CountsMatchManualLoop) {
+  // CountSlotStates walks line by line; it must agree with a plain per-slot
+  // walk on ragged sizes.
+  for (const uint32_t n : {1u, 7u, 8u, 9u, 63u, 64u, 200u, 1031u}) {
+    GplModel model(0, 1.0, n, 0);
+    Rng rng(83 + n);
+    size_t expect[4] = {0, 0, 0, 0};
+    for (uint32_t i = 0; i < n; ++i) {
+      const auto s = static_cast<SlotState>(rng.Next() % 4);
+      SetState(model.slot(i), s);
+      expect[static_cast<size_t>(s)]++;
+    }
+    EpochGuard g;
+    size_t counts[4] = {0, 0, 0, 0};
+    model.CountSlotStates(counts);
+    size_t total = 0;
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_EQ(counts[s], expect[s]) << "n=" << n << " state=" << s;
+      total += counts[s];
+    }
+    EXPECT_EQ(total, n);
+  }
+}
+
+TEST(SlotScanTest, CollectRangeMatchesReference) {
+  const uint32_t n = 512;
+  GplModel model(/*first_key=*/1000, /*slope=*/0.5, n, 0);
+  // Occupy a scattered subset at each key's predicted slot (first write wins,
+  // like bulk load), tombstone a few others.
+  Rng rng(97);
+  std::vector<std::pair<Key, Value>> resident;
+  for (int i = 0; i < 600; ++i) {
+    const Key k = 1000 + rng.Next() % 1000;
+    const SlotRef s = model.slot(model.Predict(k));
+    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
+    const uint32_t w = s.word.Lock();
+    s.key.store(k, std::memory_order_relaxed);
+    s.value.store(k * 3, std::memory_order_relaxed);
+    s.word.Unlock(w, SlotState::kOccupied);
+  }
+  for (uint32_t i = 0; i < n; i += 17) {
+    const SlotRef s = model.slot(i);
+    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
+    SetState(s, SlotState::kTombstone);
+  }
+  EpochGuard g;
+  for (uint32_t i = 0; i < n; ++i) {
+    const SlotRef s = model.slot(i);
+    if (SlotWord::StateOf(s.word.Read()) == SlotState::kOccupied) {
+      resident.emplace_back(s.OptimisticKey(), s.OptimisticValue());
+    }
+  }
+  for (const auto& [lo, hi] : std::vector<std::pair<Key, Key>>{
+           {0, ~Key{0}}, {1000, 1999}, {1200, 1400}, {1500, 1500},
+           {2500, 3000}, {0, 999}}) {
+    std::vector<std::pair<Key, Value>> got;
+    model.CollectRange(lo, hi, &got);
+    std::vector<std::pair<Key, Value>> expect;
+    for (const auto& kv : resident) {
+      if (kv.first >= lo && kv.first <= hi) expect.push_back(kv);
+    }
+    EXPECT_EQ(got, expect) << "lo=" << lo << " hi=" << hi;
+    // And the limit-clipped variant.
+    std::vector<std::pair<Key, Value>> limited;
+    model.CollectRange(lo, hi, &limited, 3);
+    expect.resize(std::min<size_t>(expect.size(), 3));
+    EXPECT_EQ(limited, expect) << "lo=" << lo << " hi=" << hi << " limit=3";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +393,9 @@ TEST(ModelDirectoryTest, AppendTailGrowsSnapshot) {
 TEST(ModelDirectoryTest, MemoryBytesCountsModels) {
   ModelDirectory dir;
   dir.Build({new GplModel(10, 1.0, 1024, 4)});
-  EXPECT_GT(dir.MemoryBytes(), 1024 * sizeof(GplSlot));
+  // 1024 slots take 342 lines: the last holds one slot and two unused lanes.
+  EXPECT_EQ(GplModel::SlotArrayBytes(1024), 342u * 64);
+  EXPECT_GT(dir.MemoryBytes(), sizeof(GplModel) + GplModel::SlotArrayBytes(1024));
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "common/cpu_features.h"
 #include "common/random.h"
 #include "common/simd.h"
-#include "core/gpl_model.h"
 #include "core/model_directory.h"
 
 namespace alt {
@@ -180,140 +179,6 @@ TEST(LocateDifferentialTest, WindowSharedByLocateAndPrefetch) {
     EXPECT_GE(idx + 1, w.lo);
     EXPECT_LE(idx, w.hi);
     ModelDirectory::PrefetchLocate(snap, p);  // must not fault
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Slot-state scan: vector vs scalar, with busy lanes
-// ---------------------------------------------------------------------------
-
-void SetState(GplSlot* s, SlotState state) {
-  const uint32_t lw = s->word.Lock();
-  s->word.Unlock(lw, state);
-}
-
-TEST(SlotScanTest, DispatchedBitIdenticalToScalar) {
-  GplModel model(/*first_key=*/0, /*slope=*/1.0, /*num_slots=*/256,
-                 /*build_size=*/0);
-  Rng rng(71);
-  for (uint32_t i = 0; i < model.num_slots(); ++i) {
-    SetState(&model.slot(i), static_cast<SlotState>(rng.Next() % 4));
-  }
-  for (uint32_t base = 0; base + 8 <= model.num_slots(); ++base) {
-    const auto vec = simd::ScanSlotWords8(&model.slot(base), sizeof(GplSlot));
-    const auto ref =
-        simd::ScanSlotWords8Scalar(&model.slot(base), sizeof(GplSlot));
-    EXPECT_EQ(vec.busy_mask, ref.busy_mask) << "base=" << base;
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(vec.state_mask[s], ref.state_mask[s])
-          << "base=" << base << " state=" << s;
-    }
-    // The masks partition the 8 lanes: every lane is busy or in one state.
-    uint32_t all = ref.busy_mask;
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(all & ref.state_mask[s], 0u);
-      all |= ref.state_mask[s];
-    }
-    EXPECT_EQ(all, 0xffu);
-  }
-}
-
-TEST(SlotScanTest, BusyLaneExcludedFromStateMasks) {
-  GplModel model(0, 1.0, 16, 0);
-  for (uint32_t i = 0; i < 16; ++i) {
-    SetState(&model.slot(i), SlotState::kOccupied);
-  }
-  const uint32_t token = model.slot(3).word.Lock();
-  const auto scan = simd::ScanSlotWords8(&model.slot(0), sizeof(GplSlot));
-  EXPECT_EQ(scan.busy_mask, 1u << 3);
-  EXPECT_EQ(scan.state_mask[static_cast<int>(SlotState::kOccupied)],
-            0xffu & ~(1u << 3));
-  model.slot(3).word.Unlock(token, SlotState::kOccupied);
-}
-
-TEST(SlotScanTest, CountsMatchManualLoop) {
-  // CountSlotStates runs the vector fast path internally when enabled; it
-  // must agree with a plain per-slot walk on ragged sizes.
-  for (const uint32_t n : {1u, 7u, 8u, 9u, 63u, 64u, 200u, 1031u}) {
-    GplModel model(0, 1.0, n, 0);
-    Rng rng(83 + n);
-    size_t expect[4] = {0, 0, 0, 0};
-    for (uint32_t i = 0; i < n; ++i) {
-      const auto s = static_cast<SlotState>(rng.Next() % 4);
-      SetState(&model.slot(i), s);
-      expect[static_cast<size_t>(s)]++;
-    }
-    size_t counts[4] = {0, 0, 0, 0};
-    model.CountSlotStates(counts);
-    size_t total = 0;
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(counts[s], expect[s]) << "n=" << n << " state=" << s;
-      total += counts[s];
-    }
-    EXPECT_EQ(total, n);
-  }
-}
-
-TEST(SlotScanTest, CollectRangeMatchesReference) {
-  const uint32_t n = 512;
-  GplModel model(/*first_key=*/1000, /*slope=*/0.5, n, 0);
-  // Occupy a scattered subset at each key's predicted slot (first write wins,
-  // like bulk load), tombstone a few others.
-  Rng rng(97);
-  std::vector<std::pair<Key, Value>> resident;
-  for (int i = 0; i < 600; ++i) {
-    const Key k = 1000 + rng.Next() % 1000;
-    GplSlot& s = model.slot(model.Predict(k));
-    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
-    const uint32_t w = s.word.Lock();
-    s.key.store(k, std::memory_order_relaxed);
-    s.value.store(k * 3, std::memory_order_relaxed);
-    s.word.Unlock(w, SlotState::kOccupied);
-  }
-  for (uint32_t i = 0; i < n; i += 17) {
-    GplSlot& s = model.slot(i);
-    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
-    const uint32_t w = s.word.Lock();
-    s.word.Unlock(w, SlotState::kTombstone);
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    const GplSlot& s = model.slot(i);
-    if (SlotWord::StateOf(s.word.Read()) == SlotState::kOccupied) {
-      resident.emplace_back(s.OptimisticKey(), s.OptimisticValue());
-    }
-  }
-  for (const auto [lo, hi] : std::vector<std::pair<Key, Key>>{
-           {0, ~Key{0}}, {1000, 1999}, {1200, 1400}, {1500, 1500},
-           {2500, 3000}, {0, 999}}) {
-    std::vector<std::pair<Key, Value>> got;
-    model.CollectRange(lo, hi, &got);
-    std::vector<std::pair<Key, Value>> expect;
-    for (const auto& kv : resident) {
-      if (kv.first >= lo && kv.first <= hi) expect.push_back(kv);
-    }
-    EXPECT_EQ(got, expect) << "lo=" << lo << " hi=" << hi;
-    // And the limit-clipped variant.
-    std::vector<std::pair<Key, Value>> limited;
-    model.CollectRange(lo, hi, &limited, 3);
-    expect.resize(std::min<size_t>(expect.size(), 3));
-    EXPECT_EQ(limited, expect) << "lo=" << lo << " hi=" << hi << " limit=3";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Memory backing: alignment contract (slab backing: slot_slab_test.cc)
-// ---------------------------------------------------------------------------
-
-TEST(AlignedMemTest, SlotArraysAre64ByteAlignedAndStraddleFree) {
-  for (const uint32_t n : {1u, 5u, 100u}) {
-    GplModel model(0, 1.0, n, 0);
-    const auto base = reinterpret_cast<uintptr_t>(&model.slot(0));
-    EXPECT_EQ(base % 64, 0u) << "n=" << n;
-    for (uint32_t i = 0; i < n; ++i) {
-      const auto a = reinterpret_cast<uintptr_t>(&model.slot(i));
-      // 32-byte slots on a 64-byte-aligned base: a slot never crosses a line.
-      EXPECT_EQ(a / 64, (a + sizeof(GplSlot) - 1) / 64) << "slot " << i;
-    }
   }
 }
 

@@ -56,10 +56,12 @@ std::unique_ptr<AltIndex> LoadOsm(size_t n, EpochManager* epoch,
 }
 
 /// Walk the sorted keys model by model: a key conflicts exactly when its
-/// predecessor in the same model predicted the same slot. Conflicts must be in
-/// ART-OPT and nowhere else; every other key in its predicted slot.
+/// predecessor in the same model predicted the same slot, or it is at or past
+/// its model's coverage_end. Conflicts must be in ART-OPT and nowhere else;
+/// every other key in its predicted slot. Sets *conflicts_out when given.
 void ExpectArtHoldsExactlyTheConflicts(const AltIndex& index, EpochManager& epoch,
-                                       const std::vector<Key>& keys) {
+                                       const std::vector<Key>& keys,
+                                       size_t* conflicts_out = nullptr) {
   const std::vector<const GplModel*> models = Models(index);
   EpochGuard g(epoch);
   size_t conflicts = 0;
@@ -73,12 +75,12 @@ void ExpectArtHoldsExactlyTheConflicts(const AltIndex& index, EpochManager& epoc
     }
     const uint32_t p = models[m]->Predict(k);
     Value v = 0;
-    if (!first_in_model && p == prev) {
+    if ((!first_in_model && p == prev) || k >= models[m]->coverage_end()) {
       ++conflicts;
       ASSERT_TRUE(index.art().Lookup(k, &v)) << "conflict " << k << " missing from ART";
       EXPECT_EQ(v, ValueFor(k));
     } else {
-      const GplSlot& s = models[m]->slot(p);
+      const SlotRef s = models[m]->slot(p);
       ASSERT_EQ(SlotWord::StateOf(s.word.Read()), SlotState::kOccupied) << k;
       ASSERT_EQ(s.OptimisticKey(), k);
       ASSERT_EQ(s.OptimisticValue(), ValueFor(k));
@@ -89,6 +91,7 @@ void ExpectArtHoldsExactlyTheConflicts(const AltIndex& index, EpochManager& epoc
   }
   EXPECT_GT(conflicts, 0u);
   EXPECT_EQ(index.art().Size(), conflicts);
+  if (conflicts_out != nullptr) *conflicts_out = conflicts;
 }
 
 /// Every bulk-loaded slot array is a 64-byte-aligned slice of one slab of at
@@ -115,8 +118,8 @@ void ExpectOneAlignedZeroFilledSlab(const AltIndex& index, EpochManager& epoch,
   std::vector<std::pair<const char*, const char*>> ranges;
   for (const GplModel* m : models) {
     ASSERT_EQ(m->slab(), slab);
-    const auto* lo = reinterpret_cast<const char*>(&m->slot(0));
-    const char* hi = lo + sizeof(GplSlot) * m->num_slots();
+    const auto* lo = reinterpret_cast<const char*>(&m->slot(0).word);
+    const char* hi = lo + GplModel::SlotArrayBytes(m->num_slots());
     EXPECT_EQ(reinterpret_cast<uintptr_t>(lo) % 64, 0u);
     EXPECT_GE(lo, slab->base());
     EXPECT_LE(hi, slab->base() + slab->capacity());
@@ -130,7 +133,7 @@ void ExpectOneAlignedZeroFilledSlab(const AltIndex& index, EpochManager& epoch,
   size_t empty = 0;
   for (const GplModel* m : models) {
     for (uint32_t i = 0; i < m->num_slots(); ++i) {
-      const GplSlot& s = m->slot(i);
+      const SlotRef s = m->slot(i);
       const uint32_t w = s.word.Read();
       if (SlotWord::StateOf(w) != SlotState::kEmpty) continue;
       ++empty;
@@ -194,17 +197,18 @@ TEST(SlotSlabTest, ModelInSlabWorksRegardlessOfBacking) {
   // ~2.2MB of slots: a huge page backs part of it when THP allows, 4KB pages
   // otherwise — either way the model must behave.
   const uint32_t n = 70000;
-  SlotSlab* slab = SlotSlab::Create(SlotSlab::SliceFootprint(sizeof(GplSlot) * n));
+  SlotSlab* slab =
+      SlotSlab::Create(SlotSlab::SliceFootprint(GplModel::SlotArrayBytes(n)));
   ASSERT_NE(slab, nullptr);
   {
     GplModel model(0, 1.0, n, 0, ~Key{0}, slab);
     EXPECT_EQ(model.slab(), slab);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(&model.slot(0)) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(&model.slot(0).word) % 64, 0u);
     EpochGuard g;
     size_t counts[4] = {0, 0, 0, 0};
     model.CountSlotStates(counts);
     EXPECT_EQ(counts[static_cast<int>(SlotState::kOccupied)], 0u);
-    GplSlot& s = model.slot(model.Predict(12345));
+    const SlotRef s = model.slot(model.Predict(12345));
     const uint32_t w = s.word.Lock();
     s.key.store(12345, std::memory_order_relaxed);
     s.value.store(99, std::memory_order_relaxed);
@@ -221,10 +225,10 @@ TEST(SlotSlabTest, ModelInSlabWorksRegardlessOfBacking) {
 // ---------------------------------------------------------------------------
 
 TEST(SlotSlabTest, BulkLoadPutsEveryArrayInOneAlignedSlab) {
-  // At gap factor 2 and 32 B/slot, 150k osm keys take a slab past 8MB, filled
-  // inline; 900k keys take one past 64MB, filled by the helper thread.
-  for (const auto& [n, min_slab] :
-       {std::pair<size_t, size_t>{150000, size_t{8} << 20}, {900000, size_t{64} << 20}}) {
+  // At gap factor 2 and 64 B per 3 slots, 150k osm keys take a slab past 5MB,
+  // filled inline; 1.4M keys take one past 64MB, filled by the helper thread.
+  for (const auto& [n, min_slab] : {std::pair<size_t, size_t>{150000, size_t{5} << 20},
+                                    {1400000, size_t{64} << 20}}) {
     SCOPED_TRACE(n);
     EpochManager epoch("slab-test");
     auto index = LoadOsm(n, &epoch);
@@ -242,6 +246,52 @@ TEST(SlotSlabTest, ArtHoldsExactlyThePredictionDerivedConflicts) {
   ExpectArtHoldsExactlyTheConflicts(*index, epoch, GenerateKeys(Dataset::kOsm, kN, 7));
 }
 
+TEST(SlotSlabTest, PlacementFollowsTheConflictRule) {
+  // Which keys BulkLoad sends to ART is a function of the models' Predict
+  // and coverage alone; the slot array's layout is addressing and bytes only.
+  // The pinned count is the one the 32 B-slot layout produced for these keys.
+  constexpr size_t kPinnedConflicts = 20571;
+  EpochManager epoch("slab-test");
+  std::vector<Key> keys = GenerateKeys(Dataset::kOsm, 100000, 13);
+  ASSERT_LT(keys.back(), ~Key{0});
+  keys.push_back(~Key{0});  // at every bulk model's coverage_end: ART only
+  std::vector<Value> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = ValueFor(keys[i]);
+  AltOptions opts;
+  opts.epoch_manager = &epoch;
+  AltIndex index(opts);
+  ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
+  size_t conflicts = 0;
+  ExpectArtHoldsExactlyTheConflicts(index, epoch, keys, &conflicts);
+  EXPECT_EQ(conflicts, kPinnedConflicts);
+}
+
+TEST(SlotSlabTest, SlabBytesAreTheModelsSlotLines) {
+  // The slab carves exactly the models' slot lines (plus ASan redzones), and
+  // MemoryUsage counts the same bytes, so a smaller line footprint is a
+  // smaller resident index, not only a smaller figure.
+  EpochManager epoch("slab-test");
+  auto index = LoadOsm(150000, &epoch);
+  size_t slot_bytes = 0;
+  size_t footprint = 0;
+  size_t model_bytes = 0;
+  for (const GplModel* m : Models(*index)) {
+    const size_t bytes = GplModel::SlotArrayBytes(m->num_slots());
+    EXPECT_EQ(bytes, 64u * m->num_lines());
+    EXPECT_EQ(m->MemoryBytes(), sizeof(GplModel) + bytes);
+    slot_bytes += bytes;
+    footprint += SlotSlab::SliceFootprint(bytes);
+    model_bytes += m->MemoryBytes();
+  }
+#if !defined(SLAB_TEST_ASAN)
+  EXPECT_EQ(footprint, slot_bytes);
+#endif
+  const AltIndex::StructuralStats st = index->CollectStructuralStats();
+  EXPECT_EQ(st.slab_bytes, footprint);
+  EXPECT_EQ(st.model_bytes, model_bytes);
+  EXPECT_EQ(st.total_bytes, index->MemoryUsage());
+}
+
 TEST(SlotSlabTest, ForcedRetrainOfSlabModelKeepsLookupsAndBytesExact) {
   EpochManager epoch("slab-test");
   AltOptions opts;
@@ -254,8 +304,8 @@ TEST(SlotSlabTest, ForcedRetrainOfSlabModelKeepsLookupsAndBytesExact) {
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
   const GplModel* first = Models(index).front();
   ASSERT_NE(first->slab(), nullptr);
-  const char* old_lo = reinterpret_cast<const char*>(&first->slot(0));
-  const size_t old_bytes = sizeof(GplSlot) * first->num_slots();
+  const char* old_lo = reinterpret_cast<const char*>(&first->slot(0).word);
+  const size_t old_bytes = GplModel::SlotArrayBytes(first->num_slots());
 
   for (Key k = 0; k < kBulk; ++k) {
     for (Key d = 1; d <= 3; ++d) ASSERT_TRUE(index.Insert(k * 4 + d, ValueFor(k * 4 + d)));
@@ -351,8 +401,9 @@ TEST(SlotSlabTest, EmptyAndTinyBulkLoadsWork) {
   epoch.DrainAll();
 }
 
-// In ALT_SANITIZE=address builds a read one slot past a slab model's array
-// lands in the slice's poisoned redzone, as it would past a heap array.
+// In ALT_SANITIZE=address builds a read one line past a slab model's array
+// lands in the slice's poisoned redzone, as it would past a heap array. (The
+// unused lanes of a ragged last line are inside the array.)
 TEST(SlotSlabDeathTest, ReadPastLastSlotIsCaught) {
 #if !defined(SLAB_TEST_ASAN)
   GTEST_SKIP() << "needs an ALT_SANITIZE=address build";
@@ -362,7 +413,7 @@ TEST(SlotSlabDeathTest, ReadPastLastSlotIsCaught) {
   auto index = LoadOsm(2000, &epoch);
   const GplModel* m = Models(*index).front();
   ASSERT_NE(m->slab(), nullptr);
-  EXPECT_DEATH((void)m->slot(m->num_slots()).word.Read(), "use-after-poison");
+  EXPECT_DEATH((void)m->slot(3 * m->num_lines()).word.Read(), "use-after-poison");
 #endif
 }
 
