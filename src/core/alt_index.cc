@@ -103,6 +103,7 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
         static_cast<double>(slots) / static_cast<double>(~Key{0});
     auto* model = new GplModel(0, slope, slots, slots / 2);
     if (options_.enable_fast_pointers) {
+      fp_buffer_.Reserve(1);  // the root entry, shared with later tail models
       const int32_t slot = fp_buffer_.AddPointer(art_.root(), 0, 0);
       model->set_fp_index(slot);
     }
@@ -146,32 +147,36 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   if (slab_ == nullptr) throw std::bad_alloc();
 
   std::vector<GplModel*> models;
-  // Which keys lose their slot to a prediction conflict (§III-A) follows from
-  // the predictions alone: Predict is monotone in the key, so a key conflicts
-  // exactly when its predecessor in the same model predicted the same slot.
-  // The slot fill and the ART-OPT inserts therefore need nothing from each
-  // other and run side by side.
+  // Which keys go to ART-OPT (§III-A conflicts) follows from the predictions
+  // alone: LineOf is monotone in the key, so the keys of one line are
+  // consecutive, and the line rule gives its lanes to the first LanesIn of
+  // them in ascending order (DESIGN.md §2.2). The slot fill and the ART-OPT
+  // inserts therefore need nothing from each other and run side by side.
   auto for_each_key = [&](auto&& visit) {
     for (size_t m = 0; m < segments.size(); ++m) {
       const Segment& seg = segments[m];
-      uint32_t prev = 0;
+      GplModel* model = models[m];
+      uint32_t prev = ~uint32_t{0};  // no line yet
+      uint32_t rank = 0;             // keys before this one in its line
       for (size_t i = 0; i < seg.length; ++i) {
         const Key k = keys[seg.start + i];
-        const uint32_t p = models[m]->Predict(k);
-        // ProbeSlot never reads a slot for a key at or past coverage_end
+        const uint32_t l = model->LineOf(k);
+        rank = l == prev ? rank + 1 : 0;
+        prev = l;
+        // ProbeSlot never reads a line for a key at or past coverage_end
         // (here only ~Key{0}), so that key goes to ART like a conflict.
-        visit(models[m], p, (i > 0 && p == prev) || k >= models[m]->coverage_end(), k,
-              values[seg.start + i]);
-        prev = p;
+        const bool in_art = rank >= model->LanesIn(l) || k >= model->coverage_end();
+        visit(model, l, rank, in_art, k, values[seg.start + i]);
       }
     }
   };
   // The slab is a fresh mapping, so the fill also faults it in.
   auto fill = [&] {
-    for_each_key([](GplModel* model, uint32_t p, bool conflict, Key k, Value v) {
-      if (conflict) return;
-      const SlotRef s = model->slot(p);
-      // Bulk load owns the index, but writing under the slot lock keeps the
+    for_each_key([](GplModel* model, uint32_t l, uint32_t lane, bool in_art, Key k,
+                    Value v) {
+      if (in_art) return;
+      const SlotRef s = model->line(l).Lane(lane);
+      // Bulk load owns the index, but writing under the lane lock keeps the
       // key/value stores inside the capability the analysis checks (the
       // uncontended CAS costs nothing next to the O(n) load itself).
       const uint32_t lw = s.word.Lock();
@@ -201,8 +206,8 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
     }
     {
       EpochGuard g(*epoch_);
-      for_each_key([this](GplModel*, uint32_t, bool conflict, Key k, Value v) {
-        if (conflict) art_.Insert(k, v);
+      for_each_key([this](GplModel*, uint32_t, uint32_t, bool in_art, Key k, Value v) {
+        if (in_art) art_.Insert(k, v);
       });
     }
     if (filler.joinable()) {
@@ -227,6 +232,8 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
     // node covering the model's key range; duplicates are merged.
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
     const size_t m = snap->first_keys.size();
+    // One entry per model, plus the ART root's for tail models (§III-F).
+    fp_buffer_.Reserve(m + 1);
     for (size_t i = 0; i < m; ++i) {
       const Key lo = snap->first_keys[i];
       const Key hi = (i + 1 < m) ? snap->first_keys[i + 1] - 1 : ~Key{0};
@@ -248,35 +255,43 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
 AltIndex::Probe AltIndex::ProbeSlot(GplModel* model, Key key, Value* out,
                                     ArtRoute* route) const ALT_REQUIRES_EPOCH {
   route->target = model;
+  route->lanes = 0;
   if (key >= model->coverage_end()) {
     // Out-of-coverage keys are never stored in slots (see GplModel ctor doc);
-    // ART is their authoritative home and there is no slot to validate.
-    route->pos = ArtRoute::kNoSlot;
-    route->word = 0;
+    // ART is their authoritative home and there is no line to validate.
+    route->line = ArtRoute::kNoLine;
     return Probe::kGoArt;
   }
-  route->pos = model->Predict(key);
-  const SlotRef s = model->slot(route->pos);
-  for (;;) {
-    const uint32_t w = s.word.Read();
-    route->word = w;
-    switch (SlotWord::StateOf(w)) {
-      case SlotState::kEmpty:
-        return Probe::kEmpty;
-      case SlotState::kMigrated:
-        return Probe::kMigrated;
-      case SlotState::kTombstone:
-        return Probe::kGoArt;
-      case SlotState::kOccupied:
-        break;
+  const uint32_t l = model->LineOf(key);
+  route->line = l;
+  bool saw_empty = false;
+  // Lanes are read one by one. That is enough for the absence proof: a lane
+  // never returns to EMPTY, and a key enters ART only while its line has no
+  // EMPTY lane, so a key present throughout the read is in a lane the read
+  // passes over while the key is there (DESIGN.md §2.2).
+  for (uint32_t lane = 0; lane < model->LanesIn(l); ++lane) {
+    const SlotRef s = model->line(l).Lane(lane);
+    for (;;) {
+      const uint32_t w = s.word.Read();
+      route->words[lane] = w;
+      route->lanes = lane + 1;
+      const SlotState st = SlotWord::StateOf(w);
+      if (st == SlotState::kMigrated) return Probe::kMigrated;  // whole line moved
+      if (st == SlotState::kEmpty && !saw_empty) {
+        saw_empty = true;
+        route->lane = lane;
+      }
+      if (st != SlotState::kOccupied) break;
+      const Key k = s.OptimisticKey();
+      const Value v = s.OptimisticValue();
+      if (!s.word.Validate(w)) continue;  // writer raced; re-read the lane
+      if (k != key) break;
+      route->lane = lane;
+      if (out != nullptr) *out = v;
+      return Probe::kHit;
     }
-    const Key k = s.OptimisticKey();
-    const Value v = s.OptimisticValue();
-    if (!s.word.Validate(w)) continue;  // writer raced; re-read
-    if (k != key) return Probe::kGoArt;
-    if (out != nullptr) *out = v;
-    return Probe::kHit;
   }
+  return saw_empty ? Probe::kEmpty : Probe::kGoArt;
 }
 
 AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
@@ -295,12 +310,13 @@ AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
         // Coverage gap (§III-F): the temporal buffer spans slightly more key
         // space than the old model, so a key beyond the old coverage may
         // live in a temporal slot.
-        if (!route->has_slot() && buffer_next) continue;
+        if (!route->has_line() && buffer_next) continue;
         return Resolve::kGoArt;
       case Probe::kEmpty:
         // New inserts land in the temporal buffer. Otherwise the zero-error
-        // invariant: an EMPTY predicted slot proves absence — unless it is
-        // suspended (fresh tail model, temporal buffer before its sweep).
+        // invariant: an EMPTY lane in the predicted line proves absence —
+        // unless it is suspended (fresh tail model, temporal buffer before its
+        // sweep).
         if (buffer_next) continue;
         return t->strict_empty() ? Resolve::kAbsent : Resolve::kGoArt;
       case Probe::kMigrated:
@@ -311,8 +327,12 @@ AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
 }
 
 bool AltIndex::RouteHolds(const ArtRoute& route, Key key) const ALT_REQUIRES_EPOCH {
-  if (route.has_slot()) return route.slot().word.Validate(route.word);
-  return RoutedModel(key) == route.model;
+  if (!route.has_line()) return RoutedModel(key) == route.model;
+  SlotLine& line = route.target->line(route.line);
+  for (uint32_t lane = 0; lane < route.lanes; ++lane) {
+    if (!line.word[lane].Validate(route.words[lane])) return false;
+  }
+  return true;
 }
 
 bool AltIndex::ArtLookup(const GplModel* model, Key key, Value* out,
@@ -398,16 +418,15 @@ bool AltIndex::LookupInternal(Key key, Value* out, ServedBy* served) const {
     Value art_value = 0;
     if (ArtLookup(route.model, key, &art_value, served)) {
       if (out != nullptr) *out = art_value;
-      // Write-back scheme (Alg. 2 lines 10-13): a tombstoned predicted slot
-      // re-adopts its key from ART. Skipped during expansion (§III-F owns
-      // slot transitions then; WriteBack re-checks under the slot lock). The
-      // write-back only moves a key between layers, so a const Lookup may
-      // perform it.
-      if (route.has_slot() &&
-          SlotWord::StateOf(route.word) == SlotState::kTombstone &&
+      // Write-back scheme (Alg. 2 lines 10-13): a tombstoned lane of the
+      // predicted line re-adopts its key from ART. Skipped during expansion
+      // (§III-F owns lane transitions then; WriteBack re-checks under the
+      // lane lock). The write-back only moves a key between layers, so a
+      // const Lookup may perform it.
+      if (route.has_line() && route.Saw(SlotState::kTombstone) &&
           route.model->expansion() == nullptr) {
         WriteBackSection wb(this);
-        const_cast<AltIndex*>(this)->WriteBack(route.model, route.slot(), key,
+        const_cast<AltIndex*>(this)->WriteBack(route.target, route.line, key,
                                                SlotState::kTombstone, out);
       }
       return true;
@@ -448,39 +467,48 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
       // An expansion appeared, or the temporal buffer was published and is
       // itself expanding: re-route from the top.
       return Placed::kRetry;
-    case Probe::kGoArt:
-      // Conflict (§III-A), or out of coverage (no slot state): the key
-      // belongs in ART-OPT. Tombstone inserts go there too — ART's insert is
-      // atomic w.r.t. duplicates; writing in place would race the write-back.
+    case Probe::kGoArt: {
+      // Full line (§III-A conflict), or out of coverage (no line): the key
+      // belongs in ART-OPT. ART's insert is atomic w.r.t. duplicates.
       SetServedBy(served, ServedBy::kConflictInsert);
+      if (route.has_line()) {
+        // The line stays full, and a §III-F sweep moves it only after the
+        // ART insert (it takes the line lock InsertConflict holds), so the
+        // finish sweep's adoption finds the key: no repair is needed.
+        const Placed r = InsertConflict(route, key, value);
+        if (r == Placed::kInserted) CountInsert(model, exp);
+        return r;
+      }
       if (!ArtInsert(t, key, value)) return Placed::kExists;  // exists in ART
       CountInsert(model, exp);
       EnsureArtKeyVisible(key);
       return Placed::kInserted;
+    }
     case Probe::kEmpty:
       break;
   }
-  const SlotRef s = route.slot();
+  const SlotRef s = route.slot();  // the line's first EMPTY lane
   if (!t->strict_empty()) {
     // Suspended invariant (fresh tail model, temporal buffer before its
     // finish sweep): the key may still sit in ART; check before placing,
-    // then re-validate the slot so a racing write-back sweep is observed.
+    // then re-validate the line so a racing write-back sweep is observed.
     Value existing = 0;
     const bool in_art = ArtLookup(t, key, &existing);
-    if (!s.word.Validate(route.word)) return Placed::kRetry;
+    if (!RouteHolds(route, key)) return Placed::kRetry;
     if (in_art) {
       SetServedBy(served, ServedBy::kArtRoot);
       return Placed::kExists;
     }
   }
   const uint32_t lw = s.word.Lock();
-  // Re-check the expansion under the slot lock: if one was installed on `t`
+  // Re-check the expansion under the lane lock: if one was installed on `t`
   // since it was routed, a concurrent insert may already have placed a
-  // conflicting key in the temporal buffer while this slot was EMPTY.
-  // Occupying it now would shadow that key behind the occupied → ART route
+  // conflicting key in the temporal buffer while this line had an EMPTY lane.
+  // Occupying it now would shadow that key behind the full line → ART route
   // and strand it (lookups would never probe the buffer). The lock
   // acquisition is an RMW, so any install visible to a writer that saw this
-  // slot EMPTY is visible to this load too.
+  // lane EMPTY is visible to this load too. Two inserts of one key both aim
+  // at the first EMPTY lane, so they meet on this lock.
   if (SlotWord::StateOf(lw) != SlotState::kEmpty || t->expansion() != nullptr) {
     s.word.Unlock(lw, SlotWord::StateOf(lw));
     return Placed::kRetry;
@@ -494,36 +522,38 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
   return Placed::kInserted;
 }
 
+AltIndex::Placed AltIndex::InsertConflict(const ArtRoute& route, Key key,
+                                          Value value) ALT_REQUIRES_EPOCH {
+  // The line lock excludes write-backs and line moves. With every lane word
+  // still as the probe read it, no write-back (Alg. 2's tombstone write-back
+  // above all) moved `key` into the line since the probe, and none can until
+  // the ART insert is done, so the key cannot end up in both places.
+  SpinLockGuard g(route.target->line(route.line).lock);
+  if (!RouteHolds(route, key)) return Placed::kRetry;
+  return ArtInsert(route.target, key, value) ? Placed::kInserted : Placed::kExists;
+}
+
 AltIndex::Placed AltIndex::InsertExpanding(GplModel* model, Expansion* exp,
                                            Key key,
                                            Value value) ALT_REQUIRES_EPOCH {
   if (key >= exp->new_model->coverage_end()) {
     // The temporal buffer will not store this key; InsertInto sends it to
-    // ART. The old model's clamp slot may still hold it from before the
+    // ART. The old model's clamp line may still hold it from before the
     // expansion — check for a duplicate there first.
     ArtRoute route;
     if (ProbeSlot(model, key, nullptr, &route) == Probe::kHit) return Placed::kExists;
     return InsertInto(model, exp, key, value, nullptr);
   }
-  const SlotRef s = model->slot(model->Predict(key));
-  const SlotState st = SlotWord::StateOf(s.word.Read());
-  if (st == SlotState::kOccupied || st == SlotState::kTombstone) {
-    const uint32_t lw = s.word.Lock();
-    if (SlotWord::StateOf(lw) != st) {
-      s.word.Unlock(lw, SlotWord::StateOf(lw));
-      return Placed::kRetry;
-    }
-    if (st == SlotState::kOccupied) {
-      const Key okey = s.key.load(std::memory_order_relaxed);
-      if (okey == key) {
-        s.word.Unlock(lw, SlotState::kOccupied);
-        return Placed::kExists;  // exists in place
-      }
-      // §III-F step 2: evict the old occupant to the temporal buffer, then
-      // place the new key there too.
-      MigrateInto(exp->new_model, okey, s.value.load(std::memory_order_relaxed));
-    }
-    s.word.Unlock(lw, SlotState::kMigrated);  // a tombstone has nothing to move
+  // §III-F step 2: move the key's old line to the temporal buffer, then place
+  // the new key there too. An all-EMPTY line has nothing to move (EMPTY lanes
+  // fill in lane order), and no writer fills it once the expansion is
+  // installed (InsertInto and WriteBack re-check under the lane lock). Lane 0
+  // moves last, so a MIGRATED lane 0 means the whole line has moved.
+  const uint32_t l = model->LineOf(key);
+  const SlotState first = SlotWord::StateOf(model->line(l).word[0].Read());
+  if (first != SlotState::kEmpty && first != SlotState::kMigrated &&
+      MigrateLine(model, l, exp->new_model, &key)) {
+    return Placed::kExists;  // exists in place
   }
   return InsertInto(model, exp, key, value, nullptr);
 }
@@ -542,23 +572,52 @@ void AltIndex::CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH {
 void AltIndex::MigrateInto(GplModel* new_model, Key key,
                            Value value) ALT_REQUIRES_EPOCH {
   if (key < new_model->coverage_end()) {
-    const SlotRef s = new_model->slot(new_model->Predict(key));
-    const uint32_t lw = s.word.Lock();
-    if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
-      s.key.store(key, std::memory_order_relaxed);
-      s.value.store(value, std::memory_order_relaxed);
-      s.word.Unlock(lw, SlotState::kOccupied);
-      return;
+    const uint32_t l = new_model->LineOf(key);
+    for (uint32_t lane = 0; lane < new_model->LanesIn(l); ++lane) {
+      const SlotRef s = new_model->line(l).Lane(lane);
+      if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
+      const uint32_t lw = s.word.Lock();
+      if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
+        s.key.store(key, std::memory_order_relaxed);
+        s.value.store(value, std::memory_order_relaxed);
+        s.word.Unlock(lw, SlotState::kOccupied);
+        return;
+      }
+      s.word.Unlock(lw, SlotWord::StateOf(lw));
     }
-    s.word.Unlock(lw, SlotWord::StateOf(lw));
   }
-  // Conflict in the temporal buffer too, or a pre-expansion clamp-slot
+  // A full line in the temporal buffer too, or a pre-expansion clamp-line
   // resident beyond the new coverage (a future tail model takes its range
   // over from ART): the victim goes to ART-OPT. Victims are unique keys that
   // lived only in the old model, so this cannot collide.
   const bool ok = ArtInsert(new_model, key, value);
   assert(ok && "migrated victim unexpectedly present in ART");
   (void)ok;
+}
+
+bool AltIndex::MigrateLine(GplModel* old, uint32_t l, GplModel* new_model,
+                           const Key* key) ALT_REQUIRES_EPOCH {
+  SlotLine& line = old->line(l);
+  SpinLockGuard g(line.lock);
+  // Last lane first: readers go from lane 0 up, so one that meets a MIGRATED
+  // lane finds that lane's occupant, and every later lane's, already in the
+  // temporal buffer, and it passed the earlier lanes while they still held
+  // their keys.
+  for (uint32_t lane = old->LanesIn(l); lane-- > 0;) {
+    const SlotRef s = line.Lane(lane);
+    const uint32_t lw = s.word.Lock();
+    const SlotState st = SlotWord::StateOf(lw);
+    if (st == SlotState::kOccupied) {
+      const Key k = s.key.load(std::memory_order_relaxed);
+      if (key != nullptr && k == *key) {
+        s.word.Unlock(lw, st);
+        return true;
+      }
+      MigrateInto(new_model, k, s.value.load(std::memory_order_relaxed));
+    }
+    s.word.Unlock(lw, SlotState::kMigrated);  // EMPTY and TOMBSTONE lanes too
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -667,7 +726,7 @@ size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
          i < num_models && out->size() < limit; ++i) {
       if (snap->first_keys[i] > hi) break;
       GplModel* model = snap->models[i].load(std::memory_order_acquire);
-      // The first `want` keys of a union of ascending (slot-ordered) runs
+      // The first `want` keys of a union of ascending (line-ordered) runs
       // lie within the first `want` keys of each run, so capping every run
       // at `want` is exact (DESIGN.md §12.5).
       const size_t before = out->size();
@@ -705,28 +764,36 @@ size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
 void AltIndex::EnsureArtKeyVisible(Key key) ALT_REQUIRES_EPOCH {
   ArtRoute route;
   ResolveSlot(key, nullptr, &route);
-  // Only an EMPTY slot can ever make the key unreachable. Attempt the
-  // write-back even while the slot's model has the invariant suspended: the
-  // sweep that will re-arm strict_empty may already have passed this key's
-  // position in ART, so the inserter itself must make the key slot-visible.
-  if (!route.has_slot() || SlotWord::StateOf(route.word) != SlotState::kEmpty) {
-    return;
-  }
+  // Only an EMPTY lane in the line can ever make the key unreachable. Attempt
+  // the write-back even while the line's model has the invariant suspended:
+  // the sweep that will re-arm strict_empty may already have passed this
+  // key's position in ART, so the inserter itself must make the key visible.
+  if (!route.has_line() || !route.Saw(SlotState::kEmpty)) return;
   WriteBackSection wb(this);
-  WriteBack(route.target, route.slot(), key, SlotState::kEmpty);
+  WriteBack(route.target, route.line, key, SlotState::kEmpty);
 }
 
-void AltIndex::WriteBack(GplModel* owner, SlotRef s, Key key, SlotState from,
+void AltIndex::WriteBack(GplModel* owner, uint32_t l, Key key, SlotState from,
                          Value* moved) ALT_REQUIRES_EPOCH {
   ALT_DEBUG_CHECK(::alt::debug::LockHeldByThisThread(&write_backs_active_), "write-back",
                   "ART->slot write-back outside a WriteBackSection", this);
-  const uint32_t lw = s.word.Lock();
-  // TOCTOU guard (see InsertInto): once an expansion is installed on `owner`,
-  // §III-F owns its slot transitions; the key stays in ART, reachable behind
-  // the suspended invariant, and the finish sweep writes it back.
-  if (SlotWord::StateOf(lw) == from && owner->expansion() == nullptr) {
+  SlotLine& line = owner->line(l);
+  SpinLockGuard g(line.lock);  // no conflict insert or line move in between
+  for (uint32_t lane = 0; lane < owner->LanesIn(l); ++lane) {
+    const SlotRef s = line.Lane(lane);
+    if (SlotWord::StateOf(s.word.Read()) != from) continue;
+    const uint32_t lw = s.word.Lock();
+    if (SlotWord::StateOf(lw) != from) {
+      // Taken since the read: a later lane may still be in `from`.
+      s.word.Unlock(lw, SlotWord::StateOf(lw));
+      continue;
+    }
+    // TOCTOU guard (see InsertInto): once an expansion is installed on
+    // `owner`, §III-F owns its lane transitions; the key stays in ART,
+    // reachable behind the suspended invariant, and the finish sweep writes
+    // it back.
     Value v = 0;
-    if (art_.Remove(key, &v)) {
+    if (owner->expansion() == nullptr && art_.Remove(key, &v)) {
       s.key.store(key, std::memory_order_relaxed);
       s.value.store(v, std::memory_order_relaxed);
       s.word.Unlock(lw, SlotState::kOccupied);
@@ -734,8 +801,9 @@ void AltIndex::WriteBack(GplModel* owner, SlotRef s, Key key, SlotState from,
       if (moved != nullptr) *moved = v;
       return;
     }
+    s.word.Unlock(lw, from);
+    return;
   }
-  s.word.Unlock(lw, SlotWord::StateOf(lw));
 }
 
 void AltIndex::MaybeTriggerExpansion(GplModel* model) {
@@ -789,18 +857,9 @@ void AltIndex::FinishExpansion(GplModel* model,
   trace::Span finish_span("retrain_finish", "retrain", model->first_key());
 
   {
-    // Step 1: sweep the remaining old slots into the temporal buffer.
+    // Step 1: sweep the remaining old lines into the temporal buffer.
     trace::Span sweep_span("retrain_sweep", "retrain", model->num_slots());
-    for (uint32_t i = 0; i < model->num_slots(); ++i) {
-      const SlotRef s = model->slot(i);
-      const uint32_t lw = s.word.Lock();
-      if (SlotWord::StateOf(lw) == SlotState::kOccupied) {
-        const Key k = s.key.load(std::memory_order_relaxed);
-        const Value v = s.value.load(std::memory_order_relaxed);
-        MigrateInto(nm, k, v);
-      }
-      s.word.Unlock(lw, SlotState::kMigrated);
-    }
+    for (uint32_t l = 0; l < model->num_lines(); ++l) MigrateLine(model, l, nm, nullptr);
   }
 
   {
@@ -869,16 +928,14 @@ size_t AltIndex::AdoptArtRange(GplModel* m) ALT_REQUIRES_EPOCH {
   Key hi = m->coverage_end() - 1;
   if (idx + 1 < snap->first_keys.size()) hi = std::min(hi, snap->first_keys[idx + 1] - 1);
   // Collected before the section opens, since scans spin while one is open.
-  // A key inserted into ART after this collection makes itself visible
-  // (EnsureArtKeyVisible).
+  // A key inserted into ART after this collection either has a full line in
+  // m or makes itself visible (EnsureArtKeyVisible).
   std::vector<std::pair<Key, Value>> keys;
   art_.RangeQuery(lo, hi, &keys);
   WriteBackSection wb(this);
-  for (const auto& [k, unused_v] : keys) {
-    WriteBack(m, m->slot(m->Predict(k)), k, SlotState::kEmpty);
-  }
-  // The invariant now holds: every ART key of the range either has an
-  // occupied predicted slot or was just written back.
+  for (const auto& [k, unused_v] : keys) WriteBack(m, m->LineOf(k), k, SlotState::kEmpty);
+  // The invariant now holds: every ART key of the range either has a full
+  // line or was just written back.
   m->set_strict_empty(true);
   return keys.size();
 }

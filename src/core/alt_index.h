@@ -27,9 +27,9 @@ namespace alt {
 /// ## Architecture (paper §III)
 ///  - *Learned index layer*: a flattened array of GPL models (Alg. 1
 ///    segmentation) behind one binary-searchable upper model. Every resident
-///    key sits at exactly its predicted slot — no secondary search ever runs
-///    in this layer.
-///  - *ART-OPT layer*: keys whose predicted slot was already taken (bulk-load
+///    key sits in a lane of its predicted 64 B slot line — a probe reads one
+///    line, and no secondary search ever runs in this layer.
+///  - *ART-OPT layer*: keys whose predicted line was already full (bulk-load
 ///    conflicts and runtime insertion conflicts) live in an ART; the fast
 ///    pointer buffer jumps secondary searches into the deepest covering
 ///    subtree.
@@ -140,7 +140,7 @@ class AltIndex final : public ConcurrentIndex {
     // --- conflict population ----------------------------------------------
     size_t art_keys = 0;
     /// art_keys / (art_keys + occupied slots): fraction of resident keys that
-    /// lost their predicted slot (paper §III-A conflict ratio).
+    /// found their predicted line full (paper §III-A conflict ratio).
     double conflict_ratio = 0;
 
     art::ArtTree::Census art;
@@ -151,7 +151,7 @@ class AltIndex final : public ConcurrentIndex {
     size_t retrain_started = 0;    ///< expansions triggered (§III-F)
     size_t retrain_finished = 0;   ///< expansions completed & published
 
-    /// Keys resident at their predicted slots (occupied learned-layer slots).
+    /// Keys resident in their predicted lines (occupied learned-layer slots).
     size_t learned_layer_keys() const {
       return slot_states[static_cast<size_t>(SlotState::kOccupied)];
     }
@@ -167,6 +167,13 @@ class AltIndex final : public ConcurrentIndex {
   /// CollectStructuralStats serialized as a single JSON object (pretty, 2-space
   /// indent) — the payload behind the `--dump_structure` bench flag.
   std::string StructureJson() const override;
+
+  /// Test hook (quiescent-only, O(n)): the placement invariant of the line
+  /// rule (DESIGN.md §2.2). Every lane key sits in its predicted line; no key
+  /// sits in two places (two lanes, or a lane and ART-OPT); and no ART key of
+  /// a strict_empty model without an expansion has an EMPTY lane in its
+  /// predicted line. \return the first violation as an Internal status.
+  Status CheckPlacementInvariant() const;
 
   size_t MemoryUsage() const override;
 
@@ -189,9 +196,11 @@ class AltIndex final : public ConcurrentIndex {
 
   struct ArtRoute;
 
-  /// Read `model`'s predicted slot for `key`. On kHit, *out is set; kGoArt
-  /// means a conflict, a tombstone or an out-of-coverage key (no slot).
-  /// Records `model`, the slot and its observed word in `route`.
+  /// Read `model`'s predicted line for `key` (the line rule, DESIGN.md §2.2):
+  /// kHit if a lane holds the key (*out set), kMigrated if a lane is
+  /// MIGRATED, kEmpty if a lane is EMPTY, else kGoArt — a full line or an
+  /// out-of-coverage key (no line). Records the line and every lane word it
+  /// read in `route`.
   Probe ProbeSlot(GplModel* model, Key key, Value* out,
                   ArtRoute* route) const ALT_REQUIRES_EPOCH;
 
@@ -204,24 +213,33 @@ class AltIndex final : public ConcurrentIndex {
   }
 
   /// Where a point op's routing ended: the revalidation token for an ART
-  /// miss (RouteHolds) and the slot an in-place action or write-back uses.
+  /// miss (RouteHolds) and the line an in-place action or write-back uses.
   struct ArtRoute {
-    static constexpr uint32_t kNoSlot = ~uint32_t{0};
+    static constexpr uint32_t kNoLine = ~uint32_t{0};
 
     GplModel* model = nullptr;   ///< the model the directory routed to
-    GplModel* target = nullptr;  ///< `model` or its temporal buffer: owns `pos`
-    uint32_t pos = kNoSlot;      ///< target's slot; kNoSlot: ART is the key's only home
-    uint32_t word = 0;           ///< the slot's word as read
+    GplModel* target = nullptr;  ///< `model` or its temporal buffer: owns `line`
+    uint32_t line = kNoLine;     ///< target's line; kNoLine: ART is the key's only home
+    uint32_t lane = 0;           ///< kHit: the key's lane; kEmpty: the first EMPTY lane
+    uint32_t lanes = 0;          ///< lanes read into `words`
+    uint32_t words[SlotLine::kLanes] = {};  ///< the lane words as read
 
-    bool has_slot() const { return pos != kNoSlot; }
-    SlotRef slot() const { return target->slot(pos); }
+    bool has_line() const { return line != kNoLine; }
+    SlotRef slot() const { return target->line(line).Lane(lane); }
+    /// \return true if a lane read was in state `st`.
+    bool Saw(SlotState st) const {
+      for (uint32_t i = 0; i < lanes; ++i) {
+        if (SlotWord::StateOf(words[i]) == st) return true;
+      }
+      return false;
+    }
   };
 
   enum class Resolve {
     kInSlot,  ///< route.slot holds the key (*out set)
-    kAbsent,  ///< EMPTY slot under the zero-error invariant: authoritative miss
+    kAbsent,  ///< EMPTY lane under the zero-error invariant: authoritative miss
     kGoArt,   ///< ART-OPT decides; `route` revalidates a miss
-    kRetry,   ///< stale snapshot or migrated slot: re-route
+    kRetry,   ///< stale snapshot or migrated line: re-route
   };
 
   /// The one slot resolver behind Lookup, Update, Remove and
@@ -230,9 +248,10 @@ class AltIndex final : public ConcurrentIndex {
   Resolve ResolveSlot(Key key, Value* out, ArtRoute* route) const ALT_REQUIRES_EPOCH;
 
   /// After an ART miss: \return true if `route` still sends `key` to ART —
-  /// the routed slot's word is unchanged or, with no slot, the directory
-  /// still routes `key` to route.model — so the miss is authoritative. False
-  /// means a write-back, migration or tail append may have moved the key.
+  /// every lane word the probe read is unchanged or, with no line, the
+  /// directory still routes `key` to route.model — so the miss is
+  /// authoritative. False means a write-back, migration or tail append may
+  /// have moved the key.
   bool RouteHolds(const ArtRoute& route, Key key) const ALT_REQUIRES_EPOCH;
 
   /// Secondary search in ART-OPT via the model's fast pointer (root fallback).
@@ -267,13 +286,19 @@ class AltIndex final : public ConcurrentIndex {
   enum class Placed { kInserted, kExists, kRetry };
 
   /// Insert into `model`, or with `exp` into its temporal buffer: claim the
-  /// EMPTY predicted slot, else (conflict, tombstone, out of coverage) go to
-  /// ART-OPT.
+  /// first EMPTY lane of the predicted line, else (full line, out of
+  /// coverage) go to ART-OPT.
   Placed InsertInto(GplModel* model, Expansion* exp, Key key, Value value,
                     ServedBy* served) ALT_REQUIRES_EPOCH;
 
-  /// Slow path: `model` is under §III-F expansion. Retires the key's old
-  /// slot (migrating its occupant), then inserts into the temporal buffer.
+  /// ART-OPT insert for a full line, under the line's lock and only if every
+  /// lane still holds the word the probe read, so no write-back can move
+  /// `key` into the line around the ART insert (DESIGN.md §2.2). kRetry: the
+  /// line changed since the probe.
+  Placed InsertConflict(const ArtRoute& route, Key key, Value value) ALT_REQUIRES_EPOCH;
+
+  /// Slow path: `model` is under §III-F expansion. Moves the key's old line
+  /// to the temporal buffer, then inserts into it.
   Placed InsertExpanding(GplModel* model, Expansion* exp, Key key,
                          Value value) ALT_REQUIRES_EPOCH;
 
@@ -281,20 +306,31 @@ class AltIndex final : public ConcurrentIndex {
   /// with `exp`, the finish check.
   void CountInsert(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
 
-  /// Place (key, value) into the temporal buffer; conflicts go to ART.
-  /// Used for victim migration (never fails; victims are unique).
+  /// Place (key, value) into the first EMPTY lane of its temporal-buffer
+  /// line; a full line sends it to ART. Used for victim migration (never
+  /// fails; victims are unique).
   void MigrateInto(GplModel* new_model, Key key, Value value) ALT_REQUIRES_EPOCH;
 
-  /// Post-ART-insert repair for routing races: if `key`'s routed slot is
-  /// EMPTY (a concurrently appended tail model or temporal buffer now owns
-  /// its range), write the key back from ART before the insert returns.
+  /// §III-F line move: under `old`'s line lock, lock each lane of line `l`,
+  /// last lane first, move its occupant to `new_model` and unlock it as
+  /// MIGRATED — unless it holds `*key` (when given): then that lane unlocks
+  /// unchanged and the call \return true.
+  bool MigrateLine(GplModel* old, uint32_t l, GplModel* new_model,
+                   const Key* key) ALT_REQUIRES_EPOCH;
+
+  /// Post-ART-insert repair for routing races of an out-of-coverage insert:
+  /// if `key`'s routed line has an EMPTY lane (a concurrently appended tail
+  /// model or temporal buffer now owns its range), write the key back from
+  /// ART before the insert returns.
   void EnsureArtKeyVisible(Key key) ALT_REQUIRES_EPOCH;
 
-  /// The one ART→slot write-back (Alg. 2 lines 10-13, §III-F): lock `s`; if
-  /// it is still in state `from` and `owner` has no expansion, move `key`
-  /// from ART-OPT into it (its value to *moved). Must run inside a
-  /// WriteBackSection; ALT_DEBUG_CHECKS enforces it.
-  void WriteBack(GplModel* owner, SlotRef s, Key key, SlotState from,
+  /// The one ART→lane write-back (Alg. 2 lines 10-13, §III-F): under the
+  /// line lock, lock the first lane of `owner`'s line `l` still in state
+  /// `from`; if `owner` has no expansion, move `key` from ART-OPT into it (its
+  /// value to *moved). A lane that leaves `from` before its lock passes the
+  /// turn to the next one. Must run inside a WriteBackSection;
+  /// ALT_DEBUG_CHECKS enforces it.
+  void WriteBack(GplModel* owner, uint32_t l, Key key, SlotState from,
                  Value* moved = nullptr) ALT_REQUIRES_EPOCH;
 
   void MaybeTriggerExpansion(GplModel* model);
@@ -304,7 +340,7 @@ class AltIndex final : public ConcurrentIndex {
 
   /// The one ART-range adoption step of the §III-F finish and tail-append
   /// sweeps: collect ART's keys in m's routing range outside any
-  /// WriteBackSection, write them back into m's EMPTY predicted slots inside
+  /// WriteBackSection, write each back into an EMPTY lane of its line inside
   /// one, then re-arm m's strict_empty. \return the keys collected.
   size_t AdoptArtRange(GplModel* m) ALT_REQUIRES_EPOCH;
 
@@ -313,7 +349,7 @@ class AltIndex final : public ConcurrentIndex {
   /// A write-back removes the key from ART after locking its slot, so a scan
   /// that read the slot before the lock and queries ART after the removal
   /// sees the key in *neither* layer. Point lookups survive this by
-  /// re-validating the routed slot word after an ART miss (RouteHolds); scans
+  /// re-validating the routed line's words after an ART miss (RouteHolds); scans
   /// validate coarsely instead, against this generation seqlock (ScanRange).
   class WriteBackSection {
    public:

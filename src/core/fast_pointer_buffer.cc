@@ -7,6 +7,12 @@ namespace alt {
 FastPointerBuffer::FastPointerBuffer() = default;
 FastPointerBuffer::~FastPointerBuffer() = default;
 
+void FastPointerBuffer::Reserve(size_t capacity) {
+  assert(count_.load(std::memory_order_relaxed) == 0 && "Reserve after AddPointer");
+  entries_ = std::make_unique<Entry[]>(capacity);
+  capacity_ = capacity;
+}
+
 int32_t FastPointerBuffer::AddPointer(art::Node* node, int depth, Key prefix) {
   add_calls_.fetch_add(1, std::memory_order_relaxed);
   // Merge scheme: if the node already owns an entry, share it.
@@ -18,9 +24,7 @@ int32_t FastPointerBuffer::AddPointer(art::Node* node, int depth, Key prefix) {
   if (existing >= 0) return existing;
 
   const size_t idx = count_.load(std::memory_order_relaxed);
-  const size_t chunk = idx >> kChunkBits;
-  assert(chunk < kMaxChunks && "fast pointer buffer capacity exceeded");
-  if (chunks_[chunk] == nullptr) chunks_[chunk] = std::make_unique<Entry[]>(kChunkSize);
+  if (idx == capacity_) return -1;
   Entry& e = EntryAt(idx);
   {
     // The entry is unpublished (count_ not yet bumped) so its lock is free;
@@ -46,9 +50,7 @@ FastPointerBuffer::Ref FastPointerBuffer::Get(int32_t slot) const
 }
 
 size_t FastPointerBuffer::MemoryBytes() const {
-  const size_t n = count_.load(std::memory_order_acquire);
-  const size_t chunks = (n + kChunkSize - 1) / kChunkSize;
-  return sizeof(FastPointerBuffer) + chunks * kChunkSize * sizeof(Entry);
+  return sizeof(FastPointerBuffer) + capacity_ * sizeof(Entry);
 }
 
 void FastPointerBuffer::OnNodeReplaced(int32_t slot, art::Node* old_node,

@@ -29,8 +29,11 @@ namespace alt {
 ///    node/meta pair can cause at worst a futile subtree probe that falls back
 ///    to a root traversal — never a wrong result.
 ///
-/// Storage is chunked so entry addresses are stable while the buffer grows
-/// (tail models append entries at runtime).
+/// Storage is one array sized by Reserve before the buffer is used, so entry
+/// addresses never move and Get needs no lock. The bound is known at bulk
+/// load: one entry per bulk-loaded model, plus one for the ART root that tail
+/// models share. Expansions reuse their model's entry (set_fp_index), and a
+/// tail model's root entry is merged like any other.
 class FastPointerBuffer : public art::ArtStructureListener {
  public:
   struct Ref {
@@ -42,9 +45,15 @@ class FastPointerBuffer : public art::ArtStructureListener {
   FastPointerBuffer();
   ~FastPointerBuffer() override;
 
+  /// Size the buffer for `capacity` entries. Call once, before any
+  /// AddPointer and before concurrent use.
+  void Reserve(size_t capacity);
+
   /// Register `node` (at `depth` = node->match_level, covering keys that share
   /// `prefix`'s first `depth` bytes). Returns the entry index; if the node
-  /// already has an entry, returns that one (merge scheme). Thread-safe.
+  /// already has an entry, returns that one (merge scheme). Returns -1 when
+  /// the reserved entries are used up: the caller's model then descends from
+  /// the ART root, as with a dead entry. Thread-safe.
   int32_t AddPointer(art::Node* node, int depth, Key prefix);
 
   /// Current target of entry `slot`. Optimistic lock-free read, validated by
@@ -79,10 +88,6 @@ class FastPointerBuffer : public art::ArtStructureListener {
   void OnNodeRemoved(int32_t slot, art::Node* node, art::Node* ancestor) override;
 
  private:
-  static constexpr size_t kChunkBits = 12;  // 4096 entries per chunk
-  static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
-  static constexpr size_t kMaxChunks = 1 << 14;
-
   struct Entry {
     SpinLock lock;
     /// Writers (initialization + the On* SMO callbacks) hold `lock`; the
@@ -94,15 +99,14 @@ class FastPointerBuffer : public art::ArtStructureListener {
     std::atomic<uint64_t> meta GUARDED_BY(lock){0};
   };
 
-  Entry& EntryAt(size_t i) const {
-    return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
-  }
+  Entry& EntryAt(size_t i) const { return entries_[i]; }
 
   static uint64_t PackMeta(Key prefix, int depth) {
     return prefix | static_cast<uint64_t>(depth & 0xFF);
   }
 
-  mutable std::unique_ptr<Entry[]> chunks_[kMaxChunks];
+  std::unique_ptr<Entry[]> entries_;
+  size_t capacity_ = 0;
   std::atomic<size_t> count_{0};
   std::atomic<size_t> add_calls_{0};
   SpinLock grow_lock_;

@@ -17,6 +17,8 @@ static_assert(sizeof(SlotWord) == 4, "a lane's word is one 32-bit atomic");
 static_assert(sizeof(SlotLine) == 64 && alignof(SlotLine) == 64,
               "a slot line is exactly one cache line");
 static_assert(SlotLine::kLanes == 3, "three slots per line");
+static_assert(sizeof(SpinLock) == 1 && offsetof(SlotLine, lock) == 12,
+              "the line lock sits in the padding after the three words");
 static_assert(offsetof(SlotLine, pair) == 16,
               "pairs follow the three words and 4 B of padding");
 static_assert(sizeof(SlotLine::Pair) == 16, "a pair is one key and one value");
@@ -83,25 +85,40 @@ void GplModel::CountSlotStates(size_t counts[4]) const ALT_REQUIRES_EPOCH {
 void GplModel::CollectRange(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
                             size_t limit) const ALT_REQUIRES_EPOCH {
   size_t appended = 0;
-  // Placement is monotone in the key, so no key >= lo sits left of
-  // Predict(lo), and the first resident key beyond hi ends the walk. The
-  // walk is sequential, so consecutive lanes share a line and the hardware
-  // prefetcher runs ahead of it.
-  for (uint32_t i = Predict(lo); i < num_slots_ && appended < limit; ++i) {
-    const SlotRef s = slot(i);
-    for (;;) {
-      const uint32_t w = s.word.Read();
-      if (SlotWord::StateOf(w) != SlotState::kOccupied) break;
-      const Key k = s.OptimisticKey();
-      const Value v = s.OptimisticValue();
-      if (!s.word.Validate(w)) continue;  // concurrent writer: re-read the slot
-      if (k > hi) return;
-      if (k >= lo) {
-        out->emplace_back(k, v);
-        ++appended;
+  // Lines are in key order (LineOf is monotone), so no key >= lo sits left of
+  // LineOf(lo), and the line holding the first resident key beyond hi ends the
+  // walk. Within a line the lanes are unordered: sort its up-to-three keys
+  // before capping. The walk is sequential, so the hardware prefetcher runs
+  // ahead of it.
+  for (uint32_t l = LineOf(lo); l < num_lines() && appended < limit; ++l) {
+    std::pair<Key, Value> run[SlotLine::kLanes];
+    uint32_t n = 0;
+    bool past_hi = false;
+    for (uint32_t lane = 0; lane < LanesIn(l); ++lane) {
+      const SlotRef s = lines_[l].Lane(lane);
+      for (;;) {
+        const uint32_t w = s.word.Read();
+        if (SlotWord::StateOf(w) != SlotState::kOccupied) break;
+        const Key k = s.OptimisticKey();
+        const Value v = s.OptimisticValue();
+        if (!s.word.Validate(w)) continue;  // concurrent writer: re-read the lane
+        if (k > hi) {
+          past_hi = true;
+        } else if (k >= lo) {
+          run[n++] = {k, v};
+        }
+        break;
       }
-      break;
     }
+    for (uint32_t i = 1; i < n; ++i) {  // insertion sort of at most three keys
+      for (uint32_t j = i; j > 0 && run[j].first < run[j - 1].first; --j) {
+        std::swap(run[j], run[j - 1]);
+      }
+    }
+    for (uint32_t i = 0; i < n && appended < limit; ++i, ++appended) {
+      out->push_back(run[i]);
+    }
+    if (past_hi) return;
   }
 }
 

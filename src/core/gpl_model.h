@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -126,13 +127,20 @@ struct SlotRef {
 /// \brief The unit of a slot array: three slots in one 64 B cache line.
 ///
 /// Layout: the three lanes' SlotWords (12 B) and 4 B of padding, then the
-/// three 16 B (key, value) pairs. Slot i lives in line i / 3, lane i % 3, so
-/// a probe touches exactly one line of a 64-byte-aligned array, and every lane
+/// three 16 B (key, value) pairs. Slot i lives in line i / 3, lane i % 3; a
+/// key may sit in any lane of its predicted line (GplModel::LineOf), so a
+/// probe reads exactly one line of a 64-byte-aligned array, and every lane
 /// keeps its own §III-E word (lock bit, state, sequence). 21⅓ B per slot
 /// against the 20 B payload; a 32 B padded slot would waste 12.
 ///
-/// All-zero bytes are the initial state (every lane EMPTY, key 0, value 0),
-/// which is what lets a zero-filled slab slice serve as a slot array.
+/// `lock` sits in the padding after the words. Readers never look at it: it
+/// orders the writers that move a key between the line and ART-OPT — a
+/// conflict insert into a full line, a write-back, a §III-F line move — so no
+/// key can end up in both (DESIGN.md §2.2).
+///
+/// All-zero bytes are the initial state (every lane EMPTY, key 0, value 0,
+/// line unlocked), which is what lets a zero-filled slab slice serve as a
+/// slot array.
 struct alignas(64) SlotLine {
   static constexpr uint32_t kLanes = 3;
 
@@ -142,6 +150,7 @@ struct alignas(64) SlotLine {
   };
 
   SlotWord word[kLanes];
+  SpinLock lock;
   Pair pair[kLanes];
 
   SlotRef Lane(uint32_t lane) {
@@ -180,9 +189,10 @@ struct Expansion {
   std::atomic<bool> done{false};
 };
 
-/// \brief One GPL model: an anchored linear function over a gapped slot array
-/// where every resident key sits at exactly its predicted slot — the learned
-/// index layer has no prediction error by construction (§III-A).
+/// \brief One GPL model: an anchored linear function over a gapped array of
+/// slot lines where every resident key sits in a lane of exactly its predicted
+/// line — the learned index layer has no prediction error beyond one cache
+/// line by construction (§III-A, DESIGN.md §2.2).
 ///
 /// alignas(64): the header starts on a cache-line boundary so the hot member
 /// block below maps onto exactly one line (C++17 aligned operator new).
@@ -234,16 +244,28 @@ class alignas(64) GplModel {
   }
   uint32_t num_lines() const { return LinesFor(num_slots_); }
 
-  /// Lane view of slot `i` (line i / 3, lane i % 3). The view is mutable even
-  /// on a const model: slot state is concurrent state, guarded per lane by
-  /// its word, not part of the model's own constness.
+  /// The line rule (DESIGN.md §2.2): `key` lives in some lane of this line.
+  /// Monotone in the key, like Predict.
+  uint32_t LineOf(Key key) const { return Predict(key) / SlotLine::kLanes; }
+
+  /// Lanes of line `l` that are slots: three, except in a ragged last line,
+  /// whose lanes past num_slots stay EMPTY forever and are never probed.
+  uint32_t LanesIn(uint32_t l) const {
+    return std::min(SlotLine::kLanes, num_slots_ - l * SlotLine::kLanes);
+  }
+
+  /// Slot line `l`. Mutable even on a const model: slot state is concurrent
+  /// state, guarded per lane by its word, not part of the model's constness.
+  SlotLine& line(uint32_t l) const { return lines_[l]; }
+
+  /// Lane view of slot `i` (line i / 3, lane i % 3).
   SlotRef slot(uint32_t i) const {
     return lines_[i / SlotLine::kLanes].Lane(i % SlotLine::kLanes);
   }
 
-  /// Batched read path stage hook: pull slot `i`'s line before it is probed.
-  /// One prefetch suffices — the slot's word and pair share its line.
-  void PrefetchSlot(uint32_t i) const { PrefetchRead(&lines_[i / SlotLine::kLanes]); }
+  /// Batched read path stage hook: pull line `l` before it is probed. One
+  /// prefetch suffices — all three lanes' words and pairs share it.
+  void PrefetchLine(uint32_t l) const { PrefetchRead(&lines_[l]); }
 
   /// Fast-pointer-buffer entry index for this model's key range (§III-C).
   int32_t fp_index() const { return fp_index_.load(std::memory_order_acquire); }
@@ -255,10 +277,11 @@ class alignas(64) GplModel {
     return insert_count_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Zero-error invariant flag: while false, an EMPTY predicted slot does NOT
-  /// prove absence and operations must fall through to ART. Cleared on
-  /// temporal buffers (until the §III-F finish sweep writes eligible ART keys
-  /// back) and on freshly appended tail models (until their ART range sweep).
+  /// Zero-error invariant flag: while false, an EMPTY lane in the predicted
+  /// line does NOT prove absence and operations must fall through to ART.
+  /// Cleared on temporal buffers (until the §III-F finish sweep writes
+  /// eligible ART keys back) and on freshly appended tail models (until their
+  /// ART range sweep).
   bool strict_empty() const { return strict_empty_.load(std::memory_order_acquire); }
   void set_strict_empty(bool v) { strict_empty_.store(v, std::memory_order_release); }
 
@@ -274,9 +297,10 @@ class alignas(64) GplModel {
   void CountSlotStates(size_t counts[4]) const ALT_REQUIRES_EPOCH;
 
   /// Collect occupied (key, value) pairs with key in [lo, hi], ascending,
-  /// stopping after `limit` appended pairs. Starts at Predict(lo) — valid
-  /// because placement is monotone — and stops at the first key beyond `hi`.
-  /// Slots are read under their version words; the result is per-slot atomic.
+  /// stopping after `limit` appended pairs. Starts at LineOf(lo) — valid
+  /// because lines are in key order — sorts each line's up-to-three keys, and
+  /// stops after the line holding a key beyond `hi`. Lanes are read under
+  /// their version words; the result is per-slot atomic.
   void CollectRange(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
                     size_t limit = ~size_t{0}) const ALT_REQUIRES_EPOCH;
 

@@ -7,13 +7,13 @@
 // so the group's cache misses overlap instead of serializing.
 //
 // Stages: kLocate (directory binary search; lines prefetched at issue) →
-// kModel (model header → slot prediction, slot line prefetched) → kProbe
-// (per-slot optimistic read) → kFpEntry (fast-pointer entry, hint node lines
-// prefetched) → kArtInit / kArtStep (resumable OLC descent, one tree level per
-// step; see ArtTree::DescentStep).
+// kModel (model header → line prediction, slot line prefetched) → kProbe
+// (optimistic read of the line's lanes) → kFpEntry (fast-pointer entry, hint
+// node lines prefetched) → kArtInit / kArtStep (resumable OLC descent, one
+// tree level per step; see ArtTree::DescentStep).
 //
 // Anything off the common read path — a §III-F expansion visible on the routed
-// model, a MIGRATED slot, a failed post-miss revalidation, or an OLC restart
+// model, a MIGRATED line, a failed post-miss revalidation, or an OLC restart
 // storm — falls back to the scalar LookupInternal, which handles every race
 // with its own retry loop. The fallback runs under the same epoch guard and
 // does its own per-path metrics accounting; the batch layer only adds
@@ -43,8 +43,8 @@ constexpr int kMaxDescentRestarts = 16;
 struct AltIndex::BatchCursor {
   enum class Stage : uint8_t {
     kLocate,   ///< resolve directory → model (directory lines prefetched)
-    kModel,    ///< read model header, predict + prefetch the slot
-    kProbe,    ///< optimistic slot read
+    kModel,    ///< read model header, predict + prefetch the line
+    kProbe,    ///< optimistic read of the line's lanes
     kFpEntry,  ///< read the fast-pointer entry (prefetched), validate coverage
     kArtInit,  ///< begin the OLC descent at hint or root
     kArtStep,  ///< advance the descent one node per touch
@@ -54,7 +54,7 @@ struct AltIndex::BatchCursor {
   Key key = 0;
   uint32_t index = 0;  ///< position in the caller's out/found arrays
 
-  ArtRoute route;  ///< routed model; slot + word revalidate an ART miss
+  ArtRoute route;  ///< routed model; line + lane words revalidate an ART miss
 
   int32_t fpi = -1;
   FastPointerBuffer::Ref hint{};
@@ -144,10 +144,10 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
     case Stage::kModel: {
       if (c.key >= c.route.model->coverage_end()) {
         // Out-of-coverage keys never live in slots; ART is authoritative
-        // (mirrors ProbeSlot's kGoArt-with-null-slot route).
+        // (mirrors ProbeSlot's kGoArt route with no line).
         return route_to_art();
       }
-      c.route.model->PrefetchSlot(c.route.model->Predict(c.key));
+      c.route.model->PrefetchLine(c.route.model->LineOf(c.key));
       c.stage = Stage::kProbe;
       return false;
     }
@@ -161,7 +161,7 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
           return finish(true);
         case Probe::kEmpty:
           if (c.route.model->strict_empty()) {
-            // Zero-error invariant: EMPTY predicted slot proves absence.
+            // Zero-error invariant: an EMPTY lane proves absence.
             ++st->learned_negatives;
             return finish(false);
           }

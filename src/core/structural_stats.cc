@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/aligned_mem.h"
 #include "common/epoch.h"
@@ -122,6 +124,61 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
       resident == 0 ? 0.0
                     : static_cast<double>(st.art_keys) / static_cast<double>(resident);
   return st;
+}
+
+Status AltIndex::CheckPlacementInvariant() const {
+  EpochGuard g(*epoch_);
+  const ModelDirectory::Snapshot* snap = directory_.snapshot();
+  const auto where = [](Key k) { return "key " + std::to_string(k); };
+  // Every lane key, from every model and every level of its §III-F chain.
+  std::vector<Key> lane_keys;
+  for (const auto& slot : snap->models) {
+    for (const GplModel* m = slot.load(std::memory_order_acquire); m != nullptr;) {
+      for (uint32_t l = 0; l < m->num_lines(); ++l) {
+        for (uint32_t lane = 0; lane < m->LanesIn(l); ++lane) {
+          const SlotRef s = m->line(l).Lane(lane);
+          const uint32_t w = s.word.Read();
+          if (SlotWord::StateOf(w) != SlotState::kOccupied) continue;
+          const Key k = s.OptimisticKey();
+          if (!s.word.Validate(w)) return Status::Internal("index not quiescent");
+          if (m->LineOf(k) != l || k >= m->coverage_end()) {
+            return Status::Internal(where(k) + " sits in line " + std::to_string(l) +
+                                    ", not in its predicted line");
+          }
+          lane_keys.push_back(k);
+        }
+      }
+      const Expansion* e = m->expansion();
+      m = e != nullptr ? e->new_model : nullptr;
+    }
+  }
+  std::sort(lane_keys.begin(), lane_keys.end());
+  const auto twice = std::adjacent_find(lane_keys.begin(), lane_keys.end());
+  if (twice != lane_keys.end()) {
+    return Status::Internal(where(*twice) + " sits in two lanes");
+  }
+
+  std::vector<std::pair<Key, Value>> art_keys;
+  art_.RangeQuery(0, ~Key{0}, &art_keys);
+  for (const auto& [k, unused_v] : art_keys) {
+    if (std::binary_search(lane_keys.begin(), lane_keys.end(), k)) {
+      return Status::Internal(where(k) + " sits in a lane and in ART-OPT");
+    }
+    // The absence proof: an ART key of a strict model has a full line.
+    const GplModel* m =
+        snap->models[ModelDirectory::Locate(*snap, k)].load(std::memory_order_acquire);
+    if (!m->strict_empty() || m->expansion() != nullptr || k >= m->coverage_end()) {
+      continue;
+    }
+    const uint32_t l = m->LineOf(k);
+    for (uint32_t lane = 0; lane < m->LanesIn(l); ++lane) {
+      if (SlotWord::StateOf(m->line(l).word[lane].Read()) == SlotState::kEmpty) {
+        return Status::Internal(where(k) + " sits in ART-OPT beside an EMPTY lane of " +
+                                "line " + std::to_string(l));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 ConcurrentIndex::MemoryBreakdown AltIndex::CollectMemoryBreakdown() const {

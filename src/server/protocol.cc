@@ -19,12 +19,14 @@ const char* RespStatusName(RespStatus s) {
 
 void AppendHeader(std::vector<uint8_t>* out, uint8_t code, uint64_t request_id,
                   uint32_t body_len, uint8_t echo_op) {
-  PutU32(out, body_len);
-  out->push_back(kProtocolVersion);
-  out->push_back(code);
-  out->push_back(echo_op);
-  out->push_back(0);  // reserved
-  PutU64(out, request_id);
+  uint8_t h[kHeaderBytes];
+  StoreU32(h, body_len);
+  h[4] = kProtocolVersion;
+  h[5] = code;
+  h[6] = echo_op;
+  h[7] = 0;  // reserved
+  StoreU64(h + 8, request_id);
+  out->insert(out->end(), h, h + kHeaderBytes);
 }
 
 void AppendGet(std::vector<uint8_t>* out, uint64_t request_id, Key key) {
@@ -78,10 +80,13 @@ void AppendScanResponse(std::vector<uint8_t>* out, uint64_t request_id,
                         const std::pair<Key, Value>* pairs, uint32_t n) {
   AppendHeader(out, static_cast<uint8_t>(RespStatus::kOk), request_id,
                4 + n * 16, static_cast<uint8_t>(Op::kScan));
-  PutU32(out, n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PutU64(out, pairs[i].first);
-    PutU64(out, pairs[i].second);
+  const size_t at = out->size();
+  out->resize(at + 4 + size_t{n} * 16);
+  uint8_t* p = out->data() + at;
+  StoreU32(p, n);
+  for (uint32_t i = 0; i < n; ++i, p += 16) {
+    StoreU64(p + 4, pairs[i].first);
+    StoreU64(p + 12, pairs[i].second);
   }
 }
 

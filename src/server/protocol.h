@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -77,27 +78,59 @@ struct FrameHeader {
 const char* RespStatusName(RespStatus s);
 
 // -- little-endian primitives (shared by encoders and payload readers) -------
+//
+// Whole words through memcpy: one load or store each, not a byte at a time.
+
+/// `v` in wire (little-endian) byte order, and back: the identity on
+/// little-endian hosts.
+inline uint32_t WireOrder32(uint32_t v) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  return __builtin_bswap32(v);
+#else
+  return v;
+#endif
+}
+
+inline uint64_t WireOrder64(uint64_t v) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  return __builtin_bswap64(v);
+#else
+  return v;
+#endif
+}
+
+inline void StoreU32(uint8_t* p, uint32_t v) {
+  v = WireOrder32(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  v = WireOrder64(v);
+  std::memcpy(p, &v, sizeof(v));
+}
 
 inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+  const size_t at = out->size();
+  out->resize(at + sizeof(v));
+  StoreU32(out->data() + at, v);
 }
 
 inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
+  const size_t at = out->size();
+  out->resize(at + sizeof(v));
+  StoreU64(out->data() + at, v);
 }
 
 inline uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return WireOrder32(v);
 }
 
 inline uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return WireOrder64(v);
 }
 
 // -- frame encoders ----------------------------------------------------------

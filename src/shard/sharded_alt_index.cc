@@ -142,28 +142,44 @@ size_t ShardedAltIndex::LookupBatch(const Key* keys, size_t n, Value* out,
   if (shards_.size() == 1) {
     return shards_[0].index->LookupBatch(keys, n, out, found);
   }
-  // Group keys by shard (order within a shard preserved) so each shard runs
-  // one AMAC-pipelined batch, then scatter results back to caller positions.
-  std::vector<std::vector<uint32_t>> groups(shards_.size());
-  for (size_t i = 0; i < n; ++i) {
-    groups[ShardIndexOf(keys[i])].push_back(static_cast<uint32_t>(i));
-  }
-  std::vector<Key> shard_keys;
-  std::vector<Value> shard_out;
-  std::unique_ptr<bool[]> shard_found(new bool[n]);
+  // Chunk by chunk, with every buffer on the stack (no allocation per
+  // coalesced server batch, which is at most 64 keys): counting-sort the
+  // chunk's keys by shard (order within a shard preserved), run one
+  // AMAC-pipelined batch per non-empty shard group, then scatter the results
+  // back to caller positions.
+  constexpr size_t kChunk = 256;
+  constexpr size_t kMaxShards = ShardedOptions::kMaxShards;
+  uint8_t shard_of[kChunk];
+  uint16_t origin[kChunk];  ///< grouped position -> chunk position
+  Key grouped[kChunk];
+  Value grouped_out[kChunk];
+  bool grouped_found[kChunk];
   size_t hits = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const auto& g = groups[s];
-    if (g.empty()) continue;
-    shard_keys.clear();
-    shard_keys.reserve(g.size());
-    for (uint32_t idx : g) shard_keys.push_back(keys[idx]);
-    shard_out.resize(g.size());
-    hits += shards_[s].index->LookupBatch(shard_keys.data(), g.size(),
-                                          shard_out.data(), shard_found.get());
-    for (size_t j = 0; j < g.size(); ++j) {
-      found[g[j]] = shard_found[j];
-      if (shard_found[j]) out[g[j]] = shard_out[j];
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t m = std::min(kChunk, n - base);
+    size_t begin[kMaxShards + 1] = {};
+    for (size_t i = 0; i < m; ++i) {
+      shard_of[i] = static_cast<uint8_t>(ShardIndexOf(keys[base + i]));
+      ++begin[shard_of[i] + 1];
+    }
+    for (size_t s = 0; s < shards_.size(); ++s) begin[s + 1] += begin[s];
+    size_t next[kMaxShards];
+    std::copy(begin, begin + shards_.size(), next);
+    for (size_t i = 0; i < m; ++i) {
+      const size_t pos = next[shard_of[i]]++;
+      origin[pos] = static_cast<uint16_t>(i);
+      grouped[pos] = keys[base + i];
+    }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (begin[s + 1] == begin[s]) continue;
+      hits += shards_[s].index->LookupBatch(grouped + begin[s], begin[s + 1] - begin[s],
+                                            grouped_out + begin[s],
+                                            grouped_found + begin[s]);
+    }
+    for (size_t pos = 0; pos < m; ++pos) {
+      const size_t i = base + origin[pos];
+      found[i] = grouped_found[pos];
+      if (grouped_found[pos]) out[i] = grouped_out[pos];
     }
   }
   return hits;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,12 @@ std::vector<std::pair<Key, Value>> MakePairs(const std::vector<Key>& keys) {
   pairs.reserve(keys.size());
   for (Key k : keys) pairs.emplace_back(k, ValueFor(k));
   return pairs;
+}
+
+// The line rule's placement invariant (DESIGN.md §2.2), checked after churn.
+void ExpectPlacementInvariant(const AltIndex& index) {
+  const Status st = index.CheckPlacementInvariant();
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 class AltIndexTest : public ::testing::Test {
@@ -144,6 +151,7 @@ TEST_F(AltIndexTest, InsertNewKeysThenLookup) {
     ASSERT_TRUE(index.Lookup(k, &got));
     EXPECT_EQ(got, v);
   }
+  ExpectPlacementInvariant(index);
 }
 
 TEST_F(AltIndexTest, DuplicateInsertRejectedEverywhere) {
@@ -185,6 +193,7 @@ TEST_F(AltIndexTest, RemoveFromLearnedLayerLeavesTombstone) {
   }
   EXPECT_FALSE(index.Remove(pairs[0].first)) << "double remove";
   EXPECT_EQ(index.Size(), pairs.size() - (pairs.size() + 2) / 3);
+  ExpectPlacementInvariant(index);
 }
 
 TEST_F(AltIndexTest, ReinsertAfterRemove) {
@@ -199,6 +208,7 @@ TEST_F(AltIndexTest, ReinsertAfterRemove) {
     EXPECT_EQ(v, 1234u);
   }
   EXPECT_EQ(index.Size(), pairs.size());
+  ExpectPlacementInvariant(index);
 }
 
 // The write-back scheme (Alg. 2): removing a learned-layer key whose slot
@@ -228,6 +238,7 @@ TEST_F(AltIndexTest, WriteBackReclaimsTombstones) {
   const auto after = index.CollectStructuralStats();
   EXPECT_LT(after.art_keys, before.art_keys)
       << "write-back should drain some conflicts out of ART";
+  ExpectPlacementInvariant(index);
 }
 
 // Lookup's Alg. 2 write-back moves a key from ART into its tombstoned slot.
@@ -236,7 +247,7 @@ TEST_F(AltIndexTest, WriteBackReclaimsTombstones) {
 // makes it retry instead of missing a key that is live throughout.
 TEST_F(AltIndexTest, TombstoneWriteBackNeverHidesKeysFromScans) {
   constexpr Key kStride = 1000;
-  constexpr Key kKeys = 50000;
+  constexpr Key kKeys = 17000;
   AltOptions opts;
   opts.enable_retraining = false;  // no expansion may take the tombstones over
   size_t scans = 0;
@@ -246,12 +257,16 @@ TEST_F(AltIndexTest, TombstoneWriteBackNeverHidesKeysFromScans) {
     std::vector<std::pair<Key, Value>> bulk;
     for (Key i = 0; i < kKeys; ++i) bulk.emplace_back(i * kStride, ValueFor(i * kStride));
     ASSERT_TRUE(index.BulkLoad(bulk).ok());
-    // One conflicting ART key per bulk slot, then tombstone the slot.
+    // Three more keys per bulk key fill every line (1.5 bulk keys per
+    // three-lane line at the default gap factor), so most of them go to ART;
+    // then tombstone the bulk key's lane.
     std::vector<Key> live;
     for (const auto& [k, v] : bulk) {
-      ASSERT_TRUE(index.Insert(k + 1, ValueFor(k + 1)));
+      for (Key d = 1; d <= 3; ++d) {
+        ASSERT_TRUE(index.Insert(k + d, ValueFor(k + d)));
+        live.push_back(k + d);
+      }
       ASSERT_TRUE(index.Remove(k));
-      live.push_back(k + 1);
     }
     ASSERT_GT(index.CollectStructuralStats().art_keys, live.size() / 2);
 
@@ -281,11 +296,213 @@ TEST_F(AltIndexTest, TombstoneWriteBackNeverHidesKeysFromScans) {
     }
     reader.join();
     EXPECT_EQ(lookup_misses.load(std::memory_order_relaxed), 0u);
+    ExpectPlacementInvariant(index);
     EXPECT_LT(index.CollectStructuralStats().art_keys, live.size() / 2)
         << "the lookups should have written most ART keys back";
   }
   EXPECT_GT(scans, 0u);
   EXPECT_EQ(bad_scans, 0u) << "of " << scans << " scans";
+}
+
+// Lost-remove regression: an Insert(k) that raced a Lookup(k) tombstone
+// write-back could read k's line without k, see the write-back move k from ART
+// into a tombstone lane, and then put a second copy into ART — so the insert
+// reported a new key, and Remove(k) left the ART copy visible.
+TEST_F(AltIndexTest, InsertRacingTombstoneWriteBackFindsTheKey) {
+  AltOptions opts;
+  opts.enable_retraining = false;  // the lines must stay put
+  AltIndex index(opts);
+  const std::vector<Key> keys = GenerateKeys(Dataset::kOsm, 400000, 5);
+  ASSERT_TRUE(index.BulkLoad(MakePairs(keys)).ok());
+  // (occupant, conflict) pairs: a conflict is an ART key; its occupant is the
+  // nearest learned-layer key before it, which sits in the conflict's line.
+  std::vector<std::pair<Key, Key>> pairs;
+  {
+    EpochGuard g(index.epoch());
+    Key occupant = 0;
+    bool have_occupant = false;
+    for (const Key k : keys) {
+      Value v = 0;
+      if (!index.art().Lookup(k, &v)) {
+        occupant = k;
+        have_occupant = true;
+      } else if (have_occupant) {
+        pairs.emplace_back(occupant, k);
+        have_occupant = false;
+      }
+    }
+  }
+  ASSERT_GT(pairs.size(), 10000u);
+  for (const auto& [occupant, k] : pairs) ASSERT_TRUE(index.Remove(occupant));
+
+  // Per pair, one Lookup(k) and one Insert(k) released together.
+  std::atomic<size_t> arrived{0};
+  const auto release = [&](size_t round) {
+    arrived.fetch_add(1, std::memory_order_acq_rel);
+    while (arrived.load(std::memory_order_acquire) < 2 * (round + 1)) CpuRelax();
+  };
+  std::atomic<size_t> false_inserts{0};
+  std::thread looker([&] {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      release(i);
+      Value v = 0;
+      index.Lookup(pairs[i].second, &v);
+    }
+  });
+  std::thread inserter([&] {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      release(i);
+      if (index.Insert(pairs[i].second, 1)) false_inserts.fetch_add(1);
+    }
+  });
+  looker.join();
+  inserter.join();
+  EXPECT_EQ(false_inserts.load(), 0u)
+      << "of " << pairs.size() << " inserts of present keys";
+  ExpectPlacementInvariant(index);
+  size_t visible_after_remove = 0;
+  for (const auto& [occupant, k] : pairs) {
+    ASSERT_TRUE(index.Remove(k));
+    Value v = 0;
+    if (index.Lookup(k, &v)) ++visible_after_remove;
+  }
+  EXPECT_EQ(visible_after_remove, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The line rule (DESIGN.md §2.2): a key may take any lane of its predicted line
+// ---------------------------------------------------------------------------
+
+// An empty load publishes one model whose slope maps every small key into its
+// line 0, so keys 1, 2, 3, ... share one three-lane line.
+std::unique_ptr<AltIndex> OneLineIndex(AltOptions opts = AltOptions{}) {
+  auto index = std::make_unique<AltIndex>(opts);
+  EXPECT_TRUE(index->BulkLoad(nullptr, nullptr, 0).ok());
+  EpochGuard g(index->epoch());
+  const GplModel* m = index->directory().snapshot()->models[0].load();
+  EXPECT_EQ(m->LineOf(1), 0u);
+  EXPECT_EQ(m->LineOf(1000), 0u);
+  EXPECT_EQ(m->LanesIn(0), 3u);
+  return index;
+}
+
+// Runs `op(t)` on `n` threads released together.
+template <typename Op>
+void RunTogether(int n, Op op) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < n; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < n) CpuRelax();
+      op(t);
+    });
+  }
+  for (auto& th : threads) th.join();
+}
+
+TEST_F(AltIndexTest, SameKeyInsertsIntoOneLineLandOnce) {
+  // With 0..3 keys already in the line, the racing inserts of one key meet on
+  // its first EMPTY lane's lock, or on the full line's locks and ART.
+  for (int round = 0; round < 200; ++round) {
+    auto index = OneLineIndex();
+    const Key before = static_cast<Key>(round % 4);
+    for (Key k = 1; k <= before; ++k) ASSERT_TRUE(index->Insert(k * 10, k));
+    const Key key = 25;
+    std::atomic<int> wins{0};
+    RunTogether(4, [&](int t) {
+      if (index->Insert(key, 100 + static_cast<Value>(t))) wins.fetch_add(1);
+    });
+    ASSERT_EQ(wins.load(), 1) << "round " << round;
+    ExpectPlacementInvariant(*index);
+    ASSERT_TRUE(index->Remove(key));
+    Value v = 0;
+    ASSERT_FALSE(index->Lookup(key, &v)) << "a second copy survived, round " << round;
+  }
+}
+
+TEST_F(AltIndexTest, FourKeysIntoOneLineFillItsLanesAndOverflowToArt) {
+  for (int round = 0; round < 200; ++round) {
+    auto index = OneLineIndex();
+    RunTogether(4, [&](int t) {
+      const Key k = 10 + static_cast<Key>(t);
+      EXPECT_TRUE(index->Insert(k, ValueFor(k)));
+    });
+    for (Key k = 10; k < 14; ++k) {
+      Value v = 0;
+      ASSERT_TRUE(index->Lookup(k, &v)) << k;
+      ASSERT_EQ(v, ValueFor(k));
+    }
+    const AltIndex::StructuralStats st = index->CollectStructuralStats();
+    ASSERT_EQ(st.learned_layer_keys(), 3u) << "round " << round;
+    ASSERT_EQ(st.art_keys, 1u) << "round " << round;
+    ExpectPlacementInvariant(*index);
+  }
+}
+
+TEST_F(AltIndexTest, ScanOfALineFilledInDescendingOrderIsAscending) {
+  auto index = OneLineIndex();
+  for (const Key k : {30, 20, 10, 25}) ASSERT_TRUE(index->Insert(k, ValueFor(k)));
+  // Lanes hold 30, 20, 10 in that order; 25 overflowed to ART.
+  ASSERT_EQ(index->CollectStructuralStats().art_keys, 1u);
+  std::vector<std::pair<Key, Value>> out;
+  ASSERT_EQ(index->Scan(0, 10, &out), 4u);
+  EXPECT_EQ(out, MakePairs({10, 20, 25, 30}));
+  ASSERT_EQ(index->Scan(0, 2, &out), 2u);
+  EXPECT_EQ(out, MakePairs({10, 20}));
+  ASSERT_EQ(index->Scan(15, 1, &out), 1u);
+  EXPECT_EQ(out, MakePairs({20}));
+  ASSERT_EQ(index->RangeQuery(11, 29, &out), 2u);
+  EXPECT_EQ(out, MakePairs({20, 25}));
+}
+
+TEST_F(AltIndexTest, LookupsAndScansDuringALineMigrationSeeEveryKey) {
+  // Line 0 holds keys 1..3 with 4 and 5 in ART. An expansion is installed on
+  // its model; then an insert into line 0 moves the whole line to the
+  // temporal buffer while readers look up and scan the five keys.
+  AltOptions opts;
+  opts.tail_model_slots = 64;       // 22 lines, build size 32
+  opts.retrain_trigger_ratio = 0.5;  // expansion after the 17th insert
+  constexpr Key kLineStride = (~Key{0} / 64) * 3;  // one key per line 1..16
+  const std::vector<Key> stable = {1, 2, 3, 4, 5};
+  size_t reads = 0;
+  // The window is a few lane moves wide: a forward-order line move (lane 0
+  // first) failed here within 150 and 750 rounds in two runs.
+  for (int round = 0; round < 1000; ++round) {
+    auto index = OneLineIndex(opts);
+    for (const Key k : stable) ASSERT_TRUE(index->Insert(k, ValueFor(k)));
+    for (Key i = 1; index->CollectStructuralStats().expanding_models == 0; ++i) {
+      ASSERT_LT(i, 17u);
+      ASSERT_TRUE(index->Insert(i * kLineStride, ValueFor(i * kLineStride)));
+    }
+    std::atomic<bool> migrated{false};
+    std::atomic<size_t> misses{0};
+    std::atomic<size_t> bad_scans{0};
+    std::atomic<size_t> round_reads{0};
+    RunTogether(3, [&](int t) {
+      if (t == 0) {
+        EXPECT_TRUE(index->Insert(6, ValueFor(6)));  // migrates line 0
+        migrated.store(true, std::memory_order_release);
+        return;
+      }
+      std::vector<std::pair<Key, Value>> out;
+      for (int after = 0; after < 20; after += migrated.load(std::memory_order_acquire)) {
+        round_reads.fetch_add(1, std::memory_order_relaxed);
+        for (const Key k : stable) {
+          Value v = 0;
+          if (!index->Lookup(k, &v) || v != ValueFor(k)) misses.fetch_add(1);
+        }
+        index->RangeQuery(1, 5, &out);
+        if (out != MakePairs(stable)) bad_scans.fetch_add(1);
+      }
+    });
+    ASSERT_EQ(misses.load(), 0u) << "round " << round;
+    ASSERT_EQ(bad_scans.load(), 0u) << "round " << round;
+    ASSERT_GT(index->CollectStructuralStats().slot_states[3], 0u) << "no line migrated";
+    ExpectPlacementInvariant(*index);
+    reads += round_reads.load();
+  }
+  EXPECT_GT(reads, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +577,7 @@ TEST_F(AltIndexTest, ScanSeesInsertsAndSkipsRemoved) {
   for (size_t i = 0; i < longlat.size(); i += 9) pruned.Remove(longlat[i]);
   ASSERT_EQ(pruned.Scan(0, pruned.Size() + 1, &out), pruned.Size());
   for (size_t i = 1; i < out.size(); ++i) ASSERT_LT(out[i - 1].first, out[i].first);
+  ExpectPlacementInvariant(pruned);
 }
 
 TEST_F(AltIndexTest, RangeQueryInclusiveBounds) {
@@ -449,6 +667,7 @@ TEST_F(AltIndexTest, ScanCountEdgesAndFullRangeAcrossExpansion) {
   ASSERT_TRUE(saw_expanding) << "the inserts must leave an expansion in flight";
   ASSERT_GT(index.CollectStructuralStats().retrain_finished, 0u);
   check("after expansions");
+  ExpectPlacementInvariant(index);
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +716,7 @@ TEST_P(AltOptionsTest, FullLifecycleCorrectUnderAnyConfig) {
   std::vector<std::pair<Key, Value>> out;
   index.Scan(keys[10], 64, &out);
   for (size_t i = 1; i < out.size(); ++i) EXPECT_LT(out[i - 1].first, out[i].first);
+  ExpectPlacementInvariant(index);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, AltOptionsTest, ::testing::Range(0, 7));
@@ -591,6 +811,7 @@ TEST_F(AltIndexTest, SizeIsExactAfterConcurrentDisjointInsertsAndRemoves) {
   std::vector<std::pair<Key, Value>> all;
   index.Scan(0, keys.size() + 1, &all);
   EXPECT_EQ(all.size(), expect);
+  ExpectPlacementInvariant(index);
 }
 
 TEST_F(AltIndexTest, KeyZeroIsALegalKey) {
@@ -683,6 +904,7 @@ TEST_P(RadixUpperModelTest, FullLifecycleAcrossRadixWidths) {
   std::vector<std::pair<Key, Value>> out;
   index.Scan(keys[7], 100, &out);
   for (size_t i = 1; i < out.size(); ++i) EXPECT_LT(out[i - 1].first, out[i].first);
+  ExpectPlacementInvariant(index);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, RadixUpperModelTest, ::testing::Values(0, 6, 10, 14));

@@ -148,6 +148,7 @@ TEST_F(ArtEdgeTest, InsertFromHintNeedsRootWhenHintMustGrow) {
 TEST_F(ArtEdgeTest, LookupFromDeepHintAfterManyMutations) {
   ArtTree tree;
   FastPointerBuffer buf;
+  buf.Reserve(1);
   tree.SetListener(&buf);
   EpochGuard g;
   auto keys = GenerateKeys(Dataset::kFb, 20000, 17);

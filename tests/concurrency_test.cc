@@ -10,6 +10,7 @@
 #include "baselines/factory.h"
 #include "common/epoch.h"
 #include "common/random.h"
+#include "core/alt_index.h"
 #include "datasets/dataset.h"
 
 namespace alt {
@@ -24,6 +25,15 @@ class ConcurrentIndexTest : public ::testing::TestWithParam<std::string> {
 };
 
 constexpr int kThreads = 8;
+
+// For ALT, the line rule's placement invariant (DESIGN.md §2.2) must hold
+// once the churn stops.
+void ExpectPlacementInvariant(const ConcurrentIndex& index) {
+  const auto* alt = dynamic_cast<const AltIndex*>(&index);
+  if (alt == nullptr) return;
+  const Status st = alt->CheckPlacementInvariant();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
 
 TEST_P(ConcurrentIndexTest, DisjointInsertersAllLand) {
   auto index = MakeIndex(GetParam());
@@ -51,6 +61,7 @@ TEST_P(ConcurrentIndexTest, DisjointInsertersAllLand) {
     ASSERT_TRUE(index->Lookup(keys[i], &v)) << index->Name() << " " << i;
     EXPECT_EQ(v, ValueFor(keys[i]));
   }
+  ExpectPlacementInvariant(*index);
 }
 
 TEST_P(ConcurrentIndexTest, ReadersNeverSeeTornValues) {
@@ -93,6 +104,7 @@ TEST_P(ConcurrentIndexTest, ReadersNeverSeeTornValues) {
   threads[0].join();
   threads[1].join();
   EXPECT_FALSE(failed.load()) << index->Name();
+  ExpectPlacementInvariant(*index);
 }
 
 TEST_P(ConcurrentIndexTest, MixedWorkloadFinalStateCorrect) {
@@ -131,6 +143,7 @@ TEST_P(ConcurrentIndexTest, MixedWorkloadFinalStateCorrect) {
     ASSERT_EQ(index->Lookup(keys[i], &v), expect) << index->Name() << " " << i;
     if (expect) EXPECT_EQ(v, ValueFor(keys[i]));
   }
+  ExpectPlacementInvariant(*index);
 }
 
 TEST_P(ConcurrentIndexTest, ScansRemainSortedUnderChurn) {
@@ -168,6 +181,7 @@ TEST_P(ConcurrentIndexTest, ScansRemainSortedUnderChurn) {
   writer.join();
   scanner.join();
   EXPECT_FALSE(failed.load()) << index->Name();
+  ExpectPlacementInvariant(*index);
   (void)half;
 }
 
@@ -266,6 +280,7 @@ TEST_P(ConcurrentIndexTest, BatchedReadsAgainstChurn) {
     ASSERT_EQ(found[i], scalar) << index->Name() << " key " << keys[i];
     if (scalar) EXPECT_EQ(out[i], v);
   }
+  ExpectPlacementInvariant(*index);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIndexes, ConcurrentIndexTest,

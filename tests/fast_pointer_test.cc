@@ -20,6 +20,7 @@ class FastPointerTest : public ::testing::Test {
 TEST_F(FastPointerTest, AddPointerMergesByNode) {
   art::ArtTree tree;
   FastPointerBuffer buf;
+  buf.Reserve(1);
   {
     EpochGuard g;
     for (Key k = 0; k < 1000; ++k) tree.Insert(k * 97, k);
@@ -34,9 +35,54 @@ TEST_F(FastPointerTest, AddPointerMergesByNode) {
   EXPECT_EQ(lca1->fp_slot.load(), s1);
 }
 
+TEST_F(FastPointerTest, AddPointerPastTheReservedEntriesReturnsNone) {
+  art::ArtTree tree;
+  FastPointerBuffer buf;
+  buf.Reserve(1);
+  {
+    EpochGuard g;
+    for (Key k = 0; k < 1000; ++k) tree.Insert(k * 97, k);
+  }
+  int depth = 0;
+  art::Node* lca = tree.FindLcaNode(0, 97 * 400, &depth);
+  ASSERT_NE(lca, tree.root());
+  EXPECT_EQ(buf.AddPointer(tree.root(), 0, 0), 0);
+  EXPECT_EQ(buf.AddPointer(tree.root(), 0, 0), 0) << "merged, not a new entry";
+  EXPECT_EQ(buf.AddPointer(lca, depth, KeyPrefix(0, depth)), -1);
+  EXPECT_EQ(lca->fp_slot.load(), -1);
+  EXPECT_EQ(buf.Size(), 1u);
+}
+
+TEST_F(FastPointerTest, TailModelsAndExpansionsStayWithinTheBulkLoadBound) {
+  // One entry per bulk-loaded model plus the ART root's: expansions reuse
+  // their model's entry and tail models share the root's. The buffer is sized
+  // to that bound, so the index header carries no fixed entry table.
+  AltOptions opts;
+  opts.retrain_trigger_ratio = 0.5;
+  opts.tail_model_slots = 64;
+  AltIndex index(opts);
+  std::vector<std::pair<Key, Value>> bulk;
+  for (Key k = 0; k < 2000; ++k) bulk.emplace_back(k * 8, k);
+  ASSERT_TRUE(index.BulkLoad(bulk).ok());
+  const size_t bulk_models = index.directory().NumModels();
+  for (Key k = 0; k < 2000; ++k) ASSERT_TRUE(index.Insert(k * 8 + 3, k));
+  for (Key k = 0; k < 5000; ++k) ASSERT_TRUE(index.Insert(16000 + k * 5, k));
+  const AltIndex::StructuralStats st = index.CollectStructuralStats();
+  EXPECT_GT(st.retrain_finished, 0u);
+  EXPECT_GT(st.num_models, bulk_models) << "no tail model appended";
+  EXPECT_LE(st.fast_pointers, bulk_models + 1);
+  EXPECT_LT(st.header_bytes, 4096u);
+  for (Key k = 0; k < 5000; k += 7) {
+    Value v = 0;
+    ASSERT_TRUE(index.Lookup(16000 + k * 5, &v));
+    ASSERT_EQ(v, k);
+  }
+}
+
 TEST_F(FastPointerTest, GetReturnsWhatWasAdded) {
   art::ArtTree tree;
   FastPointerBuffer buf;
+  buf.Reserve(1);
   const int32_t slot = buf.AddPointer(tree.root(), 0, 0);
   const auto ref = buf.Get(slot);
   EXPECT_EQ(ref.node, tree.root());
@@ -57,6 +103,7 @@ TEST_F(FastPointerTest, NodeReplacedCallbackSwingsEntry) {
   // Fill one subtree until its node expands 4 -> 16; the entry must follow.
   art::ArtTree tree;
   FastPointerBuffer buf;
+  buf.Reserve(1);
   tree.SetListener(&buf);
   EpochGuard g;
   const Key base = 0x4200000000000000ULL;
@@ -84,6 +131,7 @@ TEST_F(FastPointerTest, NodeReplacedCallbackSwingsEntry) {
 TEST_F(FastPointerTest, PrefixSplitCallbackLiftsEntry) {
   art::ArtTree tree;
   FastPointerBuffer buf;
+  buf.Reserve(1);
   tree.SetListener(&buf);
   EpochGuard g;
   // Keys sharing a 6-byte prefix create a deep node with compressed path.

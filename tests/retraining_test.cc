@@ -15,6 +15,12 @@
 namespace alt {
 namespace {
 
+// The line rule's placement invariant (DESIGN.md §2.2), checked after churn.
+void ExpectPlacementInvariant(const AltIndex& index) {
+  const Status st = index.CheckPlacementInvariant();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 class RetrainingTest : public ::testing::Test {
  protected:
   void TearDown() override { EpochManager::Global().DrainAll(); }
@@ -48,6 +54,7 @@ TEST_F(RetrainingTest, HotInsertsTriggerAndFinishExpansion) {
     EXPECT_EQ(v, ValueFor(k));
   }
   EXPECT_EQ(index.Size(), kBulk * 4);
+  ExpectPlacementInvariant(index);
 }
 
 #if !defined(ALT_TRACING_DISABLED)
@@ -79,6 +86,7 @@ TEST_F(RetrainingTest, FinishedExpansionRecordsRetrainSpan) {
   }
   EXPECT_GT(spans, 0u) << "no retrain span recorded";
   trace::ResetForTest();
+  ExpectPlacementInvariant(index);
 }
 #endif
 
@@ -96,6 +104,7 @@ TEST_F(RetrainingTest, DisabledRetrainingNeverExpands) {
     Value v;
     ASSERT_TRUE(index.Lookup(k, &v)) << k;
   }
+  ExpectPlacementInvariant(index);
 }
 
 // After an expansion finishes, the zero-error invariant must hold again:
@@ -127,6 +136,7 @@ TEST_F(RetrainingTest, InvariantRestoredAfterFinish) {
     Value v;
     EXPECT_FALSE(index.Lookup(k, &v)) << k;
   }
+  ExpectPlacementInvariant(index);
 }
 
 // The first model also routes every key below its first key. One such key
@@ -155,6 +165,7 @@ TEST_F(RetrainingTest, FinishSweepAdoptsKeysBelowTheFirstModel) {
   ASSERT_TRUE(index.Lookup(500, &v));
   EXPECT_EQ(v, ValueFor(500));
   EXPECT_FALSE(index.Insert(500, 1));
+  ExpectPlacementInvariant(index);
 }
 
 TEST_F(RetrainingTest, TailModelAppendedWhenLastModelRetrains) {
@@ -183,6 +194,7 @@ TEST_F(RetrainingTest, TailModelAppendedWhenLastModelRetrains) {
     ASSERT_TRUE(index.Lookup(beyond + k * 3, &v)) << k;
     EXPECT_EQ(v, k);
   }
+  ExpectPlacementInvariant(index);
 }
 
 // Removes and updates racing an in-flight expansion must stay correct.
@@ -206,6 +218,7 @@ TEST_F(RetrainingTest, MixedOpsDuringExpansionSingleThread) {
     Value v;
     EXPECT_EQ(index.Lookup(k * 3, &v), k % 5 != 0) << k;
   }
+  ExpectPlacementInvariant(index);
 }
 
 TEST_F(RetrainingTest, ConcurrentInsertersDuringExpansion) {
@@ -255,6 +268,7 @@ TEST_F(RetrainingTest, ConcurrentInsertersDuringExpansion) {
   }
   const auto st = index.CollectStructuralStats();
   EXPECT_GT(st.retrain_started, 0u);
+  ExpectPlacementInvariant(index);
 }
 
 // Update and Remove share one slot resolver; here several threads drive them
@@ -388,6 +402,7 @@ TEST_F(RetrainingTest, ConcurrentUpdateRemoveDuringExpansion) {
   const auto st = index.CollectStructuralStats();
   EXPECT_GT(st.retrain_started, 0u);
   EXPECT_GT(st.retrain_finished, 0u);
+  ExpectPlacementInvariant(index);
 }
 
 // Regression: during an in-flight §III-F expansion, Scan and RangeQuery
@@ -468,6 +483,7 @@ TEST_F(RetrainingTest, ScanDuringRetrainReturnsNoDuplicates) {
                                  << bad_key.load();
   EXPECT_GT(index.CollectStructuralStats().retrain_started, 0u)
       << "workload never triggered an expansion; the race was not exercised";
+  ExpectPlacementInvariant(index);
 }
 
 }  // namespace

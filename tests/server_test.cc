@@ -41,6 +41,58 @@ TEST(Protocol, HeaderLayoutMatchesSpec) {
   EXPECT_EQ(GetU64(buf.data() + kHeaderBytes), 0xAABBCCDDEEFF0011ull);
 }
 
+TEST(Protocol, EncodersWriteGoldenBytes) {
+  // Every encoder, byte for byte, on a non-empty buffer: the word-at-a-time
+  // writers must keep the wire format of docs/PROTOCOL.md exactly.
+  constexpr uint64_t kId = 0x0102030405060708ull;
+  constexpr Key kKey = 0x1112131415161718ull;
+  constexpr Value kValue = 0x2122232425262728ull;
+  constexpr uint32_t kCount = 0x31323334u;
+  static const std::pair<Key, Value> kPairs[] = {
+      {0x4142434445464748ull, 0x5152535455565758ull}, {1, 2}};
+  using Encode = void (*)(std::vector<uint8_t>*);
+  const std::vector<std::pair<Encode, std::string>> golden = {
+      {[](std::vector<uint8_t>* out) { AppendGet(out, kId, kKey); },
+       "080000000101000008070605040302011817161514131211"},
+      {[](std::vector<uint8_t>* out) { AppendPut(out, kId, kKey, kValue); },
+       "1000000001020000080706050403020118171615141312112827262524232221"},
+      {[](std::vector<uint8_t>* out) { AppendDel(out, kId, kKey); },
+       "080000000103000008070605040302011817161514131211"},
+      {[](std::vector<uint8_t>* out) { AppendScan(out, kId, kKey, kCount); },
+       "0c000000010400000807060504030201181716151413121134333231"},
+      {[](std::vector<uint8_t>* out) { AppendStats(out, kId); },
+       "00000000010500000807060504030201"},
+      {[](std::vector<uint8_t>* out) { AppendValueResponse(out, kId, kValue); },
+       "080000000180010008070605040302012827262524232221"},
+      {[](std::vector<uint8_t>* out) {
+         AppendStatusResponse(out, kId, RespStatus::kNotFound, 0x03);
+       },
+       "00000000018103000807060504030201"},
+      {[](std::vector<uint8_t>* out) { AppendPutResponse(out, kId, true); },
+       "0100000001800200080706050403020101"},
+      {[](std::vector<uint8_t>* out) { AppendScanResponse(out, kId, kPairs, 2); },
+       "240000000180040008070605040302010200000048474645444342415857565554535251"
+       "01000000000000000200000000000000"},
+      {[](std::vector<uint8_t>* out) { AppendStatsResponse(out, kId, "{}"); },
+       "020000000180050008070605040302017b7d"},
+  };
+  for (size_t i = 0; i < golden.size(); ++i) {
+    std::vector<uint8_t> buf = {0xee};  // appends must not touch earlier bytes
+    golden[i].first(&buf);
+    std::string hex;
+    for (size_t b = 1; b < buf.size(); ++b) {
+      static const char kDigits[] = "0123456789abcdef";
+      hex += kDigits[buf[b] >> 4];
+      hex += kDigits[buf[b] & 15];
+    }
+    EXPECT_EQ(buf[0], 0xee) << "frame " << i;
+    EXPECT_EQ(hex, golden[i].second) << "frame " << i;
+  }
+  EXPECT_EQ(GetU32(reinterpret_cast<const uint8_t*>("\x34\x33\x32\x31")), kCount);
+  const uint8_t le[] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(GetU64(le), kId);
+}
+
 TEST(Protocol, RequestRoundtripsThroughDecoder) {
   std::vector<uint8_t> buf;
   AppendGet(&buf, 1, 42);

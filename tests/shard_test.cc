@@ -36,6 +36,15 @@ std::vector<Value> ValuesFor(const std::vector<Key>& keys) {
   return values;
 }
 
+// The line rule's placement invariant (DESIGN.md §2.2), per shard, checked
+// after churn.
+void ExpectPlacementInvariant(const ShardedAltIndex& index) {
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    const Status st = index.shard(s).CheckPlacementInvariant();
+    EXPECT_TRUE(st.ok()) << "shard " << s << ": " << st.ToString();
+  }
+}
+
 ShardedOptions SmallOptions(int shards) {
   ShardedOptions so;
   so.num_shards = shards;
@@ -123,6 +132,7 @@ TEST(ShardedAltIndexTest, EmptyShardsServeInsertsAndScans) {
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_LT(out[i - 1].first, out[i].first) << "sorted, duplicate-free";
   }
+  ExpectPlacementInvariant(index);
 }
 
 TEST(ShardedAltIndexTest, UsableWithoutBulkLoad) {
@@ -205,9 +215,14 @@ TEST(ShardedAltIndexTest, PerShardEpochManagersStayOffTheGlobal) {
     shard_epoch_before.push_back(index.shard_epoch(s).GlobalEpoch());
   }
 
-  // Remove-heavy churn forces ART node retirement in every shard.
-  for (size_t i = 0; i < keys.size(); i += 2) index.Remove(keys[i]);
-  for (size_t i = 0; i < keys.size(); i += 2) index.Insert(keys[i], 1);
+  // Remove-heavy churn forces ART node retirement in every shard: a
+  // reinsert takes an EMPTY lane of its line while one is left, so after a
+  // few rounds the lines are full of tombstones and the rest cycle through
+  // ART.
+  for (int round = 0; round < 4; ++round) {
+    for (size_t i = 0; i < keys.size(); i += 2) index.Remove(keys[i]);
+    for (size_t i = 0; i < keys.size(); i += 2) index.Insert(keys[i], 1);
+  }
   for (size_t i = 0; i < keys.size(); i += 2) index.Remove(keys[i]);
 
   // The sharded hot path must never touch EpochManager::Global() (ISSUE 8
@@ -221,6 +236,7 @@ TEST(ShardedAltIndexTest, PerShardEpochManagersStayOffTheGlobal) {
     }
   }
   EXPECT_TRUE(any_shard_advanced) << "churn must drive shard epochs forward";
+  ExpectPlacementInvariant(index);
   index.DrainAllShards();
   for (size_t s = 0; s < index.num_shards(); ++s) {
     EXPECT_EQ(index.shard_epoch(s).PendingCount(), 0u);
@@ -325,6 +341,7 @@ TEST(ShardedAltIndexTest, ChurnScanAcrossSeamsDuringExpansion) {
   writer.join();
   remover.join();
   EXPECT_EQ(scan_failures.load(), 0u);
+  ExpectPlacementInvariant(index);
   index.DrainAllShards();
 }
 
