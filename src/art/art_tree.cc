@@ -337,6 +337,58 @@ void DeleteSubtree(Node* n) {
   DeleteNode(n);
 }
 
+// ---- Sorted build ------------------------------------------------------------
+
+// The smallest node type that holds `children` entries: the type an
+// insert-only tree has grown a node to once it has that many children.
+Node* NewNodeFor(int children) {
+  if (children <= Node4::kCapacity) return new Node4();
+  if (children <= Node16::kCapacity) return new Node16();
+  if (children <= 48) return new Node48();
+  return new Node256();
+}
+
+Node* BuildSubtree(const Key* keys, const Value* values, size_t lo, size_t hi, int depth);
+
+// Give `node` one child per distinct byte at `branch` of the ascending keys
+// [lo, hi), which agree on every byte before it.
+void AddSortedRun(Node* node, const Key* keys, const Value* values, size_t lo, size_t hi,
+                  int branch) {
+  while (lo < hi) {
+    const uint8_t byte = KeyByte(keys[lo], branch);
+    size_t end = lo + 1;
+    while (end < hi && KeyByte(keys[end], branch) == byte) ++end;
+    AddChild(node, byte, BuildSubtree(keys, values, lo, end, branch + 1));
+    lo = end;
+  }
+}
+
+// The subtree of the ascending keys [lo, hi), entered at key byte `depth`: a
+// leaf for one key, else a node whose compressed path is the keys' shared
+// bytes from `depth` on. These are the nodes the leaf and prefix splits of
+// InsertImpl leave behind.
+Node* BuildSubtree(const Key* keys, const Value* values, size_t lo, size_t hi, int depth) {
+  if (hi - lo == 1) return TagLeaf(new Leaf(keys[lo], values[lo]));
+  // Distinct keys differ in some byte, and the first and last differ first.
+  int cpl = 0;
+  while (KeyByte(keys[lo], depth + cpl) == KeyByte(keys[hi - 1], depth + cpl)) ++cpl;
+  const int branch = depth + cpl;
+  int children = 1;
+  for (size_t i = lo + 1; i < hi; ++i) {
+    children += KeyByte(keys[i], branch) != KeyByte(keys[i - 1], branch) ? 1 : 0;
+  }
+  Node* node = NewNodeFor(children);
+  node->match_level.store(static_cast<uint8_t>(depth), std::memory_order_relaxed);
+  node->SetPrefix(keys[lo], depth, cpl);
+  try {
+    AddSortedRun(node, keys, values, lo, hi, branch);
+  } catch (...) {
+    DeleteSubtree(node);
+    throw;
+  }
+  return node;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -624,6 +676,24 @@ bool ArtTree::Insert(Key key, Value value) {
     if (r == OpResult::kDone) return true;
     if (r == OpResult::kExists) return false;
   }
+}
+
+void ArtTree::BuildSorted(const Key* keys, const Value* values, size_t n) {
+  assert(Empty());
+  try {
+    AddSortedRun(root_, keys, values, 0, n, 0);
+  } catch (...) {
+    // The root is never replaced: drop what was hung below it.
+    uint8_t bytes[256];
+    Node* children[256];
+    const int cnt = CollectEntries(root_, bytes, children);
+    for (int i = 0; i < cnt; ++i) {
+      DeleteSubtree(children[i]);
+      RemoveChildEntry(root_, bytes[i]);
+    }
+    throw;
+  }
+  size_.Add(static_cast<int64_t>(n));
 }
 
 HintOutcome ArtTree::InsertFrom(Node* hint, Key key, Value value) {

@@ -127,6 +127,15 @@ class ArtTree {
   /// Insert; \return false if the key already exists (value left unchanged).
   bool Insert(Key key, Value value);
 
+  /// \brief Fill an empty tree with `n` ascending, duplicate-free pairs,
+  /// bottom-up: each node is created once, at the type its final fanout
+  /// needs, instead of growing through root-descent Inserts. An insert-only
+  /// ART's shape is a function of its key set, so the result is the tree
+  /// that inserting the same keys in any order builds (DESIGN.md §2.4).
+  /// Quiescent-only, like BulkLoad. If an allocation throws, the tree is
+  /// left empty.
+  void BuildSorted(const Key* keys, const Value* values, size_t n);
+
   /// Insert resuming at `hint`. Returns kNeedRoot when the required structure
   /// modification involves the hint node itself (its parent is unknown here).
   HintOutcome InsertFrom(Node* hint, Key key, Value value) ALT_REQUIRES_EPOCH;

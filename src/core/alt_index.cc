@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <new>
-#include <system_error>
 #include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/aligned_mem.h"
 #include "common/epoch.h"
@@ -36,11 +41,43 @@ void MergeRun(std::vector<std::pair<Key, Value>>* v, size_t begin, size_t mid,
   if (v->size() > limit) v->resize(limit);
 }
 
-// Smallest BulkLoad slab worth a helper thread for the slot fill (about 1.3M
-// keys at the default gap factor, three slots per line). Below 35MB the helper
-// lost in every timed run; from 47MB up it won or lost with the host's load
-// (EXPERIMENTS.md "Slot slab: helper-thread cutoff", measured at 32 B slots).
-constexpr size_t kFillThreadBytes = size_t{64} << 20;
+// Fewest keys per BulkLoad thread: for smaller shares of the sortedness check
+// and the slot fill, starting and joining a thread cost more than it saved
+// in timed loads (EXPERIMENTS.md "Parallel bulk load: thread cutoff").
+constexpr size_t kLoadThreadKeys = size_t{1} << 16;
+
+// CPUs this process may run on; BulkLoad's helper threads inherit the mask.
+size_t AffinityCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+// Run part(0), ..., part(parts - 1): part 0 on this thread, the others on
+// helper threads, and return when all are done. A helper that cannot be
+// started runs its part here. A part must allocate nothing: a thread's first
+// malloc gives it an arena of its own, and memory from such arenas measurably
+// slowed lookups (DESIGN.md §10.2).
+template <typename Part>
+void RunParts(size_t parts, const Part& part) {
+  std::vector<std::thread> helpers;
+  helpers.reserve(parts - 1);
+  size_t started = 1;
+  for (; started < parts; ++started) {
+    try {
+      helpers.emplace_back(part, started);
+    } catch (const std::exception&) {
+      break;
+    }
+  }
+  part(0);
+  for (size_t p = started; p < parts; ++p) part(p);
+  for (std::thread& t : helpers) t.join();
+}
 
 // Terminal accounting for lookups the learned layer answers by itself.
 inline bool FinishLearnedHit(ServedBy* served) {
@@ -110,117 +147,143 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
     directory_.Build({model}, options_.upper_radix_bits);
     return Status::OK();
   }
-  for (size_t i = 1; i < n; ++i) {
-    if (keys[i] <= keys[i - 1]) {
+
+  // The check and the slot fill split across up to one thread per CPU; the
+  // rest runs on this thread (DESIGN.md §10.2).
+  const size_t parts = std::clamp<size_t>(n / kLoadThreadKeys, 1, AffinityCpus());
+  {
+    trace::Span check("check", "build", parts);
+    std::atomic<bool> unsorted{false};
+    RunParts(parts, [&](size_t p) {
+      bool bad = false;
+      for (size_t i = std::max<size_t>(1, n * p / parts); i < n * (p + 1) / parts; ++i) {
+        bad |= keys[i] <= keys[i - 1];
+      }
+      if (bad) unsorted.store(true, std::memory_order_relaxed);
+    });
+    if (unsorted.load(std::memory_order_relaxed)) {
       return Status::InvalidArgument("keys must be sorted and duplicate-free");
     }
   }
 
-  epsilon_ = options_.EffectiveErrorBound(n);
-  const std::vector<Segment> segments = GplSegment(keys, n, epsilon_);
-
-  // Slot counts first: they size the one slab every bulk-loaded slot array
-  // is carved from (DESIGN.md §10.2).
-  std::vector<uint32_t> slot_counts;
-  slot_counts.reserve(segments.size());
-  size_t slab_bytes = 0;
-  for (const Segment& seg : segments) {
-    const Key first = keys[seg.start];
-    const Key last = keys[seg.start + seg.length - 1];
-    const double scaled_slope = seg.slope * options_.gap_factor;
-    uint64_t slots = 1;
-    if (seg.length >= 2 && scaled_slope > 0) {
-      const double span = static_cast<double>(last - first);
-      slots = static_cast<uint64_t>(scaled_slope * span) + 2;
-    }
-    // Safety clamp: predicted span is ~gap_factor * length by construction of
-    // the GPL slope; a generous cap guards degenerate doubles.
-    const uint64_t cap =
-        static_cast<uint64_t>(options_.gap_factor * static_cast<double>(seg.length)) +
-        2 * static_cast<uint64_t>(epsilon_) + 16;
-    if (slots > cap) slots = cap;
-    slot_counts.push_back(static_cast<uint32_t>(slots));
-    slab_bytes +=
-        SlotSlab::SliceFootprint(GplModel::SlotArrayBytes(static_cast<uint32_t>(slots)));
-  }
-  slab_ = SlotSlab::Create(slab_bytes);
-  if (slab_ == nullptr) throw std::bad_alloc();
-
+  std::vector<Segment> segments;
   std::vector<GplModel*> models;
-  // Which keys go to ART-OPT (§III-A conflicts) follows from the predictions
-  // alone: LineOf is monotone in the key, so the keys of one line are
-  // consecutive, and the line rule gives its lanes to the first LanesIn of
-  // them in ascending order (DESIGN.md §2.2). The slot fill and the ART-OPT
-  // inserts therefore need nothing from each other and run side by side.
-  auto for_each_key = [&](auto&& visit) {
-    for (size_t m = 0; m < segments.size(); ++m) {
-      const Segment& seg = segments[m];
-      GplModel* model = models[m];
-      uint32_t prev = ~uint32_t{0};  // no line yet
-      uint32_t rank = 0;             // keys before this one in its line
-      for (size_t i = 0; i < seg.length; ++i) {
-        const Key k = keys[seg.start + i];
-        const uint32_t l = model->LineOf(k);
-        rank = l == prev ? rank + 1 : 0;
-        prev = l;
-        // ProbeSlot never reads a line for a key at or past coverage_end
-        // (here only ~Key{0}), so that key goes to ART like a conflict.
-        const bool in_art = rank >= model->LanesIn(l) || k >= model->coverage_end();
-        visit(model, l, rank, in_art, k, values[seg.start + i]);
-      }
-    }
-  };
-  // The slab is a fresh mapping, so the fill also faults it in.
-  auto fill = [&] {
-    for_each_key([](GplModel* model, uint32_t l, uint32_t lane, bool in_art, Key k,
-                    Value v) {
-      if (in_art) return;
-      const SlotRef s = model->line(l).Lane(lane);
-      // Bulk load owns the index, but writing under the lane lock keeps the
-      // key/value stores inside the capability the analysis checks (the
-      // uncontended CAS costs nothing next to the O(n) load itself).
-      const uint32_t lw = s.word.Lock();
-      s.key.store(k, std::memory_order_relaxed);
-      s.value.store(v, std::memory_order_relaxed);
-      s.word.Unlock(lw, SlotState::kOccupied);
-    });
-  };
-  std::thread filler;
   try {
-    models.reserve(segments.size());
-    for (size_t m = 0; m < segments.size(); ++m) {
-      const Segment& seg = segments[m];
-      models.push_back(new GplModel(keys[seg.start], seg.slope * options_.gap_factor,
-                                    slot_counts[m], static_cast<uint32_t>(seg.length),
-                                    ~Key{0}, slab_));
-    }
-    // From kFillThreadBytes on, a helper thread fills the slab while this one
-    // inserts the conflicts into ART-OPT. The fill allocates nothing, so no
-    // malloc arena opens for the helper, and the helper inherits this
-    // thread's CPU affinity. Without a thread to spare the fill runs inline.
-    if (slab_->capacity() >= kFillThreadBytes) {
-      try {
-        filler = std::thread(fill);
-      } catch (const std::system_error&) {
+    {
+      trace::Span segment("segment", "build");
+      epsilon_ = options_.EffectiveErrorBound(n);
+      segments = GplSegment(keys, n, epsilon_);
+      segment.set_detail(segments.size());
+      // Slot counts first: they size the one slab every bulk-loaded slot
+      // array is carved from (DESIGN.md §10.2).
+      std::vector<uint32_t> slot_counts;
+      slot_counts.reserve(segments.size());
+      size_t slab_bytes = 0;
+      for (const Segment& seg : segments) {
+        const Key first = keys[seg.start];
+        const Key last = keys[seg.start + seg.length - 1];
+        const double scaled_slope = seg.slope * options_.gap_factor;
+        uint64_t slots = 1;
+        if (seg.length >= 2 && scaled_slope > 0) {
+          const double span = static_cast<double>(last - first);
+          slots = static_cast<uint64_t>(scaled_slope * span) + 2;
+        }
+        // Safety clamp: predicted span is ~gap_factor * length by construction
+        // of the GPL slope; a generous cap guards degenerate doubles.
+        const uint64_t cap =
+            static_cast<uint64_t>(options_.gap_factor * static_cast<double>(seg.length)) +
+            2 * static_cast<uint64_t>(epsilon_) + 16;
+        if (slots > cap) slots = cap;
+        slot_counts.push_back(static_cast<uint32_t>(slots));
+        slab_bytes +=
+            SlotSlab::SliceFootprint(GplModel::SlotArrayBytes(static_cast<uint32_t>(slots)));
+      }
+      slab_ = SlotSlab::Create(slab_bytes);
+      if (slab_ == nullptr) throw std::bad_alloc();
+      models.reserve(segments.size());
+      for (size_t m = 0; m < segments.size(); ++m) {
+        const Segment& seg = segments[m];
+        models.push_back(new GplModel(keys[seg.start], seg.slope * options_.gap_factor,
+                                      slot_counts[m], static_cast<uint32_t>(seg.length),
+                                      ~Key{0}, slab_));
       }
     }
+
+    // Which keys go to ART-OPT (§III-A conflicts) follows from the predictions
+    // alone: LineOf is monotone in the key, so the keys of one line are
+    // consecutive, and the line rule gives its lanes to the first LanesIn of
+    // them in ascending order (DESIGN.md §2.2). A part is a key-balanced run
+    // of whole models, so no line straddles two parts. Each part places its
+    // keys, faulting its share of the fresh slab in as it goes, and copies
+    // its conflicts, in key order, to `art_keys` / `art_values` from its first
+    // key's index on: a part has no more conflicts than keys, so the parts'
+    // runs never overlap. Only the pages the runs touch are faulted in.
+    std::vector<size_t> first_model(parts + 1, segments.size());
+    std::vector<size_t> first_key(parts + 1, n);
+    for (size_t p = 0; p < parts; ++p) {
+      const auto it = std::partition_point(
+          segments.begin(), segments.end(),
+          [&](const Segment& seg) { return seg.start < n * p / parts; });
+      first_model[p] = static_cast<size_t>(it - segments.begin());
+      if (it != segments.end()) first_key[p] = it->start;
+    }
+    std::unique_ptr<Key[]> art_keys(new Key[n]);
+    std::unique_ptr<Value[]> art_values(new Value[n]);
+    std::vector<size_t> part_conflicts(parts, 0);
     {
-      EpochGuard g(*epoch_);
-      for_each_key([this](GplModel*, uint32_t, uint32_t, bool in_art, Key k, Value v) {
-        if (in_art) art_.Insert(k, v);
+      trace::Span fill("fill", "build", parts);
+      RunParts(parts, [&](size_t p) {
+        size_t out = first_key[p];
+        for (size_t m = first_model[p]; m < first_model[p + 1]; ++m) {
+          const Segment& seg = segments[m];
+          GplModel* model = models[m];
+          uint32_t prev = ~uint32_t{0};  // no line yet
+          uint32_t rank = 0;             // keys before this one in its line
+          for (size_t i = seg.start; i < seg.start + seg.length; ++i) {
+            const Key k = keys[i];
+            const uint32_t l = model->LineOf(k);
+            rank = l == prev ? rank + 1 : 0;
+            prev = l;
+            // ProbeSlot never reads a line for a key at or past coverage_end
+            // (here only ~Key{0}), so that key goes to ART like a conflict.
+            if (rank >= model->LanesIn(l) || k >= model->coverage_end()) {
+              art_keys[out] = k;
+              art_values[out++] = values[i];
+              continue;
+            }
+            const SlotRef s = model->line(l).Lane(rank);
+            // Bulk load owns the index, but writing under the lane lock keeps
+            // the key/value stores inside the capability the analysis checks
+            // (the uncontended CAS costs nothing next to the O(n) load itself).
+            const uint32_t lw = s.word.Lock();
+            s.key.store(k, std::memory_order_relaxed);
+            s.value.store(values[i], std::memory_order_relaxed);
+            s.word.Unlock(lw, SlotState::kOccupied);
+          }
+        }
+        part_conflicts[p] = out - first_key[p];
       });
     }
-    if (filler.joinable()) {
-      filler.join();
-    } else {
-      fill();
+
+    // ART-OPT is built here, on the loading thread, so its nodes come from
+    // this thread's malloc arena (DESIGN.md §10.2). The parts' runs close up
+    // leftwards into one ascending array first.
+    trace::Span art_build("art_build", "build");
+    size_t conflicts = 0;
+    for (size_t p = 0; p < parts; ++p) {
+      std::memmove(art_keys.get() + conflicts, art_keys.get() + first_key[p],
+                   part_conflicts[p] * sizeof(Key));
+      std::memmove(art_values.get() + conflicts, art_values.get() + first_key[p],
+                   part_conflicts[p] * sizeof(Value));
+      conflicts += part_conflicts[p];
     }
+    art_build.set_detail(conflicts);
+    art_.BuildSorted(art_keys.get(), art_values.get(), conflicts);
   } catch (...) {
-    // An allocation failed: stop the helper before its models go, and leave
-    // no slab behind on an index with an empty directory.
-    if (filler.joinable()) filler.join();
+    // An allocation failed: leave no slab behind on an index with an empty
+    // directory.
     for (GplModel* model : models) delete model;
-    slab_->Unref();
+    if (slab_ != nullptr) slab_->Unref();
     slab_ = nullptr;
     throw;
   }
@@ -228,6 +291,7 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   directory_.Build(std::move(models), options_.upper_radix_bits);
 
   if (options_.enable_fast_pointers) {
+    trace::Span fast_pointers("fast_pointers", "build");
     // §III-C1: for each pair of adjacent GPL models, point at the deepest ART
     // node covering the model's key range; duplicates are merged.
     const ModelDirectory::Snapshot* snap = directory_.snapshot();
@@ -242,6 +306,7 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
       const int32_t slot = fp_buffer_.AddPointer(lca, depth, KeyPrefix(lo, depth));
       snap->models[i].load(std::memory_order_relaxed)->set_fp_index(slot);
     }
+    fast_pointers.set_detail(m);
   }
 
   size_.Add(static_cast<int64_t>(n));

@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "common/epoch.h"
 #include "common/metrics.h"
@@ -32,18 +33,17 @@ constexpr int kEpollTimeoutMs = 200;
 /// guards the index takes internally per operation become counter bumps
 /// instead of epoch publications — one pin amortized over the whole cycle
 /// (DESIGN.md §13.3). Reclamation of memory retired mid-cycle is deferred to
-/// the next cycle boundary, bounded by the epoll timeout.
+/// the next cycle boundary, bounded by the epoll timeout. The guards live in
+/// fixed storage, so a cycle allocates nothing to pin; they unpin in reverse
+/// order.
 class ShardEpochPin {
  public:
   explicit ShardEpochPin(shard::ShardedAltIndex& index) {
-    guards_.reserve(index.num_shards());
-    for (size_t i = 0; i < index.num_shards(); ++i) {
-      guards_.push_back(std::make_unique<EpochGuard>(index.shard_epoch(i)));
-    }
+    for (size_t i = 0; i < index.num_shards(); ++i) guards_[i].emplace(index.shard_epoch(i));
   }
 
  private:
-  std::vector<std::unique_ptr<EpochGuard>> guards_;
+  std::optional<EpochGuard> guards_[shard::ShardedOptions::kMaxShards];
 };
 
 }  // namespace
@@ -56,7 +56,8 @@ struct Conn {
   FrameDecoder dec;
   std::vector<uint8_t> out;  ///< encoded responses not yet written
   size_t out_off = 0;        ///< bytes of `out` already sent
-  bool read_ready = false;   ///< saw EPOLLIN, not yet drained to EAGAIN
+  bool read_ready = false;   ///< saw EPOLLIN, not yet drained (see DrainConn)
+  bool peer_hup = false;     ///< saw EPOLLRDHUP/EPOLLHUP: read on to the EOF
   bool epollout_armed = false;
   bool closing = false;  ///< close once pending output is flushed
 
@@ -137,6 +138,9 @@ class KvServer::Worker {
   uint64_t open_conns() const { return open_conns_.load(std::memory_order_relaxed); }
   uint64_t occ_hist(size_t n) const { return occ_hist_[n].load(std::memory_order_relaxed); }
   bool failed() const { return failed_.load(std::memory_order_relaxed); }
+  uint64_t epoll_waits() const { return epoll_waits_.load(std::memory_order_relaxed); }
+  uint64_t recv_calls() const { return recv_calls_.load(std::memory_order_relaxed); }
+  uint64_t send_calls() const { return send_calls_.load(std::memory_order_relaxed); }
 
  private:
   struct BatchEntry {
@@ -153,6 +157,7 @@ class KvServer::Worker {
       const int timeout_ms = HasRevisitWork() ? 0 : kEpollTimeoutMs;
       int n = epoll_wait(epfd_, events.data(), static_cast<int>(events.size()),
                          timeout_ms);
+      epoll_waits_.fetch_add(1, std::memory_order_relaxed);
       AdoptPending();
       if (server_->stopping_.load(std::memory_order_acquire)) break;
       if (n < 0) {
@@ -176,6 +181,7 @@ class KvServer::Worker {
           continue;
         }
         if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) c->closing = true;
+        if ((events[i].events & (EPOLLRDHUP | EPOLLHUP)) != 0) c->peer_hup = true;
         if ((events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0) c->read_ready = true;
         // EPOLLOUT needs no flag: the post-drain flush below retries every
         // connection with pending output each cycle.
@@ -258,9 +264,15 @@ class KvServer::Worker {
     }
   }
 
-  /// Read + decode one connection until EAGAIN, a fairness/backpressure
+  /// Read + decode one connection until it is drained, a fairness/backpressure
   /// limit, or a fatal frame. GETs accumulate in the batch; everything else
   /// flushes it first (per-connection response order, DESIGN.md §13.2).
+  ///
+  /// Under EPOLLET a recv that fills less than the buffer proves the socket
+  /// drained: bytes that arrive later raise a new edge. So read_ready clears
+  /// there, without the recv that would only return EAGAIN. Once the peer has
+  /// shut down its side (EPOLLRDHUP/EPOLLHUP), the reads go on until recv
+  /// returns 0, since that EOF raises no further edge.
   void DrainConn(Conn* c) {
     size_t frames = 0;
     for (;;) {
@@ -288,8 +300,10 @@ class KvServer::Worker {
       // kNeedMore:
       if (!c->read_ready) return;
       ssize_t k = recv(c->fd, recv_buf_, sizeof(recv_buf_), 0);
+      recv_calls_.fetch_add(1, std::memory_order_relaxed);
       if (k > 0) {
         c->dec.Feed(recv_buf_, static_cast<size_t>(k));
+        if (static_cast<size_t>(k) < sizeof(recv_buf_) && !c->peer_hup) c->read_ready = false;
         continue;
       }
       if (k == 0) {  // orderly shutdown; answer what was received, then close
@@ -425,6 +439,7 @@ class KvServer::Worker {
     while (c->out_off < c->out.size()) {
       ssize_t k = send(c->fd, c->out.data() + c->out_off,
                        c->out.size() - c->out_off, MSG_NOSIGNAL);
+      send_calls_.fetch_add(1, std::memory_order_relaxed);
       if (k > 0) {
         c->out_off += static_cast<size_t>(k);
         continue;
@@ -495,6 +510,9 @@ class KvServer::Worker {
   std::atomic<uint64_t> responses_out_{0};
   std::atomic<uint64_t> malformed_{0};
   std::atomic<uint64_t> open_conns_{0};
+  std::atomic<uint64_t> epoll_waits_{0};
+  std::atomic<uint64_t> recv_calls_{0};
+  std::atomic<uint64_t> send_calls_{0};
   std::atomic<bool> exited_{false};
   std::atomic<bool> failed_{false};  ///< exited on an epoll_wait error
   std::array<std::atomic<uint64_t>, kMaxBatch + 1> occ_hist_;
@@ -661,6 +679,9 @@ ServerStats KvServer::CollectStats() const {
     s.malformed += w->malformed();
     s.worker_failures += w->failed() ? 1 : 0;
     s.open_connections += w->open_conns();
+    s.epoll_waits += w->epoll_waits();
+    s.recv_calls += w->recv_calls();
+    s.send_calls += w->send_calls();
     for (size_t i = 0; i <= kMaxBatch; ++i) s.occupancy_hist[i] += w->occ_hist(i);
   }
   // Flush totals are the histogram's mass and first moment.
@@ -691,6 +712,9 @@ std::string KvServer::StatsJson() const {
   field("worker_failures", s.worker_failures);
   field("batch_flushes", s.batch_flushes);
   field("batch_keys", s.batch_keys);
+  field("epoll_waits", s.epoll_waits);
+  field("recv_calls", s.recv_calls);
+  field("send_calls", s.send_calls);
   out += "\"mean_batch_occupancy\":";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", s.mean_batch_occupancy());

@@ -76,6 +76,11 @@ struct ServerStats {
   uint64_t batch_flushes = 0;
   uint64_t batch_keys = 0;
   uint64_t open_connections = 0;
+  /// Syscalls made by the workers: epoll_wait calls (one per drain cycle or
+  /// idle timeout), recv calls and send calls.
+  uint64_t epoll_waits = 0;
+  uint64_t recv_calls = 0;
+  uint64_t send_calls = 0;
   /// occupancy_hist[n] = flushes that carried exactly n keys (n <= 64).
   std::vector<uint64_t> occupancy_hist;
 

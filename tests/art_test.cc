@@ -9,6 +9,7 @@
 #include "art/art_tree.h"
 #include "common/epoch.h"
 #include "common/random.h"
+#include "core/alt_index.h"
 #include "datasets/dataset.h"
 
 namespace alt {
@@ -276,6 +277,129 @@ TEST_F(ArtTest, CensusCountsEverything) {
   EXPECT_GT(census.nodes[0] + census.nodes[1] + census.nodes[2] + census.nodes[3], 0u);
   EXPECT_LE(census.height, 9u);
   EXPECT_EQ(tree.MemoryUsage(), census.total_bytes);
+}
+
+// BuildSorted against one-by-one Inserts in shuffled order: an insert-only
+// ART's shape depends only on its key set, so both trees must have the same
+// census, the same contents and the same fast-pointer targets.
+void ExpectSortedBuildMatchesInserts(std::vector<Key> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<Value> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] ^ 0x5A5A;
+
+  ArtTree built;
+  built.BuildSorted(keys.data(), values.data(), keys.size());
+  ArtTree inserted;
+  EpochGuard g;
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(keys.size());
+  for (size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  for (const size_t i : order) ASSERT_TRUE(inserted.Insert(keys[i], values[i]));
+
+  EXPECT_EQ(built.Size(), keys.size());
+  const ArtTree::Census a = built.CollectCensus();
+  const ArtTree::Census b = inserted.CollectCensus();
+  for (size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(a.nodes[t], b.nodes[t]) << "node type " << t;
+    EXPECT_EQ(a.node_bytes[t], b.node_bytes[t]) << "node type " << t;
+  }
+  EXPECT_EQ(a.leaves, b.leaves);
+  for (size_t d = 0; d <= kKeyBytes; ++d) EXPECT_EQ(a.depth_hist[d], b.depth_hist[d]) << d;
+  EXPECT_EQ(a.height, b.height);
+  EXPECT_EQ(a.compressed_nodes, b.compressed_nodes);
+  EXPECT_EQ(a.prefix_bytes, b.prefix_bytes);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+
+  std::vector<std::pair<Key, Value>> from_built;
+  std::vector<std::pair<Key, Value>> from_inserted;
+  built.RangeQuery(0, ~Key{0}, &from_built);
+  inserted.RangeQuery(0, ~Key{0}, &from_inserted);
+  EXPECT_EQ(from_built, from_inserted);
+  ASSERT_EQ(from_built.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Value v = 0;
+    ASSERT_TRUE(built.Lookup(keys[i], &v)) << keys[i];
+    EXPECT_EQ(v, values[i]);
+  }
+
+  // The node BulkLoad points a model at, for ranges between neighbouring
+  // keys and wider ones.
+  for (size_t i = 0; i < keys.size(); i += std::max<size_t>(1, keys.size() / 500)) {
+    for (const size_t span : {size_t{0}, size_t{1}, size_t{7}, size_t{100}}) {
+      const Key lo = keys[i];
+      const Key hi = keys[std::min(i + span, keys.size() - 1)];
+      int da = -1;
+      int db = -1;
+      const art::Node* na = built.FindLcaNode(lo, hi, &da);
+      const art::Node* nb = inserted.FindLcaNode(lo, hi, &db);
+      ASSERT_EQ(da, db) << lo << ".." << hi;
+      EXPECT_EQ(na->type, nb->type);
+      EXPECT_EQ(na->prefix_len.load(), nb->prefix_len.load());
+      EXPECT_EQ(na->num_children.load(), nb->num_children.load());
+    }
+  }
+}
+
+TEST_F(ArtTest, SortedBuildMatchesOneByOneInserts) {
+  {
+    SCOPED_TRACE("osm conflicts");
+    EpochManager epoch("art-test");
+    AltOptions opts;
+    opts.epoch_manager = &epoch;
+    AltIndex index(opts);
+    const std::vector<Key> keys = GenerateKeys(Dataset::kOsm, 200000, 5);
+    std::vector<Value> values(keys.size(), 1);
+    ASSERT_TRUE(index.BulkLoad(keys.data(), values.data(), keys.size()).ok());
+    std::vector<std::pair<Key, Value>> conflicts;
+    {
+      EpochGuard g(epoch);
+      index.art().RangeQuery(0, ~Key{0}, &conflicts);
+    }
+    ASSERT_GT(conflicts.size(), 1000u);
+    std::vector<Key> art_keys;
+    for (const auto& kv : conflicts) art_keys.push_back(kv.first);
+    ExpectSortedBuildMatchesInserts(art_keys);
+  }
+  {
+    SCOPED_TRACE("dense runs");
+    std::vector<Key> keys;
+    for (Key k = 1000; k < 3000; ++k) keys.push_back(k);                // full Node256s
+    for (Key k = 0; k < 40; ++k) keys.push_back((Key{1} << 40) + k);  // a Node48
+    for (Key k = 0; k < 10; ++k) keys.push_back((Key{7} << 56) + k * 256);  // a Node16
+    ExpectSortedBuildMatchesInserts(keys);
+  }
+  {
+    SCOPED_TRACE("long shared prefixes");
+    std::vector<Key> keys;
+    const Key base = 0xABCDEF0123450000ull;
+    for (Key k = 0; k < 3; ++k) keys.push_back(base + k);          // differ in byte 7
+    for (Key k = 1; k < 4; ++k) keys.push_back(base + (k << 8));   // byte 6
+    for (Key k = 1; k < 3; ++k) keys.push_back(base + (k << 24));  // byte 4
+    keys.push_back(0xABCDEF0000000000ull);
+    keys.push_back(0xAB00000000000001ull);
+    ExpectSortedBuildMatchesInserts(keys);
+  }
+  {
+    SCOPED_TRACE("one key");
+    ExpectSortedBuildMatchesInserts({0x0102030405060708ull});
+  }
+  {
+    SCOPED_TRACE("~Key{0}");
+    ExpectSortedBuildMatchesInserts({~Key{0}});
+    ExpectSortedBuildMatchesInserts({0, 1, ~Key{0} - 1, ~Key{0}});
+  }
+}
+
+TEST_F(ArtTest, SortedBuildOfNothingLeavesAnEmptyTree) {
+  ArtTree tree;
+  tree.BuildSorted(nullptr, nullptr, 0);
+  EpochGuard g;
+  EXPECT_EQ(tree.Size(), 0u);
+  Value v = 0;
+  EXPECT_FALSE(tree.Lookup(0, &v));
+  EXPECT_TRUE(tree.Insert(5, 6));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -410,6 +414,87 @@ TEST_F(ServerTest, RevisitWorkIsNotDelayedByEpollTimeout) {
   EXPECT_LT(NowNanos() - t0, 1500ull * 1000000ull);
 }
 
+// Under EPOLLET the server takes a short recv as proof that the socket is
+// drained (DESIGN.md §13.2). When the frames and the client's FIN arrive
+// before the worker polls, one event reports both and no later edge comes,
+// so the server must read on to the EOF: every frame is answered, then the
+// connection closes. A burst of SCANs on a second connection keeps the one
+// worker busy while the frames and the FIN land.
+TEST_F(ServerTest, PipelinedFramesThenShutdownAreAllAnsweredThenEof) {
+  ServerOptions opt;
+  opt.num_workers = 1;
+  StartServer(opt);
+  KvClient busy;
+  ASSERT_TRUE(Connect(&busy).ok());
+  KvClient c;
+  ASSERT_TRUE(Connect(&c).ok());
+  timeval tv{};
+  tv.tv_sec = 5;  // a server that missed the EOF fails the test, not hangs it
+  ASSERT_EQ(setsockopt(c.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  // Both connections are adopted before the burst starts.
+  Value v = 0;
+  bool found = false;
+  ASSERT_TRUE(busy.Get(keys_[0], &v, &found).ok());
+  ASSERT_TRUE(c.Get(keys_[0], &v, &found).ok());
+
+  constexpr int kScans = 100;
+  for (int i = 0; i < kScans; ++i) busy.QueueScan(keys_[static_cast<size_t>(i)], 1000);
+  ASSERT_TRUE(busy.Flush().ok());
+
+  constexpr uint64_t kFrames = 40;
+  std::vector<uint8_t> raw;
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    if (id % 10 == 0) {
+      AppendPut(&raw, id, 0xF300000000000000ull + id, id);
+    } else {
+      AppendGet(&raw, id, keys_[id]);
+    }
+  }
+  ASSERT_EQ(send(c.fd(), raw.data(), raw.size(), 0), static_cast<ssize_t>(raw.size()));
+  ASSERT_EQ(shutdown(c.fd(), SHUT_WR), 0);
+
+  Response r;
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    ASSERT_TRUE(c.ReceiveResponse(&r).ok()) << "response " << id;
+    EXPECT_EQ(r.request_id, id);
+    EXPECT_EQ(r.status, RespStatus::kOk);
+    if (id % 10 != 0) EXPECT_EQ(r.value, ValueFor(keys_[id]));
+  }
+  uint8_t byte = 0;
+  EXPECT_EQ(recv(c.fd(), &byte, 1, 0), 0) << "no EOF: the server kept the connection open";
+  for (int i = 0; i < kScans; ++i) {
+    ASSERT_TRUE(busy.ReceiveResponse(&r).ok());
+    EXPECT_EQ(r.status, RespStatus::kOk);
+  }
+}
+
+// Frames that trickle in a few bytes at a time end every server read short;
+// each later chunk must still raise the edge that gets it read.
+TEST_F(ServerTest, FramesSplitAcrossManySmallWritesAreAllAnswered) {
+  StartServer();
+  KvClient c;
+  ASSERT_TRUE(Connect(&c).ok());
+
+  constexpr uint64_t kFrames = 24;
+  std::vector<uint8_t> raw;
+  for (uint64_t id = 1; id <= kFrames; ++id) AppendGet(&raw, id, keys_[id * 3]);
+  constexpr size_t kChunk = 5;  // straddles every header and body boundary
+  for (size_t off = 0; off < raw.size(); off += kChunk) {
+    const size_t len = std::min(kChunk, raw.size() - off);
+    ASSERT_EQ(send(c.fd(), raw.data() + off, len, 0), static_cast<ssize_t>(len));
+    if ((off / kChunk) % 8 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));  // some land alone
+    }
+  }
+  Response r;
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    ASSERT_TRUE(c.ReceiveResponse(&r).ok()) << "response " << id;
+    EXPECT_EQ(r.request_id, id);
+    EXPECT_EQ(r.status, RespStatus::kOk);
+    EXPECT_EQ(r.value, ValueFor(keys_[id * 3]));
+  }
+}
+
 TEST_F(ServerTest, MalformedFramesGetErrorResponses) {
   StartServer();
   KvClient c;
@@ -592,6 +677,16 @@ TEST_F(ServerTest, StatsAfterStopCountTheFramesServed) {
   EXPECT_EQ(st.open_connections, 0u);
   EXPECT_NE(server_->StatsJson().find("\"frames_in\":" + std::to_string(kGets)),
             std::string::npos);
+  // One GET in flight at a time: each arrives alone and is read by one short
+  // recv, with no recv that only returns EAGAIN. The slack covers the first
+  // cycle's read, one stale edge and the EOF.
+  EXPECT_GT(st.epoll_waits, 0u);
+  EXPECT_GE(st.send_calls, static_cast<uint64_t>(kGets));
+  EXPECT_GE(st.recv_calls, static_cast<uint64_t>(kGets));
+  EXPECT_LE(st.recv_calls, static_cast<uint64_t>(kGets) + 3);
+  for (const char* field : {"\"epoll_waits\":", "\"recv_calls\":", "\"send_calls\":"}) {
+    EXPECT_NE(server_->StatsJson().find(field), std::string::npos) << field;
+  }
   server_->Stop();  // idempotent: nothing counted twice
   EXPECT_EQ(server_->CollectStats().frames_in, static_cast<uint64_t>(kGets));
 }

@@ -1,9 +1,8 @@
 // The BulkLoad slot slab (DESIGN.md §10.2): one 2MB-aligned mapping carved
-// into every bulk-loaded model's slot array, filled (and so faulted in) by a
-// helper thread while the conflicts go into ART-OPT when it is large, and
-// kept mapped until the last model that lives in it is freed. The CI TSan leg
-// runs this binary (the helper thread); the ASan+UBSan leg runs the redzone
-// death test.
+// into every bulk-loaded model's slot array, filled (and so faulted in) by up
+// to one thread per CPU when the load is large, and kept mapped until the
+// last model that lives in it is freed. The CI TSan leg runs this binary (the
+// fill threads); the ASan+UBSan leg runs the redzone death test.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +15,14 @@
 #include <vector>
 
 #if defined(__linux__)
+#include <sched.h>
 #include <sys/mman.h>
 #include <unistd.h>
 #endif
 
 #include "common/aligned_mem.h"
 #include "common/epoch.h"
+#include "common/trace.h"
 #include "core/alt_index.h"
 #include "datasets/dataset.h"
 
@@ -227,8 +228,8 @@ TEST(SlotSlabTest, ModelInSlabWorksRegardlessOfBacking) {
 // ---------------------------------------------------------------------------
 
 TEST(SlotSlabTest, BulkLoadPutsEveryArrayInOneAlignedSlab) {
-  // At gap factor 2 and 64 B per 3 slots, 150k osm keys take a slab past 5MB,
-  // filled inline; 1.4M keys take one past 64MB, filled by the helper thread.
+  // At gap factor 2 and 64 B per 3 slots, 150k osm keys take a slab past 5MB
+  // and 1.4M keys one past 64MB; both loads are split across threads.
   for (const auto& [n, min_slab] : {std::pair<size_t, size_t>{150000, size_t{5} << 20},
                                     {1400000, size_t{64} << 20}}) {
     SCOPED_TRACE(n);
@@ -236,6 +237,69 @@ TEST(SlotSlabTest, BulkLoadPutsEveryArrayInOneAlignedSlab) {
     auto index = LoadOsm(n, &epoch);
     ExpectOneAlignedZeroFilledSlab(*index, epoch, min_slab);
     ExpectArtHoldsExactlyTheConflicts(*index, epoch, GenerateKeys(Dataset::kOsm, n, 7));
+  }
+}
+
+// The number of parts the load's "fill" span recorded; 0 without tracing.
+size_t TracedFillParts() {
+  for (const trace::Record& r : trace::Collect()) {
+    if (std::string(r.name) == "fill") return r.detail;
+  }
+  return 0;
+}
+
+TEST(SlotSlabTest, ParallelBulkLoadPlacesEveryKeyByTheLineRule) {
+  // 600k keys are past the per-thread cutoff nine times over, so the check
+  // and the fill run on every CPU the affinity mask allows. Each part fills
+  // whole models and hands its conflicts to the one ART build.
+  size_t cpus = 1;
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
+#endif
+  EpochManager epoch("slab-test");
+  constexpr size_t kN = 600000;
+  trace::ResetForTest();
+  trace::SetEnabled(true);
+  auto index = LoadOsm(kN, &epoch);
+  trace::SetEnabled(false);
+#if !defined(ALT_TRACING_DISABLED)
+  EXPECT_EQ(TracedFillParts(), std::min<size_t>(cpus, 9));
+#endif
+  trace::ResetForTest();
+  ExpectArtHoldsExactlyTheConflicts(*index, epoch, GenerateKeys(Dataset::kOsm, kN, 7));
+
+  // Evenly spaced keys make one model, so every part past the first is
+  // empty.
+  AltOptions opts;
+  opts.epoch_manager = &epoch;
+  AltIndex linear(opts);
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 0; k < kN; ++k) pairs.emplace_back(k * 8, ValueFor(k * 8));
+  ASSERT_TRUE(linear.BulkLoad(pairs).ok());
+  EXPECT_EQ(linear.directory().NumModels(), 1u);
+  EXPECT_TRUE(linear.CheckPlacementInvariant().ok());
+  for (Key k = 0; k < kN; k += 997) {
+    Value v = 0;
+    ASSERT_TRUE(linear.Lookup(k * 8, &v)) << k;
+    EXPECT_EQ(v, ValueFor(k * 8));
+  }
+}
+
+TEST(SlotSlabTest, UnsortedInputIsRejectedInAnyPart) {
+  // The sortedness check is split like the fill: a bad pair in the last part,
+  // or straddling two parts, must still fail the load.
+  EpochManager epoch("slab-test");
+  std::vector<Key> keys = GenerateKeys(Dataset::kOsm, 600000, 7);
+  std::vector<Value> values(keys.size(), 1);
+  for (const size_t at : {keys.size() - 1, keys.size() / 2, size_t{1}}) {
+    std::vector<Key> bad = keys;
+    bad[at] = bad[at - 1];  // a duplicate
+    AltOptions opts;
+    opts.epoch_manager = &epoch;
+    AltIndex index(opts);
+    EXPECT_FALSE(index.BulkLoad(bad.data(), values.data(), bad.size()).ok()) << at;
+    EXPECT_EQ(index.directory().NumModels(), 0u);
   }
 }
 
