@@ -5,7 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "common/cpu_features.h"
 #include "common/epoch.h"
 #include "common/trace.h"
 #include "datasets/sosd_loader.h"
@@ -184,8 +183,9 @@ RunResult RunOne(const BenchConfig& cfg, const std::string& index_name,
   if (cfg.path_breakdown) PrintPathBreakdown(r);
   if (cfg.perf_stat) {
     // The counter numbers are only interpretable against the code path that
-    // produced them, so name the active read-path kernel alongside them.
-    std::printf("read-path simd: %s\n", cpu::SimdModeName());
+    // produced them, so name the upper-model search alongside them.
+    std::printf("upper-model search: %s\n",
+                UpperModelSearchName(alt_options.upper_radix_bits).c_str());
     PrintPerfStat(r);
   }
   if (!cfg.dump_structure.empty()) {
@@ -214,6 +214,10 @@ RunResult RunOne(const BenchConfig& cfg, const std::string& index_name,
   index.reset();
   EpochManager::Global().DrainAll();
   return r;
+}
+
+std::string UpperModelSearchName(int radix_bits) {
+  return radix_bits == 0 ? "binary search (paper)" : "radix " + std::to_string(radix_bits) + "b";
 }
 
 void PrintHeader(const std::string& title, const std::vector<std::string>& columns) {

@@ -75,6 +75,10 @@ RunResult RunOne(const BenchConfig& cfg, const std::string& index_name,
                  const std::vector<Key>& keys, WorkloadType workload,
                  const AltOptions& alt_options = {});
 
+/// Name of the upper-model search `radix_bits` selects, for table rows and
+/// the --perf_stat header: "binary search (paper)" or "radix <bits>b".
+std::string UpperModelSearchName(int radix_bits);
+
 /// Printing helpers: paper-style aligned table rows.
 void PrintHeader(const std::string& title, const std::vector<std::string>& columns);
 void PrintRow(const std::vector<std::string>& cells);

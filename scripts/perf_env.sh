@@ -45,12 +45,6 @@ report() {
   echo "boost (acpi cpufreq):   $(read_file /sys/devices/system/cpu/cpufreq/boost)"
   gov="/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor"
   echo "cpu0 governor:        $(read_file "$gov")"
-  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    echo "avx2:                 yes"
-  else
-    echo "avx2:                 no (read path runs the scalar twin)"
-  fi
-  echo "ALT_FORCE_SCALAR:     ${ALT_FORCE_SCALAR:-<unset>}"
 }
 
 tune() {

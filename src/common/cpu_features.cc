@@ -1,52 +1,9 @@
 #include "common/cpu_features.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace alt {
 namespace cpu {
 
-namespace {
-
-Features Detect() {
-  Features f;
-#if ALT_SIMD_X86
-  f.compiled_simd = true;
-  // __builtin_cpu_supports checks CPUID *and* that the OS enabled the ymm
-  // state (XSAVE), so a positive answer means AVX2 instructions will not trap.
-  f.avx2 = __builtin_cpu_supports("avx2") != 0;
-#endif
-  const char* force = std::getenv("ALT_FORCE_SCALAR");
-  f.forced_scalar = force != nullptr && force[0] != '\0' &&
-                    std::strcmp(force, "0") != 0;
-  return f;
-}
-
-}  // namespace
-
-const Features& GetFeatures() {
-  static const Features f = Detect();
-  return f;
-}
-
-bool SimdEnabled() {
-  // Function-local static: thread-safe one-time detection, then a guard-bit
-  // check + load per call. The callers sit next to a binary search or an
-  // O(num_slots) walk, so this never shows up in a profile.
-  static const bool enabled = [] {
-    const Features& f = GetFeatures();
-    return f.compiled_simd && f.avx2 && !f.forced_scalar;
-  }();
-  return enabled;
-}
-
-const char* SimdModeName() {
-  const Features& f = GetFeatures();
-  if (!f.compiled_simd) return "scalar (compiled out)";
-  if (f.forced_scalar) return "scalar (forced)";
-  if (!f.avx2) return "scalar (no avx2)";
-  return "avx2";
-}
+const char* SimdModeName() { return "none"; }
 
 }  // namespace cpu
 }  // namespace alt

@@ -7,7 +7,7 @@ namespace alt {
 namespace perf {
 
 /// \brief Per-thread micro-architectural counter group (DESIGN.md §10): the
-/// measurement side of the SIMD hot-path pass, reporting *why* a path is fast
+/// measurement side of the hot-path pass, reporting *why* a path is fast
 /// (cycles, LLC misses, branch mispredictions per lookup) instead of only
 /// ops/sec.
 ///

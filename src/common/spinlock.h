@@ -5,16 +5,12 @@
 #include "common/debug_checks.h"
 #include "common/thread_annotations.h"
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 namespace alt {
 
 /// Pause the core briefly inside a spin loop (reduces bus traffic on x86).
 inline void CpuRelax() {
-#if defined(__x86_64__)
-  _mm_pause();
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_ia32_pause();
 #else
   std::atomic_signal_fence(std::memory_order_seq_cst);
 #endif

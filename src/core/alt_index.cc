@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 
 #if defined(__linux__)
@@ -127,6 +128,11 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
   trace::Span span("bulk_load", "build", n);
   if (directory_.NumModels() != 0) {
     return Status::InvalidArgument("BulkLoad may only run once");
+  }
+  if (options_.upper_radix_bits < 0 ||
+      options_.upper_radix_bits > ModelDirectory::kMaxRadixBits) {
+    return Status::InvalidArgument("upper_radix_bits must lie in [0, " +
+                                   std::to_string(ModelDirectory::kMaxRadixBits) + "]");
   }
   if (n == 0) {
     // Empty load: publish one tail-like model spanning the whole keyspace so

@@ -121,6 +121,15 @@ class AltIndex final : public ConcurrentIndex {
     size_t art_bytes = 0;           ///< ART-OPT nodes + leaves
     size_t total_bytes = 0;         ///< sum of the above (== MemoryUsage())
 
+    // --- upper model (DESIGN.md §2.3) -------------------------------------
+    int radix_bits = 0;   ///< radix table width; 0 = whole-directory search
+    int radix_shift = 0;  ///< bucket = (key - first anchor) >> radix_shift
+    /// Models Locate searches: the widest radix window, and the mean over
+    /// models of the window holding each model's first key. Both equal
+    /// num_models when the table is off.
+    size_t locate_window_max = 0;
+    double locate_window_mean = 0;
+
     // --- learned layer ----------------------------------------------------
     size_t num_models = 0;
     size_t expanding_models = 0;  ///< models with an expansion installed

@@ -42,11 +42,13 @@ struct AltOptions {
   /// retrains (out-of-range insert catcher).
   uint32_t tail_model_slots = 1024;
 
-  /// Radix-table acceleration for the upper model: Locate narrows its binary
-  /// search to a 2^upper_radix_bits prefix bucket. 0 (default) is the paper's
-  /// pure "optimized binary search"; 10-16 trades ~4KB-512KB of table for
-  /// shorter searches (the §III-B design-choice ablation).
-  int upper_radix_bits = 0;
+  /// Upper-model radix table (§III-B, DESIGN.md §2.3): Locate finishes its
+  /// search inside one of 2^upper_radix_bits buckets over the directory's key
+  /// span. The table holds 2^bits + 1 four-byte entries: 16 KiB at the
+  /// default 12 bits, 256 KiB at 16. 0 searches the whole directory (the
+  /// paper's binary search, the Ablation 4 baseline). BulkLoad rejects values
+  /// outside [0, 20].
+  int upper_radix_bits = 12;
 
   /// In-flight lookups per group in LookupBatch (AMAC-style pipelining).
   /// Values past the CPU's miss-level parallelism (~10-16 outstanding L1

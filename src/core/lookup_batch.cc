@@ -6,7 +6,7 @@
 // for the *next* dependent line, and yields to the other cursors in the group,
 // so the group's cache misses overlap instead of serializing.
 //
-// Stages: kLocate (directory binary search; lines prefetched at issue) →
+// Stages: kLocate (directory search; lines prefetched at issue) →
 // kModel (model header → line prediction, slot line prefetched) → kProbe
 // (optimistic read of the line's lanes) → kFpEntry (fast-pointer entry, hint
 // node lines prefetched) → kArtInit / kArtStep (resumable OLC descent, one
@@ -127,8 +127,8 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
 
   switch (c.stage) {
     case Stage::kLocate: {
-      // Locate dispatches to the AVX2 8-way probe when available (§10); the
-      // window it sweeps is what issue()'s PrefetchLocate pulled.
+      // Locate searches the radix window that issue()'s PrefetchLocate
+      // pulled (DESIGN.md §2.3).
       c.route.model = RoutedModel(c.key);
       if (c.route.model->expansion() != nullptr) {
         // §III-F in flight on this model: the scalar path owns the

@@ -1,5 +1,7 @@
 #include "core/model_directory.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/epoch.h"
@@ -20,18 +22,26 @@ ModelDirectory::~ModelDirectory() {
 }
 
 void ModelDirectory::BuildRadix(Snapshot* s, int radix_bits) {
-  if (radix_bits <= 0) return;
+  assert(radix_bits >= 0 && radix_bits <= kMaxRadixBits);
   s->radix_bits = radix_bits;
+  s->radix.clear();
+  if (radix_bits == 0) return;
+  const size_t n = s->first_keys.size();
+  s->radix_base = n == 0 ? 0 : s->first_keys.front();
+  const Key span = n == 0 ? 0 : s->first_keys.back() - s->radix_base;
+  // The smallest shift with span >> shift < 2^radix_bits: the last anchor
+  // lands in the last bucket at worst, and r << shift cannot overflow for
+  // r < 2^radix_bits because shift + radix_bits <= 64.
+  s->radix_shift = std::max(0, static_cast<int>(std::bit_width(span)) - radix_bits);
   const size_t buckets = size_t{1} << radix_bits;
   s->radix.assign(buckets + 1, 0);
-  // radix[r] = first index i with first_keys[i] >= (r << (64 - bits)); the
-  // Locate window for bucket r is [radix[r], radix[r+1]) in upper-bound terms.
+  // radix[r] = first index i with first_keys[i] >= radix_base + (r << shift).
+  // The comparison runs on offsets from radix_base, so no boundary is ever
+  // formed by an addition that could wrap past ~Key{0}.
   size_t i = 0;
-  const size_t n = s->first_keys.size();
-  for (size_t r = 0; r <= buckets; ++r) {
-    const Key boundary =
-        r == buckets ? ~Key{0} : (static_cast<Key>(r) << (64 - radix_bits));
-    while (i < n && s->first_keys[i] < boundary) ++i;
+  for (size_t r = 0; r < buckets; ++r) {
+    const Key boundary = static_cast<Key>(r) << s->radix_shift;
+    while (i < n && s->first_keys[i] - s->radix_base < boundary) ++i;
     s->radix[r] = static_cast<uint32_t>(i);
   }
   s->radix[buckets] = static_cast<uint32_t>(n);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -7,7 +8,6 @@
 
 #include "common/key_codec.h"
 #include "common/prefetch.h"
-#include "common/simd.h"
 #include "common/spinlock.h"
 #include "common/thread_annotations.h"
 #include "core/gpl_model.h"
@@ -34,11 +34,18 @@ class ModelDirectory {
     explicit Snapshot(size_t n) : first_keys(n), models(n) {}
     std::vector<Key> first_keys;
     std::vector<std::atomic<GplModel*>> models;
-    /// Optional radix acceleration (§III-B discusses binary search vs radix
-    /// table): radix[r] = index of the model owning the smallest key whose
-    /// top `radix_bits` equal r. Narrows the binary search window to the
-    /// bucket; empty when radix_bits == 0.
+    /// Radix table over key offsets (§III-B offers it as the alternative to
+    /// binary search): a key's bucket is (key - radix_base) >> radix_shift,
+    /// with keys below radix_base in bucket 0 and keys past the last bucket
+    /// clamped to it; radix[r] = index of the first model whose first_key
+    /// falls in bucket r or later, so Locate searches only
+    /// [radix[r], radix[r+1]). The shift is the smallest that fits the
+    /// directory's span (first_keys.back() - first_keys.front()) into
+    /// 2^radix_bits buckets, so keys that share their top bits still spread
+    /// out. Empty when radix_bits == 0.
     int radix_bits = 0;
+    int radix_shift = 0;
+    Key radix_base = 0;
     std::vector<uint32_t> radix;
   };
 
@@ -52,34 +59,35 @@ class ModelDirectory {
 
   /// Install the initial model list (bulk load, single-threaded). Takes
   /// ownership. Models must be sorted by first_key.
-  /// \param radix_bits build a 2^radix_bits-entry prefix table accelerating
-  ///        Locate (0 = pure binary search, the paper's choice).
+  /// \param radix_bits build a 2^radix_bits-bucket table narrowing Locate
+  ///        (0 = search the whole directory, the paper's binary search);
+  ///        at most kMaxRadixBits.
   void Build(std::vector<GplModel*> models, int radix_bits = 0);
 
   /// Current snapshot; caller must hold an EpochGuard.
   const Snapshot* snapshot() const { return snapshot_.load(std::memory_order_acquire); }
 
+  /// Largest accepted radix_bits: a 2^20-bucket table is 4 MiB.
+  static constexpr int kMaxRadixBits = 20;
+
   /// The search window Locate scans for a key: the key's radix bucket when
-  /// the table is present, else the full array. The single source of truth
-  /// for the radix narrowing — Locate (scalar and AVX2), LocateScalar, and
-  /// PrefetchLocate all route through here, so the paths cannot drift.
+  /// the table is present, else the full array. Locate and PrefetchLocate
+  /// both route through here, so the probe and its prefetch cannot drift.
   struct Window {
     size_t lo = 0;
     size_t hi = 0;
   };
   static Window LocateWindow(const Snapshot& s, Key key) {
-    Window w{0, s.first_keys.size()};
-    if (s.radix_bits > 0) {
-      const size_t r = static_cast<size_t>(key >> (64 - s.radix_bits));
-      w.lo = s.radix[r];
-      w.hi = s.radix[r + 1];
-    }
-    return w;
+    if (s.radix_bits == 0) return Window{0, s.first_keys.size()};
+    const Key offset = key < s.radix_base ? 0 : key - s.radix_base;
+    const size_t last = (size_t{1} << s.radix_bits) - 1;
+    const size_t r = std::min(static_cast<size_t>(offset >> s.radix_shift), last);
+    return Window{s.radix[r], s.radix[r + 1]};
   }
 
   /// Batched read path stage hook: pull the first-key segment Locate will
-  /// search for `key` (the radix bucket when present, else the middle of the
-  /// full window) so the upper-model search does not stall the group.
+  /// search for `key` (the middle of its window) so the upper-model search
+  /// does not stall the group.
   static void PrefetchLocate(const Snapshot& s, Key key) {
     const Window w = LocateWindow(s, key);
     if (w.lo < w.hi) {
@@ -92,22 +100,10 @@ class ModelDirectory {
   }
 
   /// Index of the model responsible for `key`: the last model whose first_key
-  /// <= key (clamped to 0 for under-range keys). Dispatches to the AVX2
-  /// 8-way probe when the CPU supports it (DESIGN.md §10); bit-identical to
-  /// LocateScalar by construction and by tests/simd_test.cc.
+  /// <= key (clamped to 0 for under-range keys).
   static size_t Locate(const Snapshot& s, Key key) {
     const Window w = LocateWindow(s, key);
-    const size_t ub = simd::UpperBoundU64(s.first_keys.data(), w.lo, w.hi, key);
-    return ub == 0 ? 0 : ub - 1;
-  }
-
-  /// The always-compiled scalar twin (branch-reduced binary search over the
-  /// same window). Kept callable — not just a dispatch arm — as the oracle
-  /// for the vectorized-vs-scalar differential test.
-  static size_t LocateScalar(const Snapshot& s, Key key) {
-    const Window w = LocateWindow(s, key);
-    const size_t ub =
-        simd::UpperBoundU64Scalar(s.first_keys.data(), w.lo, w.hi, key);
+    const size_t ub = UpperBound(s.first_keys.data(), w.lo, w.hi, key);
     return ub == 0 ? 0 : ub - 1;
   }
 
@@ -129,12 +125,28 @@ class ModelDirectory {
   /// Sum of model footprints (quiescent).
   size_t MemoryBytes() const;
 
-  /// Populate `s->radix` / `s->radix_bits` over the already-sorted
-  /// `s->first_keys`. Public so the differential test can build directories
-  /// with adversarial first-key layouts without routing through Build.
+  /// Populate the radix fields of `s` over its already-sorted `first_keys`;
+  /// radix_bits must lie in [0, kMaxRadixBits]. Public so tests can build
+  /// directories with adversarial first-key layouts without routing through
+  /// Build.
   static void BuildRadix(Snapshot* s, int radix_bits);
 
  private:
+  /// Index of the first element of the sorted range [data+lo, data+hi) that
+  /// is greater than `key`, or hi. Branchless: each halving step is a
+  /// conditional move, so an unpredictable key costs no mispredictions.
+  static size_t UpperBound(const Key* data, size_t lo, size_t hi, Key key) {
+    if (lo == hi) return lo;
+    const Key* base = data + lo;
+    size_t n = hi - lo;
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half] <= key ? base + half : base;
+      n -= half;
+    }
+    return static_cast<size_t>(base - data) + (*base <= key ? 1 : 0);
+  }
+
   void RetireSnapshot(Snapshot* s);
 
   EpochManager* epoch_;  // resolved at construction, never null

@@ -76,6 +76,17 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
         snap->radix.size() * sizeof(uint32_t);
 
     st.num_models = snap->first_keys.size();
+    st.radix_bits = snap->radix_bits;
+    st.radix_shift = snap->radix_shift;
+    size_t window_sum = 0;
+    for (const Key first : snap->first_keys) {
+      const ModelDirectory::Window w = ModelDirectory::LocateWindow(*snap, first);
+      window_sum += w.hi - w.lo;
+      st.locate_window_max = std::max(st.locate_window_max, w.hi - w.lo);
+    }
+    st.locate_window_mean =
+        st.num_models == 0 ? 0.0
+                           : static_cast<double>(window_sum) / static_cast<double>(st.num_models);
     st.min_segment = ~uint32_t{0};
     for (const auto& m : snap->models) {
       const GplModel* model = m.load(std::memory_order_acquire);
@@ -202,6 +213,15 @@ std::string AltIndex::StructureJson() const {
   AppendKv("fast_pointer_bytes", st.fast_pointer_bytes, false, &out);
   AppendKv("art_bytes", st.art_bytes, false, &out);
   AppendKv("total_bytes", st.total_bytes, true, &out);
+  out += "  },\n";
+
+  out += "  \"upper_model\": {\n";
+  AppendKv("radix_bits", static_cast<uint64_t>(st.radix_bits), false, &out);
+  AppendKv("radix_shift", static_cast<uint64_t>(st.radix_shift), false, &out);
+  AppendKv("locate_window_max", st.locate_window_max, false, &out);
+  char mean[64];
+  std::snprintf(mean, sizeof(mean), "    \"locate_window_mean\": %.3f\n", st.locate_window_mean);
+  out += mean;
   out += "  },\n";
 
   out += "  \"learned_layer\": {\n";

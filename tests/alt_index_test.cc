@@ -909,5 +909,30 @@ TEST_P(RadixUpperModelTest, FullLifecycleAcrossRadixWidths) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, RadixUpperModelTest, ::testing::Values(0, 6, 10, 14));
 
+// upper_radix_bits sizes a table of 2^bits + 1 entries and shifts by it, so
+// BulkLoad must refuse widths outside [0, 20] before it allocates anything.
+TEST(RadixBitsRangeTest, BulkLoadRejectsWidthsOutsideTheRange) {
+  const std::vector<std::pair<Key, Value>> pairs = {{1, 2}, {5, 6}, {9, 10}};
+  for (const int bits : {-1, 21, 64}) {
+    AltOptions o;
+    o.upper_radix_bits = bits;
+    AltIndex index(o);
+    const Status s = index.BulkLoad(pairs);
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << "bits=" << bits;
+    EXPECT_EQ(index.directory().NumModels(), 0u) << "bits=" << bits;
+  }
+  for (const int bits : {0, 20}) {
+    AltOptions o;
+    o.upper_radix_bits = bits;
+    AltIndex index(o);
+    ASSERT_TRUE(index.BulkLoad(pairs).ok()) << "bits=" << bits;
+    Value v = 0;
+    EXPECT_TRUE(index.Lookup(5, &v));
+    EXPECT_EQ(v, 6u);
+    EXPECT_FALSE(index.Lookup(7, &v));
+  }
+  EpochManager::Global().DrainAll();
+}
+
 }  // namespace
 }  // namespace alt

@@ -5,6 +5,7 @@
 // memory breakdown and path attribution must hold for ALT-index and baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,7 +106,8 @@ TEST_F(StructureTest, StructureJsonIsBalancedAndComplete) {
   for (const char* field :
        {"\"memory\"", "\"total_bytes\"", "\"learned_layer\"", "\"num_models\"",
         "\"segment_len_hist_log2\"", "\"occupancy_deciles\"",
-        "\"conflict_ratio\"", "\"art\"", "\"node4\"", "\"leaf_depth_hist\""}) {
+        "\"conflict_ratio\"", "\"art\"", "\"node4\"", "\"leaf_depth_hist\"",
+        "\"upper_model\"", "\"locate_window_max\"", "\"locate_window_mean\""}) {
     EXPECT_NE(doc.find(field), std::string::npos) << field;
   }
   int depth = 0;
@@ -115,6 +117,41 @@ TEST_F(StructureTest, StructureJsonIsBalancedAndComplete) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+// locate_window_max / _mean describe the windows Locate searches: the whole
+// directory with the table off, the radix buckets with it on.
+TEST_F(StructureTest, LocateWindowStatsDescribeTheDirectory) {
+  const auto keys = GenerateKeys(Dataset::kFb, 200000);
+  const std::vector<Value> vals(keys.size(), 1);
+  for (const int bits : {0, 12}) {
+    AltOptions o;
+    o.upper_radix_bits = bits;
+    AltIndex index(o);
+    ASSERT_TRUE(index.BulkLoad(keys.data(), vals.data(), keys.size()).ok());
+    const AltIndex::StructuralStats st = index.CollectStructuralStats();
+    EXPECT_EQ(st.radix_bits, bits);
+    if (bits == 0) {
+      EXPECT_EQ(st.locate_window_max, st.num_models);
+      EXPECT_DOUBLE_EQ(st.locate_window_mean, static_cast<double>(st.num_models));
+      continue;
+    }
+    // Recount from the table itself: a model's window is its bucket's size.
+    EpochGuard g;
+    const ModelDirectory::Snapshot& snap = *index.directory().snapshot();
+    size_t widest = 0;
+    double sum = 0;
+    for (size_t r = 0; r + 1 < snap.radix.size(); ++r) {
+      const size_t c = snap.radix[r + 1] - snap.radix[r];
+      widest = std::max(widest, c);
+      sum += static_cast<double>(c * c);  // c models, each seeing a window of c
+    }
+    EXPECT_EQ(st.locate_window_max, widest);
+    EXPECT_DOUBLE_EQ(st.locate_window_mean, sum / static_cast<double>(st.num_models));
+    EXPECT_LT(st.locate_window_max, st.num_models);
+    EXPECT_NE(index.StructureJson().find("\"locate_window_max\": " + std::to_string(widest)),
+              std::string::npos);
+  }
 }
 
 // The ConcurrentIndex facade contract, checked on ALT-index (monolithic and
