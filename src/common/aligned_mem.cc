@@ -8,14 +8,6 @@
 #include <sys/mman.h>
 #endif
 
-#if defined(__SANITIZE_ADDRESS__)
-#define ALT_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALT_ASAN 1
-#endif
-#endif
-
 #if defined(ALT_ASAN)
 #include <sanitizer/asan_interface.h>
 #define ALT_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
@@ -53,9 +45,9 @@ void* AllocateHotArray(size_t bytes) {
   return p;
 }
 
-size_t SlotSlab::SliceFootprint(size_t bytes) { return RoundUp(bytes + kRedzoneBytes, 64); }
+size_t Slab::SliceFootprint(size_t bytes) { return RoundUp(bytes + kRedzoneBytes, 64); }
 
-SlotSlab* SlotSlab::Create(size_t capacity) {
+Slab* Slab::Create(size_t capacity) {
   if (capacity == 0) capacity = 64;
   const size_t length = RoundUp(capacity, kPageBytes);
 #if defined(__linux__)
@@ -75,15 +67,15 @@ SlotSlab* SlotSlab::Create(size_t capacity) {
     // Advice only: with THP set to "never" (or compiled out) the slab stays on
     // 4KB pages.
     madvise(base, length, MADV_HUGEPAGE);
-    return new SlotSlab(base, capacity, length, true);
+    return new Slab(base, capacity, length, true);
   }
 #endif
   void* heap = AllocateHotArray(capacity);
   if (heap == nullptr) return nullptr;
-  return new SlotSlab(static_cast<char*>(heap), capacity, capacity, false);
+  return new Slab(static_cast<char*>(heap), capacity, capacity, false);
 }
 
-SlotSlab::~SlotSlab() {
+Slab::~Slab() {
   ALT_UNPOISON(base_, mapped_bytes_);
 #if defined(__linux__)
   if (mapped_) {
@@ -94,7 +86,7 @@ SlotSlab::~SlotSlab() {
   std::free(base_);
 }
 
-void* SlotSlab::Carve(size_t bytes) {
+void* Slab::Carve(size_t bytes) {
   const size_t footprint = SliceFootprint(bytes);
   if (carved_ + footprint > capacity_) return nullptr;
   char* p = base_ + carved_;
@@ -104,7 +96,7 @@ void* SlotSlab::Carve(size_t bytes) {
   return p;
 }
 
-void SlotSlab::ReleaseSlice(void* p, size_t bytes) {
+void Slab::ReleaseSlice(void* p, size_t bytes) {
 #if defined(__linux__)
   // Only whole pages inside the slice: its neighbours share the end pages.
   const auto lo = RoundUp(reinterpret_cast<uintptr_t>(p), kPageBytes);
@@ -115,7 +107,7 @@ void SlotSlab::ReleaseSlice(void* p, size_t bytes) {
   Unref();
 }
 
-void SlotSlab::Unref() {
+void Slab::Unref() {
   if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
 }
 

@@ -51,6 +51,9 @@ class EpochManager {
   static constexpr int kMaxThreads = 256;
 
   using Deleter = void (*)(void*);
+  /// A deleter that also receives the context passed to Retire, e.g. the
+  /// region `p` was carved from.
+  using ContextDeleter = void (*)(void* p, void* context);
 
   /// \param trace_category flight-recorder category for this manager's
   ///        epoch_drain / epoch_advance spans. Must be a string literal (or
@@ -134,16 +137,11 @@ class EpochManager {
 #endif
 
   /// Schedule `p` for deletion once all current readers are gone.
-  void Retire(void* p, Deleter del) {
-    ThreadState& ts = LocalState();
-    uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    {
-      SpinLockGuard lg(ts.retired_lock);
-      ts.retired.push_back({p, del, e});
-    }
-    if (++ts.retire_count % kAdvanceInterval == 0) {
-      AdvanceAndCollect(ts);
-    }
+  void Retire(void* p, Deleter del) { Push({p, nullptr, del, nullptr, 0}); }
+
+  /// Schedule `del(p, context)` once all current readers are gone.
+  void Retire(void* p, ContextDeleter del, void* context) {
+    Push({p, context, nullptr, del, 0});
   }
 
   /// Free everything retired so far. Only safe when no thread is inside a
@@ -167,7 +165,7 @@ class EpochManager {
         items.swap(ts->retired);
       }
       freed += items.size();
-      for (auto& r : items) r.del(r.p);
+      for (auto& r : items) r.Free();
     }
     span.set_detail(freed);
   }
@@ -201,8 +199,18 @@ class EpochManager {
 
   struct Retired {
     void* p;
-    Deleter del;
+    void* context;
+    Deleter del;  ///< one of `del` and `context_del` is set
+    ContextDeleter context_del;
     uint64_t epoch;
+
+    void Free() const {
+      if (context_del != nullptr) {
+        context_del(p, context);
+      } else {
+        del(p);
+      }
+    }
   };
 
   struct alignas(64) Slot {
@@ -336,6 +344,18 @@ class EpochManager {
     return m;
   }
 
+  void Push(Retired r) {
+    ThreadState& ts = LocalState();
+    r.epoch = global_epoch_.load(std::memory_order_acquire);
+    {
+      SpinLockGuard lg(ts.retired_lock);
+      ts.retired.push_back(r);
+    }
+    if (++ts.retire_count % kAdvanceInterval == 0) {
+      AdvanceAndCollect(ts);
+    }
+  }
+
   void AdvanceAndCollect(ThreadState& ts) {
     trace::Span span("epoch_advance", trace_category_);
     global_epoch_.fetch_add(1, std::memory_order_seq_cst);
@@ -356,7 +376,7 @@ class EpochManager {
       v.resize(w);
     }
     span.set_detail(free_now.size());
-    for (auto& r : free_now) r.del(r.p);
+    for (auto& r : free_now) r.Free();
   }
 
   const uint64_t id_;

@@ -101,6 +101,11 @@ class ConcurrentIndex {
   /// Approximate heap footprint in bytes (quiescent).
   virtual size_t MemoryUsage() const = 0;
 
+  /// Bytes the index holds in mappings of its own, outside malloc (ALT's slot
+  /// slab and ART-OPT region), so that an allocator's in-use count plus these
+  /// is what the index costs. 0 for indexes that only use malloc.
+  virtual size_t MappedBytes() const { return 0; }
+
   /// Approximate live key count.
   virtual size_t Size() const = 0;
 };

@@ -148,6 +148,11 @@ class AltIndex final : public ConcurrentIndex {
 
     // --- conflict population ----------------------------------------------
     size_t art_keys = 0;
+    /// ART-OPT's build region (DESIGN.md §10.2): the bytes BulkLoad carved
+    /// (mapped, not counted in art_bytes' sizeof terms), and the share of
+    /// them still holding live nodes and leaves. 0 without a region.
+    size_t art_region_bytes = 0;
+    double art_region_live_share = 0;
     /// art_keys / (art_keys + occupied slots): fraction of resident keys that
     /// found their predicted line full (paper §III-A conflict ratio).
     double conflict_ratio = 0;
@@ -185,6 +190,8 @@ class AltIndex final : public ConcurrentIndex {
   Status CheckPlacementInvariant() const;
 
   size_t MemoryUsage() const override;
+  /// The slot slab's and the ART-OPT region's mapped bytes.
+  size_t MappedBytes() const override;
 
   const AltOptions& options() const { return options_; }
   double effective_error_bound() const { return epsilon_; }
@@ -385,8 +392,8 @@ class AltIndex final : public ConcurrentIndex {
   // this manager.
   EpochManager* epoch_ = nullptr;
   /// Holds every bulk-loaded slot array; nullptr until a non-empty BulkLoad.
-  /// The index's reference is dropped in the destructor (see SlotSlab).
-  SlotSlab* slab_ = nullptr;
+  /// The index's reference is dropped in the destructor (see Slab).
+  Slab* slab_ = nullptr;
   ModelDirectory directory_;
   art::ArtTree art_;
   FastPointerBuffer fp_buffer_;

@@ -33,7 +33,7 @@ static_assert(std::is_aggregate_v<SlotLine>,
               "slab slices rely on implicit line lifetimes");
 
 GplModel::GplModel(Key first_key, double slope, uint32_t num_slots, uint32_t build_size,
-                   Key coverage_end, SlotSlab* slab)
+                   Key coverage_end, Slab* slab)
     : first_key_(first_key),
       slope_(slope),
       coverage_end_(coverage_end),

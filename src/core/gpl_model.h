@@ -16,7 +16,7 @@
 
 namespace alt {
 
-class SlotSlab;
+class Slab;
 
 /// Slot occupancy states (§III-B / §III-F).
 enum class SlotState : uint32_t {
@@ -213,7 +213,7 @@ class alignas(64) GplModel {
   ///        instead of the heap; the model holds a slab reference until it is
   ///        destroyed. The slice is zero-filled but may not be resident yet.
   GplModel(Key first_key, double slope, uint32_t num_slots, uint32_t build_size,
-           Key coverage_end = ~Key{0}, SlotSlab* slab = nullptr);
+           Key coverage_end = ~Key{0}, Slab* slab = nullptr);
 
   GplModel(const GplModel&) = delete;
   GplModel& operator=(const GplModel&) = delete;
@@ -308,7 +308,7 @@ class alignas(64) GplModel {
   size_t MemoryBytes() const { return sizeof(GplModel) + SlotArrayBytes(num_slots_); }
 
   /// The BulkLoad slab holding the slot array, or nullptr for a heap array.
-  const SlotSlab* slab() const { return slab_; }
+  const Slab* slab() const { return slab_; }
 
   ~GplModel();
 
@@ -330,7 +330,7 @@ class alignas(64) GplModel {
   // Cold tail (second line): write-path and teardown bookkeeping only.
   const uint32_t build_size_;
   std::atomic<uint32_t> insert_count_{0};
-  SlotSlab* const slab_;  ///< nullptr: lines_ is a heap array
+  Slab* const slab_;  ///< nullptr: lines_ is a heap array
 };
 
 }  // namespace alt

@@ -122,6 +122,11 @@ AltIndex::StructuralStats AltIndex::CollectStructuralStats() const {
   st.art = art_.CollectCensus();
   st.art_bytes = st.art.total_bytes;
   st.art_keys = art_.Size();
+  st.art_region_bytes = st.art.region_bytes;
+  st.art_region_live_share =
+      st.art_region_bytes == 0 ? 0.0
+                               : static_cast<double>(st.art.region_live_bytes) /
+                                     static_cast<double>(st.art_region_bytes);
   st.fast_pointers = fp_buffer_.Size();
   st.fast_pointer_adds = fp_buffer_.UnmergedCount();
   st.retrain_started = retrain_started_.load(std::memory_order_relaxed);
@@ -261,6 +266,11 @@ std::string AltIndex::StructureJson() const {
   AppendKv("compressed_nodes", st.art.compressed_nodes, false, &out);
   AppendKv("prefix_bytes_saved", st.art.prefix_bytes, false, &out);
   AppendKv("total_bytes", st.art.total_bytes, false, &out);
+  AppendKv("art_region_bytes", st.art_region_bytes, false, &out);
+  char share[80];
+  std::snprintf(share, sizeof(share), "    \"art_region_live_share\": %.6f,\n",
+                st.art_region_live_share);
+  out += share;
   AppendSizeArray("leaf_depth_hist", st.art.depth_hist, kKeyBytes + 1, true, &out);
   out += "  }\n}\n";
   return out;

@@ -35,6 +35,10 @@ const char* ShardEpochCategory(size_t i) {
 ShardedAltIndex::ShardedAltIndex(ShardedOptions options) : options_(options) {
   options_.num_shards =
       std::clamp(options_.num_shards, 1, ShardedOptions::kMaxShards);
+  // A width AltIndex::BulkLoad rejects would leave every shard without a
+  // directory, so it is clamped like num_shards.
+  options_.index.upper_radix_bits =
+      std::clamp(options_.index.upper_radix_bits, 0, ModelDirectory::kMaxRadixBits);
   const size_t n = static_cast<size_t>(options_.num_shards);
   // Pre-BulkLoad boundaries: uniform keyspace split. BulkLoad rebalances to
   // equal key counts; an index used without BulkLoad keeps these.
@@ -232,6 +236,12 @@ std::string ShardedAltIndex::StructureJson() const {
 size_t ShardedAltIndex::MemoryUsage() const {
   size_t total = 0;
   for (const Shard& s : shards_) total += s.index->MemoryUsage();
+  return total;
+}
+
+size_t ShardedAltIndex::MappedBytes() const {
+  size_t total = 0;
+  for (const Shard& s : shards_) total += s.index->MappedBytes();
   return total;
 }
 

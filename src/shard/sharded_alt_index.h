@@ -28,7 +28,8 @@ struct ShardedOptions {
   Partition partition = Partition::kRange;  // perfbench-only leftover
 
   /// Per-shard AltIndex tuning. `index.epoch_manager` is ignored: each shard
-  /// always gets its own private EpochManager.
+  /// always gets its own private EpochManager. `index.upper_radix_bits` is
+  /// clamped to [0, ModelDirectory::kMaxRadixBits].
   AltOptions index;
 
   static constexpr int kMaxShards = 32;
@@ -91,6 +92,7 @@ class ShardedAltIndex final : public ConcurrentIndex {
   MemoryBreakdown CollectMemoryBreakdown() const override;
   std::string StructureJson() const override;
   size_t MemoryUsage() const override;
+  size_t MappedBytes() const override;
   size_t Size() const override;
 
   // -- shard introspection (tests, benches) ---------------------------------

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "art/art_tree.h"
+#include "common/aligned_mem.h"
 #include "common/epoch.h"
 #include "common/random.h"
 #include "core/alt_index.h"
@@ -279,17 +282,18 @@ TEST_F(ArtTest, CensusCountsEverything) {
   EXPECT_EQ(tree.MemoryUsage(), census.total_bytes);
 }
 
-// BuildSorted against one-by-one Inserts in shuffled order: an insert-only
-// ART's shape depends only on its key set, so both trees must have the same
-// census, the same contents and the same fast-pointer targets.
-void ExpectSortedBuildMatchesInserts(std::vector<Key> keys) {
+// BuildSorted in `parts` against one-by-one Inserts in shuffled order: an
+// insert-only ART's shape depends only on its key set, so both trees must
+// have the same census, the same contents and the same fast-pointer targets.
+// The counting pass must size the build's region exactly.
+void ExpectSortedBuildMatchesInserts(std::vector<Key> keys, size_t parts = 1) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   std::vector<Value> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] ^ 0x5A5A;
 
   ArtTree built;
-  built.BuildSorted(keys.data(), values.data(), keys.size());
+  built.BuildSorted(keys.data(), values.data(), keys.size(), parts);
   ArtTree inserted;
   EpochGuard g;
   std::vector<size_t> order(keys.size());
@@ -311,6 +315,9 @@ void ExpectSortedBuildMatchesInserts(std::vector<Key> keys) {
   EXPECT_EQ(a.compressed_nodes, b.compressed_nodes);
   EXPECT_EQ(a.prefix_bytes, b.prefix_bytes);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_GT(a.region_bytes, 0u);
+  EXPECT_EQ(a.region_live_bytes, a.region_bytes);
+  EXPECT_EQ(b.region_bytes, 0u);
 
   std::vector<std::pair<Key, Value>> from_built;
   std::vector<std::pair<Key, Value>> from_inserted;
@@ -392,11 +399,115 @@ TEST_F(ArtTest, SortedBuildMatchesOneByOneInserts) {
   }
 }
 
+// The loader splits the keys into runs that up to `parts` threads build;
+// the tree must not depend on the split.
+TEST_F(ArtTest, SortedBuildInPartsMatchesOneByOneInserts) {
+  std::vector<std::pair<std::string, std::vector<Key>>> sets;
+  sets.emplace_back("osm", GenerateKeys(Dataset::kOsm, 40000, 8));
+  sets.emplace_back("fb", GenerateKeys(Dataset::kFb, 40000, 9));
+  std::vector<Key> shared;  // one root child holds every key
+  Rng rng(10);
+  for (int i = 0; i < 20000; ++i) shared.push_back(0x0102030405060000ull | (rng.Next() & 0xFFFF));
+  sets.emplace_back("shared top 6 bytes", shared);
+  sets.emplace_back("fewer keys than parts", std::vector<Key>{7, Key{1} << 40, ~Key{0}});
+  sets.emplace_back("one key", std::vector<Key>{0x0102030405060708ull});
+  for (const auto& [name, keys] : sets) {
+    for (size_t parts = 1; parts <= 4; ++parts) {
+      SCOPED_TRACE(name + ", " + std::to_string(parts) + " parts");
+      ExpectSortedBuildMatchesInserts(keys, parts);
+    }
+  }
+}
+
+// Region nodes and leaves that later writes replace or remove are never
+// freed; under ASan they are retired to be poisoned, and the tree may die
+// while some still wait in the epoch manager. Inserts next to region leaves
+// split them, grow region nodes and split their compressed paths; removes
+// take region leaves, which shrinks and merges region nodes; lookups and
+// scans race both.
+TEST_F(ArtTest, RetiredRegionNodesOutliveTheTree) {
+  EpochManager epoch("art-region");
+  const std::vector<Key> keys = GenerateKeys(Dataset::kOsm, 40000, 12);
+  auto tree = std::make_unique<ArtTree>(&epoch);
+  std::vector<Key> built;
+  std::vector<Value> values;
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    built.push_back(keys[i]);
+    values.push_back(i);
+  }
+  tree->BuildSorted(built.data(), values.data(), built.size(), 4);
+  const size_t region_bytes = tree->RegionBytes();
+  ASSERT_GT(region_bytes, 0u);
+
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  // Odd keys go in, multiples of 4 (built) come out, and the other built
+  // keys (i % 4 == 2) must stay visible to lookups and scans throughout.
+  threads.emplace_back([&] {
+    for (size_t i = 1; i < keys.size(); i += 2) {
+      EpochGuard g(epoch);
+      if (!tree->Insert(keys[i], i)) failed.store(true);
+    }
+  });
+  threads.emplace_back([&] {
+    for (size_t i = 0; i < keys.size(); i += 4) {
+      EpochGuard g(epoch);
+      if (!tree->Remove(keys[i])) failed.store(true);
+    }
+  });
+  threads.emplace_back([&] {
+    for (size_t i = 2; i < keys.size(); i += 4) {
+      EpochGuard g(epoch);
+      Value v = 0;
+      if (!tree->Lookup(keys[i], &v) || v != i) failed.store(true);
+    }
+  });
+  threads.emplace_back([&] {
+    std::vector<std::pair<Key, Value>> out;
+    for (size_t i = 2; i < keys.size(); i += 4 * 97) {
+      EpochGuard g(epoch);
+      tree->RangeQuery(keys[i], keys[std::min(i + 400, keys.size() - 2)], &out);
+      size_t stable = 0;
+      for (size_t k = 0; k < out.size(); ++k) {
+        if (k > 0 && out[k - 1].first >= out[k].first) failed.store(true);
+      }
+      for (size_t j = i; j <= std::min(i + 400, keys.size() - 2); j += 4) ++stable;
+      size_t seen = 0;
+      for (const auto& kv : out) seen += kv.second % 4 == 2 ? 1 : 0;
+      if (seen != stable) failed.store(true);
+    }
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(failed.load());
+
+  {
+    EpochGuard g(epoch);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      Value v = 0;
+      ASSERT_EQ(tree->Lookup(keys[i], &v), i % 4 != 0) << i;
+    }
+    // A few more region leaves go, fewer than the manager collects at once,
+    // so their entries are still pending when the tree is destroyed.
+    for (size_t i = 2; i < 2 + 4 * 8; i += 4) ASSERT_TRUE(tree->Remove(keys[i]));
+  }
+  const ArtTree::Census census = tree->CollectCensus();
+  EXPECT_EQ(census.region_bytes, region_bytes);
+  EXPECT_LT(census.region_live_bytes, region_bytes);
+  EXPECT_EQ(census.leaves, tree->Size());
+  if (kAsanBuild) {
+    EXPECT_GT(epoch.PendingCount(), 0u);
+  }
+  tree.reset();
+  epoch.DrainAll();  // region deleters run after the tree is gone
+  EXPECT_EQ(epoch.PendingCount(), 0u);
+}
+
 TEST_F(ArtTest, SortedBuildOfNothingLeavesAnEmptyTree) {
   ArtTree tree;
-  tree.BuildSorted(nullptr, nullptr, 0);
+  tree.BuildSorted(nullptr, nullptr, 0, 4);
   EpochGuard g;
   EXPECT_EQ(tree.Size(), 0u);
+  EXPECT_EQ(tree.RegionBytes(), 0u);
   Value v = 0;
   EXPECT_FALSE(tree.Lookup(0, &v));
   EXPECT_TRUE(tree.Insert(5, 6));
@@ -620,6 +731,33 @@ TEST_F(ArtTest, ConcurrentScansDuringInserts) {
   writer.join();
   scanner.join();
   EXPECT_FALSE(failed.load());
+}
+
+// In ALT_SANITIZE=address builds a region leaf is poisoned once its grace
+// period is over, as a freed heap leaf would be.
+TEST(ArtRegionDeathTest, ReadingARetiredRegionLeafIsCaught) {
+  if (!kAsanBuild) GTEST_SKIP() << "needs an ALT_SANITIZE=address build";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EpochManager epoch("art-region");
+  ArtTree tree(&epoch);
+  const Key keys[] = {1, 2, 3, 1000};
+  const Value values[] = {10, 20, 30, 40};
+  tree.BuildSorted(keys, values, 4, 2);
+  const art::Leaf* leaf = nullptr;
+  {
+    EpochGuard g(epoch);
+    ArtTree::DescentState ds;
+    ASSERT_TRUE(tree.DescentInit(tree.root(), &ds));
+    art::StepResult r;
+    while ((r = tree.DescentStep(&ds, 1000, nullptr)) == art::StepResult::kStepped) {
+    }
+    ASSERT_EQ(r, art::StepResult::kFound);
+    leaf = ds.leaf;
+    ASSERT_TRUE(tree.Remove(1000));
+  }
+  EXPECT_EQ(leaf->key, 1000u);  // retired, but still in its grace period
+  epoch.DrainAll();
+  EXPECT_DEATH((void)*static_cast<const volatile Key*>(&leaf->key), "use-after-poison");
 }
 
 }  // namespace

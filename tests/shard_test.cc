@@ -150,6 +150,34 @@ TEST(ShardedAltIndexTest, UsableWithoutBulkLoad) {
   EXPECT_EQ(index.Size(), 1u);
 }
 
+// An upper_radix_bits that AltIndex::BulkLoad rejects is clamped like
+// num_shards, so every shard gets a directory from its empty load.
+TEST(ShardedAltIndexTest, OutOfRangeRadixBitsAreClamped) {
+  for (const int bits : {21, 64, -1}) {
+    SCOPED_TRACE(bits);
+    ShardedOptions so = SmallOptions(2);
+    so.index.upper_radix_bits = bits;
+    ShardedAltIndex index(so);
+    ASSERT_TRUE(index.Insert(5, 6));
+    Value v = 0;
+    ASSERT_TRUE(index.Lookup(5, &v));
+    EXPECT_EQ(v, 6u);
+  }
+  ShardedOptions so = SmallOptions(2);
+  so.index.upper_radix_bits = 21;
+  ShardedAltIndex loaded(so);
+  const std::vector<Key> keys = MakeKeys(5000);
+  const std::vector<Value> values = ValuesFor(keys);
+  ASSERT_TRUE(loaded.BulkLoad(keys.data(), values.data(), keys.size()).ok());
+  for (size_t s = 0; s < loaded.num_shards(); ++s) {
+    EXPECT_EQ(loaded.shard(s).CollectStructuralStats().radix_bits,
+              ModelDirectory::kMaxRadixBits);
+  }
+  Value v = 0;
+  ASSERT_TRUE(loaded.Lookup(keys[1234], &v));
+  EXPECT_EQ(v, values[1234]);
+}
+
 TEST(ShardedAltIndexTest, ScanMatchesOracleAcrossShardBoundaries) {
   const auto keys = MakeKeys(10000, 500, 13);
   const auto values = ValuesFor(keys);

@@ -109,7 +109,7 @@ void ExpectOneAlignedZeroFilledSlab(const AltIndex& index, EpochManager& epoch,
             std::string::npos);
 
   const std::vector<const GplModel*> models = Models(index);
-  const SlotSlab* slab = models.front()->slab();
+  const Slab* slab = models.front()->slab();
   ASSERT_NE(slab, nullptr);
   EXPECT_EQ(slab->capacity(), st.slab_bytes);
 #if defined(__linux__)
@@ -167,8 +167,8 @@ TEST(SlotSlabTest, HeapArrayRoundtrip) {
 
 TEST(SlotSlabTest, SlabRoundtripSmallAndHuge) {
   for (const size_t slice : {size_t{64}, size_t{4096}, kHugePageBytes + 96}) {
-    const size_t capacity = 3 * SlotSlab::SliceFootprint(slice);
-    SlotSlab* slab = SlotSlab::Create(capacity);
+    const size_t capacity = 3 * Slab::SliceFootprint(slice);
+    Slab* slab = Slab::Create(capacity);
     ASSERT_NE(slab, nullptr);
     EXPECT_EQ(slab->capacity(), capacity);
 #if defined(__linux__)
@@ -200,8 +200,8 @@ TEST(SlotSlabTest, ModelInSlabWorksRegardlessOfBacking) {
   // ~2.2MB of slots: a huge page backs part of it when THP allows, 4KB pages
   // otherwise — either way the model must behave.
   const uint32_t n = 70000;
-  SlotSlab* slab =
-      SlotSlab::Create(SlotSlab::SliceFootprint(GplModel::SlotArrayBytes(n)));
+  Slab* slab =
+      Slab::Create(Slab::SliceFootprint(GplModel::SlotArrayBytes(n)));
   ASSERT_NE(slab, nullptr);
   {
     GplModel model(0, 1.0, n, 0, ~Key{0}, slab);
@@ -286,6 +286,37 @@ TEST(SlotSlabTest, ParallelBulkLoadPlacesEveryKeyByTheLineRule) {
   }
 }
 
+TEST(SlotSlabTest, BulkLoadBuildsArtOptInOneRegion) {
+  // ART-OPT's nodes and leaves come from one mapping of their own: counted
+  // by sizeof in art_bytes as before, and by carved bytes in
+  // art_region_bytes, which MappedBytes adds to the slab.
+  EpochManager epoch("slab-test");
+  auto index = LoadOsm(200000, &epoch);
+  AltIndex::StructuralStats st = index->CollectStructuralStats();
+  ASSERT_GT(st.art_keys, 0u);
+  EXPECT_EQ(st.art_bytes, st.art.total_bytes);
+  EXPECT_GE(st.art_region_bytes, st.art_bytes);
+  EXPECT_EQ(st.art_region_live_share, 1.0);
+  EXPECT_EQ(index->MappedBytes(), st.slab_bytes + st.art_region_bytes);
+
+  // Removing ART-OPT keys retires region leaves: the region keeps its size
+  // and its live share falls.
+  std::vector<std::pair<Key, Value>> art_pairs;
+  {
+    EpochGuard g(epoch);
+    index->art().RangeQuery(0, ~Key{0}, &art_pairs);
+  }
+  for (size_t i = 0; i < art_pairs.size(); i += 2) {
+    ASSERT_TRUE(index->Remove(art_pairs[i].first));
+  }
+  st = index->CollectStructuralStats();
+  EXPECT_EQ(index->MappedBytes(), st.slab_bytes + st.art_region_bytes);
+  EXPECT_GT(st.art_region_live_share, 0.0);
+  EXPECT_LT(st.art_region_live_share, 1.0);
+  index.reset();
+  epoch.DrainAll();
+}
+
 TEST(SlotSlabTest, UnsortedInputIsRejectedInAnyPart) {
   // The sortedness check is split like the fill: a bad pair in the last part,
   // or straddling two parts, must still fail the load.
@@ -347,7 +378,7 @@ TEST(SlotSlabTest, SlabBytesAreTheModelsSlotLines) {
     EXPECT_EQ(bytes, 64u * m->num_lines());
     EXPECT_EQ(m->MemoryBytes(), sizeof(GplModel) + bytes);
     slot_bytes += bytes;
-    footprint += SlotSlab::SliceFootprint(bytes);
+    footprint += Slab::SliceFootprint(bytes);
     model_bytes += m->MemoryBytes();
   }
 #if !defined(SLAB_TEST_ASAN)
