@@ -314,6 +314,14 @@ TEST_F(ArtEdgeTest, RangedCollectionMatchesMapOracle) {
       tree.RangeQuery(lo, hi, &out, limit);
       ASSERT_EQ(out, expect) << std::hex << "RangeQuery " << lo << " " << hi << " limit "
                              << std::dec << limit;
+      // AppendRange keeps what `out` holds, and `limit` counts only the
+      // pairs it appends.
+      const std::pair<Key, Value> held{~Key{0}, 7};
+      out.assign(3, held);
+      ASSERT_EQ(tree.AppendRange(lo, hi, &out, limit), expect.size());
+      expect.insert(expect.begin(), 3, held);
+      ASSERT_EQ(out, expect) << std::hex << "AppendRange " << lo << " " << hi << " limit "
+                             << std::dec << limit;
     }
   }
 }
