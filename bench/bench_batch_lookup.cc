@@ -3,8 +3,7 @@
 // read-only and with concurrent insert/remove churn in the background.
 // Width 0 rows ("scalar") call the plain Lookup loop as the baseline the
 // AMAC pipeline has to beat; widths 1..64 call LookupBatch with that many
-// keys per call (the internal group width stays at the configured
-// AltOptions::batch_group_width, clamped to the call width).
+// keys per call (LookupBatch keeps up to 16 of them in flight).
 
 #include <algorithm>
 #include <atomic>

@@ -38,7 +38,7 @@ namespace debug {
 
 #if defined(ALT_DEBUG_CHECKS)
 
-/// Per-thread registry of version locks (SpinLock / SlotWord)
+/// Per-thread registry of version locks (SpinLock / LineWord)
 /// currently held by this thread. Critical sections in this codebase are a
 /// handful of stores, so the held set is tiny; linear scans are fine.
 struct HeldLockSet {

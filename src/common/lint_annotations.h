@@ -21,7 +21,7 @@
 /// prove the property at review time, before any thread runs. Placement is
 /// trailing, like the thread-safety macros:
 ///
-///   SlotRef ProbeSlot(size_t i) const ALT_REQUIRES_EPOCH;
+///   void CountSlotStates(size_t counts[4]) const ALT_REQUIRES_EPOCH;
 #if defined(__clang__) && !defined(SWIG)
 #define ALT_REQUIRES_EPOCH __attribute__((annotate("alt::requires_epoch")))
 #else

@@ -32,7 +32,7 @@
 #define ALT_THREAD_ANNOTATION_ATTRIBUTE__(x)  // no-op
 #endif
 
-/// Marks a class as a lock-like capability (e.g. SpinLock, SlotWord).
+/// Marks a class as a lock-like capability (e.g. SpinLock, LineWord).
 #define CAPABILITY(x) ALT_THREAD_ANNOTATION_ATTRIBUTE__(capability(x))
 
 /// Marks an RAII class that acquires a capability in its constructor and

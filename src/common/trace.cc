@@ -24,7 +24,7 @@ constexpr uint64_t kRingCapacity = 4096;
 
 /// One ring cell. Every field is atomic so a concurrent exporter is race-free
 /// (TSan-clean); the generation is validated through `seq` exactly like the
-/// learned layer's per-slot optimistic words. Generation g of ring position
+/// learned layer's per-line optimistic words. Generation g of ring position
 /// p publishes seq = 2*(g+1): the reader accepts a cell only when both seq
 /// loads around the payload reads return the even value of the generation it
 /// expects, so a wrapped or in-flight overwrite is discarded, never torn.

@@ -24,7 +24,7 @@
 /// reader (the exporter) snapshots rings through a per-cell sequence protocol:
 /// the writer publishes odd-seq before and even-seq after the payload stores,
 /// and the reader discards any cell whose sequence moved while it was read —
-/// the same discipline as the per-slot optimistic locks in the learned layer,
+/// the same discipline as the per-line optimistic locks in the learned layer,
 /// so concurrent export is TSan-clean without slowing the writer.
 ///
 /// ## Contract

@@ -120,16 +120,11 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
     // behind a §III-F tail model. Sharded deployments rely on this: a range
     // partition may leave shards with no bulk keys.
     epsilon_ = options_.EffectiveErrorBound(0);
-    const uint32_t slots = options_.tail_model_slots;
+    // One fast-pointer entry: the ART root's, shared with later tail models.
+    if (options_.enable_fast_pointers) fp_buffer_.Reserve(1);
     const double slope =
-        static_cast<double>(slots) / static_cast<double>(~Key{0});
-    auto* model = new GplModel(0, slope, slots, slots / 2);
-    if (options_.enable_fast_pointers) {
-      fp_buffer_.Reserve(1);  // the root entry, shared with later tail models
-      const int32_t slot = fp_buffer_.AddPointer(art_.root(), 0, 0);
-      model->set_fp_index(slot);
-    }
-    directory_.Build({model}, options_.upper_radix_bits);
+        static_cast<double>(options_.tail_model_slots) / static_cast<double>(~Key{0});
+    directory_.Build({NewCatchAllModel(0, slope)}, options_.upper_radix_bits);
     return Status::OK();
   }
 
@@ -236,14 +231,16 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
               art_values[out++] = values[i];
               continue;
             }
-            const SlotRef s = model->line(l).Lane(rank);
-            // Bulk load owns the index, but writing under the lane lock keeps
-            // the key/value stores inside the capability the analysis checks
-            // (the uncontended CAS costs nothing next to the O(n) load itself).
-            const uint32_t lw = s.word.Lock();
-            s.key.store(k, std::memory_order_relaxed);
-            s.value.store(values[i], std::memory_order_relaxed);
-            s.word.Unlock(lw, SlotState::kOccupied);
+            // Bulk load owns the index, but writing under the line word keeps
+            // the pair stores inside the capability the analysis checks (the
+            // uncontended CAS costs nothing next to the O(n) load itself). One
+            // lock per key, not per line: a loop over each line's keys
+            // mispredicts its exit about once per line, and filled ~20%
+            // slower (EXPERIMENTS.md "One version word per line").
+            SlotLine& line = model->line(l);
+            const uint64_t lw = line.word.Lock();
+            line.Store(rank, k, values[i]);
+            line.word.Unlock(LineWord::WithState(lw, rank, SlotState::kOccupied));
           }
         }
         part_conflicts[p] = out - first_key[p];
@@ -312,7 +309,6 @@ Status AltIndex::BulkLoad(const Key* keys, const Value* values, size_t n) {
 AltIndex::Probe AltIndex::ProbeSlot(GplModel* model, Key key, Value* out,
                                     ArtRoute* route) const ALT_REQUIRES_EPOCH {
   route->target = model;
-  route->lanes = 0;
   if (key >= model->coverage_end()) {
     // Out-of-coverage keys are never stored in slots (see GplModel ctor doc);
     // ART is their authoritative home and there is no line to validate.
@@ -320,35 +316,33 @@ AltIndex::Probe AltIndex::ProbeSlot(GplModel* model, Key key, Value* out,
     return Probe::kGoArt;
   }
   const uint32_t l = model->LineOf(key);
+  const SlotLine& line = model->line(l);
   route->line = l;
-  bool saw_empty = false;
-  // Lanes are read one by one. That is enough for the absence proof: a lane
-  // never returns to EMPTY, and a key enters ART only while its line has no
-  // EMPTY lane, so a key present throughout the read is in a lane the read
-  // passes over while the key is there (DESIGN.md §2.2).
-  for (uint32_t lane = 0; lane < model->LanesIn(l); ++lane) {
-    const SlotRef s = model->line(l).Lane(lane);
-    for (;;) {
-      const uint32_t w = s.word.Read();
-      route->words[lane] = w;
-      route->lanes = lane + 1;
-      const SlotState st = SlotWord::StateOf(w);
-      if (st == SlotState::kMigrated) return Probe::kMigrated;  // whole line moved
-      if (st == SlotState::kEmpty && !saw_empty) {
-        saw_empty = true;
-        route->lane = lane;
+  // One snapshot of the line: its word gives every lane's state, and one
+  // validation covers the keys read (DESIGN.md §2.2).
+  for (;;) {
+    const uint64_t w = line.word.Read();
+    route->word = w;
+    // A line moves as a whole, so one MIGRATED lane means all have moved.
+    if (LineWord::StateOf(w, 0) == SlotState::kMigrated) return Probe::kMigrated;
+    uint32_t hit = SlotLine::kLanes;
+    Value v = 0;
+    for (uint32_t lane = 0; lane < model->LanesIn(l); ++lane) {
+      if (LineWord::StateOf(w, lane) == SlotState::kOccupied &&
+          line.OptimisticKey(lane) == key) {
+        hit = lane;
+        v = line.OptimisticValue(lane);
+        break;
       }
-      if (st != SlotState::kOccupied) break;
-      const Key k = s.OptimisticKey();
-      const Value v = s.OptimisticValue();
-      if (!s.word.Validate(w)) continue;  // writer raced; re-read the lane
-      if (k != key) break;
-      route->lane = lane;
+    }
+    if (!line.word.Validate(w)) continue;  // a writer raced: re-read the line
+    if (hit != SlotLine::kLanes) {
+      route->lane = hit;
       if (out != nullptr) *out = v;
       return Probe::kHit;
     }
+    return route->Saw(SlotState::kEmpty) ? Probe::kEmpty : Probe::kGoArt;
   }
-  return saw_empty ? Probe::kEmpty : Probe::kGoArt;
 }
 
 AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
@@ -385,11 +379,7 @@ AltIndex::Resolve AltIndex::ResolveSlot(Key key, Value* out,
 
 bool AltIndex::RouteHolds(const ArtRoute& route, Key key) const ALT_REQUIRES_EPOCH {
   if (!route.has_line()) return RoutedModel(key) == route.model;
-  SlotLine& line = route.target->line(route.line);
-  for (uint32_t lane = 0; lane < route.lanes; ++lane) {
-    if (!line.word[lane].Validate(route.words[lane])) return false;
-  }
-  return true;
+  return route.target->line(route.line).word.Validate(route.word);
 }
 
 bool AltIndex::ArtLookup(const GplModel* model, Key key, Value* out,
@@ -478,7 +468,7 @@ bool AltIndex::LookupInternal(Key key, Value* out, ServedBy* served) const {
       // Write-back scheme (Alg. 2 lines 10-13): a tombstoned lane of the
       // predicted line re-adopts its key from ART. Skipped during expansion
       // (§III-F owns lane transitions then; WriteBack re-checks under the
-      // lane lock). The write-back only moves a key between layers, so a
+      // line word). The write-back only moves a key between layers, so a
       // const Lookup may perform it.
       if (route.has_line() && route.Saw(SlotState::kTombstone) &&
           route.model->expansion() == nullptr) {
@@ -544,7 +534,6 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
     case Probe::kEmpty:
       break;
   }
-  const SlotRef s = route.slot();  // the line's first EMPTY lane
   if (!t->strict_empty()) {
     // Suspended invariant (fresh tail model, temporal buffer before its
     // finish sweep): the key may still sit in ART; check before placing,
@@ -557,22 +546,24 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
       return Placed::kExists;
     }
   }
-  const uint32_t lw = s.word.Lock();
-  // Re-check the expansion under the lane lock: if one was installed on `t`
+  SlotLine& line = t->line(route.line);
+  const uint64_t lw = line.word.Lock();
+  // Re-check the expansion under the line word: if one was installed on `t`
   // since it was routed, a concurrent insert may already have placed a
   // conflicting key in the temporal buffer while this line had an EMPTY lane.
   // Occupying it now would shadow that key behind the full line → ART route
   // and strand it (lookups would never probe the buffer). The lock
   // acquisition is an RMW, so any install visible to a writer that saw this
-  // lane EMPTY is visible to this load too. Two inserts of one key both aim
-  // at the first EMPTY lane, so they meet on this lock.
-  if (SlotWord::StateOf(lw) != SlotState::kEmpty || t->expansion() != nullptr) {
-    s.word.Unlock(lw, SlotWord::StateOf(lw));
+  // line with an EMPTY lane is visible to this load too. A line that changed
+  // since the probe is probed again: another insert of the same key may have
+  // taken a lane of it, or the line may have filled up.
+  if (lw != route.word || t->expansion() != nullptr) {
+    line.word.Unlock(lw);
     return Placed::kRetry;
   }
-  s.key.store(key, std::memory_order_relaxed);
-  s.value.store(value, std::memory_order_relaxed);
-  s.word.Unlock(lw, SlotState::kOccupied);
+  const uint32_t lane = t->FirstLane(route.line, lw, SlotState::kEmpty);
+  line.Store(lane, key, value);
+  line.word.Unlock(LineWord::WithState(lw, lane, SlotState::kOccupied));
   metrics::Inc(Counter::kSlotInserts);
   SetServedBy(served, ServedBy::kSlotInsert);
   CountInsert(model, exp);
@@ -581,7 +572,7 @@ AltIndex::Placed AltIndex::InsertInto(GplModel* model, Expansion* exp, Key key,
 
 AltIndex::Placed AltIndex::InsertConflict(const ArtRoute& route, Key key,
                                           Value value) ALT_REQUIRES_EPOCH {
-  // The line lock excludes write-backs and line moves. With every lane word
+  // The line lock excludes write-backs and line moves. With the line word
   // still as the probe read it, no write-back (Alg. 2's tombstone write-back
   // above all) moved `key` into the line since the probe, and none can until
   // the ART insert is done, so the key cannot end up in both places.
@@ -602,15 +593,9 @@ AltIndex::Placed AltIndex::InsertExpanding(GplModel* model, Expansion* exp,
     return InsertInto(model, exp, key, value, nullptr);
   }
   // §III-F step 2: move the key's old line to the temporal buffer, then place
-  // the new key there too. An all-EMPTY line has nothing to move (EMPTY lanes
-  // fill in lane order), and no writer fills it once the expansion is
-  // installed (InsertInto and WriteBack re-check under the lane lock). Lane 0
-  // moves last, so a MIGRATED lane 0 means the whole line has moved.
-  const uint32_t l = model->LineOf(key);
-  const SlotState first = SlotWord::StateOf(model->line(l).word[0].Read());
-  if (first != SlotState::kEmpty && first != SlotState::kMigrated &&
-      MigrateLine(model, l, exp->new_model, &key)) {
-    return Placed::kExists;  // exists in place
+  // the new key there too.
+  if (MigrateLine(model, model->LineOf(key), exp->new_model, &key)) {
+    return Placed::kExists;  // it was in the old line and moved with it
   }
   return InsertInto(model, exp, key, value, nullptr);
 }
@@ -630,18 +615,15 @@ void AltIndex::MigrateInto(GplModel* new_model, Key key,
                            Value value) ALT_REQUIRES_EPOCH {
   if (key < new_model->coverage_end()) {
     const uint32_t l = new_model->LineOf(key);
-    for (uint32_t lane = 0; lane < new_model->LanesIn(l); ++lane) {
-      const SlotRef s = new_model->line(l).Lane(lane);
-      if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
-      const uint32_t lw = s.word.Lock();
-      if (SlotWord::StateOf(lw) == SlotState::kEmpty) {
-        s.key.store(key, std::memory_order_relaxed);
-        s.value.store(value, std::memory_order_relaxed);
-        s.word.Unlock(lw, SlotState::kOccupied);
-        return;
-      }
-      s.word.Unlock(lw, SlotWord::StateOf(lw));
+    SlotLine& line = new_model->line(l);
+    const uint64_t lw = line.word.Lock();
+    const uint32_t lane = new_model->FirstLane(l, lw, SlotState::kEmpty);
+    if (lane != SlotLine::kLanes) {
+      line.Store(lane, key, value);
+      line.word.Unlock(LineWord::WithState(lw, lane, SlotState::kOccupied));
+      return;
     }
+    line.word.Unlock(lw);
   }
   // A full line in the temporal buffer too, or a pre-expansion clamp-line
   // resident beyond the new coverage (a future tail model takes its range
@@ -655,26 +637,30 @@ void AltIndex::MigrateInto(GplModel* new_model, Key key,
 bool AltIndex::MigrateLine(GplModel* old, uint32_t l, GplModel* new_model,
                            const Key* key) ALT_REQUIRES_EPOCH {
   SlotLine& line = old->line(l);
-  SpinLockGuard g(line.lock);
-  // Last lane first: readers go from lane 0 up, so one that meets a MIGRATED
-  // lane finds that lane's occupant, and every later lane's, already in the
-  // temporal buffer, and it passed the earlier lanes while they still held
-  // their keys.
-  for (uint32_t lane = old->LanesIn(l); lane-- > 0;) {
-    const SlotRef s = line.Lane(lane);
-    const uint32_t lw = s.word.Lock();
-    const SlotState st = SlotWord::StateOf(lw);
-    if (st == SlotState::kOccupied) {
-      const Key k = s.key.load(std::memory_order_relaxed);
-      if (key != nullptr && k == *key) {
-        s.word.Unlock(lw, st);
-        return true;
-      }
-      MigrateInto(new_model, k, s.value.load(std::memory_order_relaxed));
-    }
-    s.word.Unlock(lw, SlotState::kMigrated);  // EMPTY and TOMBSTONE lanes too
+  // A line moves as a whole and EMPTY lanes are a suffix, so lane 0 tells a
+  // moved line and an all-EMPTY one. A moved line stays moved. An insert
+  // skips an all-EMPTY line, which has nothing to move yet; the finish sweep
+  // (no `key`) locks it all the same: a writer that locked the line before
+  // the expansion was installed may not have seen the install (InsertInto
+  // and WriteBack re-check under the line word), and only the lock orders the
+  // sweep after that writer's key.
+  const SlotState first = LineWord::StateOf(line.word.Read(), 0);
+  if (first == SlotState::kMigrated || (first == SlotState::kEmpty && key != nullptr)) {
+    return false;
   }
-  return false;
+  SpinLockGuard g(line.lock);
+  uint64_t lw = line.word.Lock();
+  bool found = false;
+  for (uint32_t lane = 0; lane < old->LanesIn(l); ++lane) {
+    if (LineWord::StateOf(lw, lane) == SlotState::kOccupied) {
+      const Key k = line.pair[lane].key.load(std::memory_order_relaxed);
+      found |= key != nullptr && k == *key;
+      MigrateInto(new_model, k, line.pair[lane].value.load(std::memory_order_relaxed));
+    }
+    lw = LineWord::WithState(lw, lane, SlotState::kMigrated);  // EMPTY, TOMBSTONE too
+  }
+  line.word.Unlock(lw);
+  return found;
 }
 
 // ---------------------------------------------------------------------------
@@ -700,20 +686,20 @@ bool AltIndex::UpdateOrRemove(Key key, const Value* value, ServedBy* served) {
         SetServedBy(served, ServedBy::kLearnedNegative);
         return false;
       case Resolve::kInSlot: {
-        const SlotRef s = route.slot();
-        const uint32_t lw = s.word.Lock();
-        if (SlotWord::StateOf(lw) != SlotState::kOccupied ||
-            s.key.load(std::memory_order_relaxed) != key) {
-          s.word.Unlock(lw, SlotWord::StateOf(lw));
+        SlotLine& line = route.target->line(route.line);
+        const uint64_t lw = line.word.Lock();
+        if (LineWord::StateOf(lw, route.lane) != SlotState::kOccupied ||
+            line.pair[route.lane].key.load(std::memory_order_relaxed) != key) {
+          line.word.Unlock(lw);
           continue;  // changed underneath; retry from the top
         }
         if (value != nullptr) {
-          s.value.store(*value, std::memory_order_relaxed);
-          s.word.Unlock(lw, SlotState::kOccupied);
+          line.pair[route.lane].value.store(*value, std::memory_order_relaxed);
+          line.word.Unlock(lw);
         } else {
           // In-place delete leaves a tombstone (§III-G): conflicting keys in
-          // ART rely on this slot staying non-empty.
-          s.word.Unlock(lw, SlotState::kTombstone);
+          // ART rely on this lane staying non-empty.
+          line.word.Unlock(LineWord::WithState(lw, route.lane, SlotState::kTombstone));
           size_.Add(-1);
         }
         SetServedBy(served, ServedBy::kLearnedSlot);
@@ -773,7 +759,7 @@ size_t AltIndex::ScanRange(Key lo, Key hi, size_t limit,
     // move a key out of ART after its (EMPTY) slot was already collected,
     // hiding it from both layers of this composite read. Redo the collection
     // if a write-back was active at any point during it (see
-    // WriteBackSection; point lookups use per-slot word validation instead).
+    // WriteBackSection; point lookups use per-line word validation instead).
     const uint64_t wb_gen = write_back_gen_.load(std::memory_order_acquire);
     if (write_backs_active_.load(std::memory_order_acquire) != 0) {
       CpuRelax();
@@ -837,32 +823,22 @@ void AltIndex::WriteBack(GplModel* owner, uint32_t l, Key key, SlotState from,
   ALT_DEBUG_CHECK(::alt::debug::LockHeldByThisThread(&write_backs_active_), "write-back",
                   "ART->slot write-back outside a WriteBackSection", this);
   SlotLine& line = owner->line(l);
+  if (owner->FirstLane(l, line.word.Read(), from) == SlotLine::kLanes) return;
   SpinLockGuard g(line.lock);  // no conflict insert or line move in between
-  for (uint32_t lane = 0; lane < owner->LanesIn(l); ++lane) {
-    const SlotRef s = line.Lane(lane);
-    if (SlotWord::StateOf(s.word.Read()) != from) continue;
-    const uint32_t lw = s.word.Lock();
-    if (SlotWord::StateOf(lw) != from) {
-      // Taken since the read: a later lane may still be in `from`.
-      s.word.Unlock(lw, SlotWord::StateOf(lw));
-      continue;
-    }
-    // TOCTOU guard (see InsertInto): once an expansion is installed on
-    // `owner`, §III-F owns its lane transitions; the key stays in ART,
-    // reachable behind the suspended invariant, and the finish sweep writes
-    // it back.
-    Value v = 0;
-    if (owner->expansion() == nullptr && art_.Remove(key, &v)) {
-      s.key.store(key, std::memory_order_relaxed);
-      s.value.store(v, std::memory_order_relaxed);
-      s.word.Unlock(lw, SlotState::kOccupied);
-      metrics::Inc(Counter::kWriteBacks);
-      if (moved != nullptr) *moved = v;
-      return;
-    }
-    s.word.Unlock(lw, from);
-    return;
+  uint64_t lw = line.word.Lock();
+  const uint32_t lane = owner->FirstLane(l, lw, from);
+  // TOCTOU guard (see InsertInto): once an expansion is installed on
+  // `owner`, §III-F owns its lane transitions; the key stays in ART,
+  // reachable behind the suspended invariant, and the finish sweep writes
+  // it back.
+  Value v = 0;
+  if (lane != SlotLine::kLanes && owner->expansion() == nullptr && art_.Remove(key, &v)) {
+    line.Store(lane, key, v);
+    lw = LineWord::WithState(lw, lane, SlotState::kOccupied);
+    metrics::Inc(Counter::kWriteBacks);
+    if (moved != nullptr) *moved = v;
   }
+  line.word.Unlock(lw);
 }
 
 void AltIndex::MaybeTriggerExpansion(GplModel* model) {
@@ -956,12 +932,7 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPO
   const Key tail_first = published->coverage_end();
   if (tail_first == ~Key{0}) return;  // infinite coverage: nothing to take over
   if (tail_first <= snap->first_keys[n - 1]) return;
-  auto* tail = new GplModel(tail_first, published->slope(), options_.tail_model_slots,
-                            options_.tail_model_slots / 2);
-  if (options_.enable_fast_pointers) {
-    const int32_t slot = fp_buffer_.AddPointer(art_.root(), 0, 0);
-    tail->set_fp_index(slot);
-  }
+  GplModel* tail = NewCatchAllModel(tail_first, published->slope());
   // The tail steals [tail_first, +inf) from the published model; ART keys in
   // that range would otherwise look "absent" behind the tail's EMPTY slots.
   // Publish with the invariant suspended, then adopt those ART keys. Once an
@@ -976,6 +947,15 @@ void AltIndex::AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPO
   metrics::Inc(Counter::kTailModelsAppended);
   trace::Span span("tail_append", "retrain", tail_first);
   AdoptArtRange(tail);
+}
+
+GplModel* AltIndex::NewCatchAllModel(Key first_key, double slope) {
+  const uint32_t slots = options_.tail_model_slots;
+  auto* model = new GplModel(first_key, slope, slots, slots / 2);
+  if (options_.enable_fast_pointers) {
+    model->set_fp_index(fp_buffer_.AddPointer(art_.root(), 0, 0));
+  }
+  return model;
 }
 
 size_t AltIndex::AdoptArtRange(GplModel* m) ALT_REQUIRES_EPOCH {

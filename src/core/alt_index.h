@@ -38,10 +38,10 @@ namespace alt {
 ///    inserts and finished with a sweep plus an ART write-back pass.
 ///
 /// ## Concurrency (paper §III-E)
-/// Per-slot optimistic versions in the learned layer, spin locks per fast
-/// pointer entry, optimistic lock coupling in ART, epoch-based reclamation for
+/// One optimistic version word per learned-layer slot line, spin locks per
+/// fast pointer entry, optimistic lock coupling in ART, epoch-based reclamation for
 /// replaced models/nodes. All public operations are thread-safe; Lookup /
-/// Insert / Update / Remove are linearizable per key. Scans are per-slot
+/// Insert / Update / Remove are linearizable per key. Scans are per-line
 /// atomic snapshots (keys may be concurrently inserted/removed mid-scan).
 ///
 /// Thread-safety exception: BulkLoad must complete before concurrent use, and
@@ -215,8 +215,8 @@ class AltIndex final : public ConcurrentIndex {
   /// Read `model`'s predicted line for `key` (the line rule, DESIGN.md §2.2):
   /// kHit if a lane holds the key (*out set), kMigrated if a lane is
   /// MIGRATED, kEmpty if a lane is EMPTY, else kGoArt — a full line or an
-  /// out-of-coverage key (no line). Records the line and every lane word it
-  /// read in `route`.
+  /// out-of-coverage key (no line). One validated read of the line word;
+  /// records the line and that word in `route`.
   Probe ProbeSlot(GplModel* model, Key key, Value* out,
                   ArtRoute* route) const ALT_REQUIRES_EPOCH;
 
@@ -236,18 +236,13 @@ class AltIndex final : public ConcurrentIndex {
     GplModel* model = nullptr;   ///< the model the directory routed to
     GplModel* target = nullptr;  ///< `model` or its temporal buffer: owns `line`
     uint32_t line = kNoLine;     ///< target's line; kNoLine: ART is the key's only home
-    uint32_t lane = 0;           ///< kHit: the key's lane; kEmpty: the first EMPTY lane
-    uint32_t lanes = 0;          ///< lanes read into `words`
-    uint32_t words[SlotLine::kLanes] = {};  ///< the lane words as read
+    uint32_t lane = 0;           ///< kHit: the key's lane
+    uint64_t word = 0;           ///< the line word the probe validated
 
     bool has_line() const { return line != kNoLine; }
-    SlotRef slot() const { return target->line(line).Lane(lane); }
-    /// \return true if a lane read was in state `st`.
+    /// \return true if the probed line had a lane in state `st`.
     bool Saw(SlotState st) const {
-      for (uint32_t i = 0; i < lanes; ++i) {
-        if (SlotWord::StateOf(words[i]) == st) return true;
-      }
-      return false;
+      return target->FirstLane(line, word, st) != SlotLine::kLanes;
     }
   };
 
@@ -264,7 +259,7 @@ class AltIndex final : public ConcurrentIndex {
   Resolve ResolveSlot(Key key, Value* out, ArtRoute* route) const ALT_REQUIRES_EPOCH;
 
   /// After an ART miss: \return true if `route` still sends `key` to ART —
-  /// every lane word the probe read is unchanged or, with no line, the
+  /// the line word the probe read is unchanged or, with no line, the
   /// directory still routes `key` to route.model — so the miss is
   /// authoritative. False means a write-back, migration or tail append may
   /// have moved the key.
@@ -301,14 +296,14 @@ class AltIndex final : public ConcurrentIndex {
 
   enum class Placed { kInserted, kExists, kRetry };
 
-  /// Insert into `model`, or with `exp` into its temporal buffer: claim the
-  /// first EMPTY lane of the predicted line, else (full line, out of
-  /// coverage) go to ART-OPT.
+  /// Insert into `model`, or with `exp` into its temporal buffer: under the
+  /// line word, claim the first EMPTY lane of the predicted line, else (full
+  /// line, out of coverage) go to ART-OPT.
   Placed InsertInto(GplModel* model, Expansion* exp, Key key, Value value,
                     ServedBy* served) ALT_REQUIRES_EPOCH;
 
-  /// ART-OPT insert for a full line, under the line's lock and only if every
-  /// lane still holds the word the probe read, so no write-back can move
+  /// ART-OPT insert for a full line, under the line's lock and only if the
+  /// line word is still the one the probe read, so no write-back can move
   /// `key` into the line around the ART insert (DESIGN.md §2.2). kRetry: the
   /// line changed since the probe.
   Placed InsertConflict(const ArtRoute& route, Key key, Value value) ALT_REQUIRES_EPOCH;
@@ -327,10 +322,11 @@ class AltIndex final : public ConcurrentIndex {
   /// fails; victims are unique).
   void MigrateInto(GplModel* new_model, Key key, Value value) ALT_REQUIRES_EPOCH;
 
-  /// §III-F line move: under `old`'s line lock, lock each lane of line `l`,
-  /// last lane first, move its occupant to `new_model` and unlock it as
-  /// MIGRATED — unless it holds `*key` (when given): then that lane unlocks
-  /// unchanged and the call \return true.
+  /// §III-F line move: under `old`'s line lock and line word, move every
+  /// occupant of line `l` to `new_model` and publish every lane as MIGRATED
+  /// at once. An already moved line is left as it is, and so is an all-EMPTY
+  /// one when `key` is given (an insert; the finish sweep passes none).
+  /// \return true if a moved lane held `*key` (when given).
   bool MigrateLine(GplModel* old, uint32_t l, GplModel* new_model,
                    const Key* key) ALT_REQUIRES_EPOCH;
 
@@ -341,10 +337,9 @@ class AltIndex final : public ConcurrentIndex {
   void EnsureArtKeyVisible(Key key) ALT_REQUIRES_EPOCH;
 
   /// The one ART→lane write-back (Alg. 2 lines 10-13, §III-F): under the
-  /// line lock, lock the first lane of `owner`'s line `l` still in state
-  /// `from`; if `owner` has no expansion, move `key` from ART-OPT into it (its
-  /// value to *moved). A lane that leaves `from` before its lock passes the
-  /// turn to the next one. Must run inside a WriteBackSection;
+  /// line lock and line word of `owner`'s line `l`, if `owner` has no
+  /// expansion, move `key` from ART-OPT into the first lane in state `from`
+  /// (its value to *moved). Must run inside a WriteBackSection;
   /// ALT_DEBUG_CHECKS enforces it.
   void WriteBack(GplModel* owner, uint32_t l, Key key, SlotState from,
                  Value* moved = nullptr) ALT_REQUIRES_EPOCH;
@@ -353,6 +348,11 @@ class AltIndex final : public ConcurrentIndex {
   void MaybeFinishExpansion(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
   void FinishExpansion(GplModel* model, Expansion* exp) ALT_REQUIRES_EPOCH;
   void AppendTailModelIfLast(const GplModel* published) ALT_REQUIRES_EPOCH;
+
+  /// The catch-all model behind an empty load and a §III-F tail append:
+  /// tail_model_slots slots from `first_key` at `slope`, a build size of half
+  /// its slots, and the ART root's fast-pointer entry.
+  GplModel* NewCatchAllModel(Key first_key, double slope);
 
   /// The one ART-range adoption step of the §III-F finish and tail-append
   /// sweeps: collect ART's keys in m's routing range outside any
@@ -365,7 +365,7 @@ class AltIndex final : public ConcurrentIndex {
   /// A write-back removes the key from ART after locking its slot, so a scan
   /// that read the slot before the lock and queries ART after the removal
   /// sees the key in *neither* layer. Point lookups survive this by
-  /// re-validating the routed line's words after an ART miss (RouteHolds); scans
+  /// re-validating the routed line's word after an ART miss (RouteHolds); scans
   /// validate coarsely instead, against this generation seqlock (ScanRange).
   class WriteBackSection {
    public:

@@ -50,14 +50,6 @@ struct AltOptions {
   /// outside [0, 20].
   int upper_radix_bits = 12;
 
-  /// In-flight lookups per group in LookupBatch (AMAC-style pipelining).
-  /// Values past the CPU's miss-level parallelism (~10-16 outstanding L1
-  /// misses) add bookkeeping without hiding more latency. Clamped to
-  /// [1, kMaxBatchGroupWidth].
-  uint32_t batch_group_width = 16;
-
-  static constexpr uint32_t kMaxBatchGroupWidth = 64;
-
   static constexpr double kMinErrorBound = 16.0;
 
   /// The paper's suggested ε = N_total / 1000 (§III-D).

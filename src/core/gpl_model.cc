@@ -10,17 +10,17 @@
 
 namespace alt {
 
-// Slot line layout (DESIGN.md §10.2): three words, 4 B of padding, three
-// pairs, exactly one cache line; a 64-byte-aligned array therefore puts every
-// slot's word and pair in one line.
-static_assert(sizeof(SlotWord) == 4, "a lane's word is one 32-bit atomic");
+// Slot line layout (DESIGN.md §10.2): one word, the line lock and 7 B of
+// padding, three pairs, exactly one cache line; a 64-byte-aligned array
+// therefore puts every slot's pair in one line with the word that guards it.
+static_assert(sizeof(LineWord) == 8, "a line's word is one 64-bit atomic");
 static_assert(sizeof(SlotLine) == 64 && alignof(SlotLine) == 64,
               "a slot line is exactly one cache line");
 static_assert(SlotLine::kLanes == 3, "three slots per line");
-static_assert(sizeof(SpinLock) == 1 && offsetof(SlotLine, lock) == 12,
-              "the line lock sits in the padding after the three words");
+static_assert(sizeof(SpinLock) == 1 && offsetof(SlotLine, lock) == 8,
+              "the line lock sits in the padding after the word");
 static_assert(offsetof(SlotLine, pair) == 16,
-              "pairs follow the three words and 4 B of padding");
+              "pairs follow the word and 8 B of lock and padding");
 static_assert(sizeof(SlotLine::Pair) == 16, "a pair is one key and one value");
 static_assert(alignof(GplModel) == 64,
               "hot header must start on a cache-line boundary");
@@ -73,11 +73,10 @@ GplModel::~GplModel() {
 
 void GplModel::CountSlotStates(size_t counts[4]) const ALT_REQUIRES_EPOCH {
   // Line by line; the last line's lanes past num_slots_ are not slots.
-  for (uint32_t first = 0; first < num_slots_; first += SlotLine::kLanes) {
-    const SlotLine& line = lines_[first / SlotLine::kLanes];
-    const uint32_t lanes = std::min(SlotLine::kLanes, num_slots_ - first);
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      counts[static_cast<uint32_t>(SlotWord::StateOf(line.word[lane].Read()))]++;
+  for (uint32_t l = 0; l < num_lines(); ++l) {
+    const uint64_t w = lines_[l].word.Read();
+    for (uint32_t lane = 0; lane < LanesIn(l); ++lane) {
+      counts[static_cast<uint32_t>(LineWord::StateOf(w, lane))]++;
     }
   }
 }
@@ -91,24 +90,24 @@ void GplModel::CollectRange(Key lo, Key hi, std::vector<std::pair<Key, Value>>* 
   // before capping. The walk is sequential, so the hardware prefetcher runs
   // ahead of it.
   for (uint32_t l = LineOf(lo); l < num_lines() && appended < limit; ++l) {
+    const SlotLine& line = lines_[l];
     std::pair<Key, Value> run[SlotLine::kLanes];
     uint32_t n = 0;
     bool past_hi = false;
-    for (uint32_t lane = 0; lane < LanesIn(l); ++lane) {
-      const SlotRef s = lines_[l].Lane(lane);
-      for (;;) {
-        const uint32_t w = s.word.Read();
-        if (SlotWord::StateOf(w) != SlotState::kOccupied) break;
-        const Key k = s.OptimisticKey();
-        const Value v = s.OptimisticValue();
-        if (!s.word.Validate(w)) continue;  // concurrent writer: re-read the lane
+    for (;;) {
+      const uint64_t w = line.word.Read();
+      n = 0;
+      past_hi = false;
+      for (uint32_t lane = 0; lane < LanesIn(l); ++lane) {
+        if (LineWord::StateOf(w, lane) != SlotState::kOccupied) continue;
+        const Key k = line.OptimisticKey(lane);
         if (k > hi) {
           past_hi = true;
         } else if (k >= lo) {
-          run[n++] = {k, v};
+          run[n++] = {k, line.OptimisticValue(lane)};
         }
-        break;
       }
+      if (line.word.Validate(w)) break;  // else a writer raced: re-read the line
     }
     for (uint32_t i = 1; i < n; ++i) {  // insertion sort of at most three keys
       for (uint32_t j = i; j > 0 && run[j].first < run[j - 1].first; --j) {

@@ -26,24 +26,28 @@ enum class SlotState : uint32_t {
   kMigrated = 3,   ///< moved to the expansion (temporal) buffer (§III-F)
 };
 
-/// \brief Per-slot word combining the §III-E optimistic version scheme with
-/// the slot state: bit 0 = writer lock, bits 1-2 = SlotState, bits 3+ = a
-/// sequence number bumped on every unlock. One 32-bit atomic per slot.
+/// \brief A slot line's one version word: the §III-E optimistic version,
+/// widened from a slot to the line all three lanes share. Bit 0 = writer lock,
+/// bits 1-6 = the three lanes' SlotStates (lane i at bits 1 + 2i), bits 7+ = a
+/// sequence number bumped on every unlock. 64 bits, so the 57-bit sequence
+/// cannot wrap under a preempted reader.
 ///
-/// A clang thread-safety capability guarding the slot's key/value (see
-/// SlotRef). Writers hold it via Lock/Unlock; optimistic readers carry no
-/// capability and must go through SlotRef's ALT_OPTIMISTIC_PATH accessors plus
-/// Validate. Under ALT_DEBUG_CHECKS the version-lock protocol checker catches
+/// A clang thread-safety capability guarding the line's pairs (see SlotLine).
+/// Writers hold it via Lock/Unlock; optimistic readers carry no capability and
+/// must go through SlotLine's ALT_OPTIMISTIC_PATH accessors plus Validate.
+/// Under ALT_DEBUG_CHECKS the version-lock protocol checker catches
 /// unlock-without-lock, same-thread double-lock, and stale unlock tokens.
-class CAPABILITY("slot word lock") SlotWord {
+class CAPABILITY("slot line word") LineWord {
  public:
+  static constexpr uint32_t kLanes = 3;
+
   /// Snapshot the word, spinning past in-flight writers. The returned value
-  /// is both the state and the validation token.
-  uint32_t Read() const {
-    // A thread that holds this slot's writer lock would spin forever here.
-    ALT_DEBUG_CHECK(!::alt::debug::LockHeldByThisThread(this), "slot-word",
-                    "Read while this thread holds the slot writer lock", this);
-    uint32_t w = word_.load(std::memory_order_acquire);
+  /// holds every lane's state and is the line's one validation token.
+  uint64_t Read() const {
+    // A thread that holds this line's writer lock would spin forever here.
+    ALT_DEBUG_CHECK(!::alt::debug::LockHeldByThisThread(this), "line-word",
+                    "Read while this thread holds the line writer lock", this);
+    uint64_t w = word_.load(std::memory_order_acquire);
     while (w & 1u) {
       CpuRelax();
       w = word_.load(std::memory_order_acquire);
@@ -51,110 +55,115 @@ class CAPABILITY("slot word lock") SlotWord {
     return w;
   }
 
-  static SlotState StateOf(uint32_t w) { return static_cast<SlotState>((w >> 1) & 3u); }
+  static SlotState StateOf(uint64_t w, uint32_t lane) {
+    return static_cast<SlotState>((w >> (1 + 2 * lane)) & 3u);
+  }
+
+  /// `w` with lane `lane` in state `st`: what a writer hands to Unlock.
+  static uint64_t WithState(uint64_t w, uint32_t lane, SlotState st) {
+    const uint32_t shift = 1 + 2 * lane;
+    return (w & ~(uint64_t{3} << shift)) | (static_cast<uint64_t>(st) << shift);
+  }
 
   /// \return true iff no writer intervened since `w` was Read().
-  bool Validate(uint32_t w) const {
+  bool Validate(uint64_t w) const {
     std::atomic_thread_fence(std::memory_order_acquire);
     return word_.load(std::memory_order_relaxed) == w;
   }
 
   /// Acquire the writer lock (spins) and \return the pre-lock word.
-  uint32_t Lock() ACQUIRE() {
+  uint64_t Lock() ACQUIRE() {
     // A same-thread double lock would spin forever below.
-    ALT_DEBUG_CHECK(!::alt::debug::LockHeldByThisThread(this), "slot-word",
-                    "double-lock: this thread already holds the slot lock", this);
+    ALT_DEBUG_CHECK(!::alt::debug::LockHeldByThisThread(this), "line-word",
+                    "double-lock: this thread already holds the line lock", this);
     for (;;) {
-      uint32_t w = word_.load(std::memory_order_relaxed);
+      uint64_t w = word_.load(std::memory_order_relaxed);
       if (!(w & 1u) &&
           word_.compare_exchange_weak(w, w | 1u, std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
-        ALT_DEBUG_NOTE_ACQUIRED(this, "slot-word");
+        ALT_DEBUG_NOTE_ACQUIRED(this, "line-word");
         return w;
       }
       CpuRelax();
     }
   }
 
-  /// Release the lock, publishing `new_state` and a bumped sequence number.
-  /// `locked_word` must be the exact token Lock() returned.
-  void Unlock(uint32_t locked_word, SlotState new_state) RELEASE() {
-    ALT_DEBUG_NOTE_RELEASED(this, "slot-word");
+  /// Release the lock, publishing `w`'s lane states and a bumped sequence
+  /// number. `w` is the token Lock() returned, its states possibly changed
+  /// through WithState.
+  void Unlock(uint64_t w) RELEASE() {
+    ALT_DEBUG_NOTE_RELEASED(this, "line-word");
     // Writer-side publication check: the current word must be the held token
-    // (lock bit set); publishing from a stale token would rewind the sequence
-    // number and let a racing reader validate a torn snapshot.
-    ALT_DEBUG_CHECK(word_.load(std::memory_order_relaxed) == (locked_word | 1u),
-                    "slot-word",
+    // (lock bit set, same sequence); publishing from a stale token would
+    // rewind the sequence number and let a racing reader validate a torn
+    // snapshot.
+    ALT_DEBUG_CHECK((word_.load(std::memory_order_relaxed) | kStateBits) ==
+                        (w | kStateBits | 1u),
+                    "line-word",
                     "Unlock without the lock held or with a stale token", this);
-    const uint32_t seq = (locked_word >> 3) + 1;
-    word_.store((seq << 3) | (static_cast<uint32_t>(new_state) << 1),
+    word_.store((((w >> kSeqShift) + 1) << kSeqShift) | (w & kStateBits),
                 std::memory_order_release);
   }
 
  private:
-  std::atomic<uint32_t> word_{0};
-};
+  static constexpr uint32_t kSeqShift = 1 + 2 * kLanes;
+  static constexpr uint64_t kStateBits = ((uint64_t{1} << kSeqShift) - 1) & ~uint64_t{1};
 
-/// \brief One slot's lane view into its slot line (§III-B gapped array):
-/// the slot's own version word and its (key, value) pair.
-///
-/// `key`/`value` are GUARDED_BY the lane's word: all writes happen between
-/// word.Lock() and word.Unlock(). Concurrent readers use the two
-/// ALT_OPTIMISTIC_PATH accessors — the sanctioned seqlock escape — and must
-/// discard the loads unless word.Validate(w) subsequently succeeds.
-///
-/// A view is three references, built by GplModel::slot and passed by value;
-/// lock and guarded accesses go through one view variable so the analysis
-/// sees one capability.
-struct SlotRef {
-  SlotWord& word;
-  std::atomic<Key>& key GUARDED_BY(word);
-  std::atomic<Value>& value GUARDED_BY(word);
-
-  /// Optimistic (seqlock) read of `key`, validated by caller: only valid if
-  /// the caller's bracketing word.Read()/word.Validate() pair succeeds.
-  Key OptimisticKey() const ALT_OPTIMISTIC_PATH ALT_REQUIRES_EPOCH {
-    return key.load(std::memory_order_relaxed);
-  }
-
-  /// Optimistic (seqlock) read of `value`, validated by caller: same
-  /// bracketing word.Read()/word.Validate() contract.
-  Value OptimisticValue() const ALT_OPTIMISTIC_PATH ALT_REQUIRES_EPOCH {
-    return value.load(std::memory_order_relaxed);
-  }
+  std::atomic<uint64_t> word_{0};
 };
 
 /// \brief The unit of a slot array: three slots in one 64 B cache line.
 ///
-/// Layout: the three lanes' SlotWords (12 B) and 4 B of padding, then the
-/// three 16 B (key, value) pairs. Slot i lives in line i / 3, lane i % 3; a
-/// key may sit in any lane of its predicted line (GplModel::LineOf), so a
-/// probe reads exactly one line of a 64-byte-aligned array, and every lane
-/// keeps its own §III-E word (lock bit, state, sequence). 21⅓ B per slot
-/// against the 20 B payload; a 32 B padded slot would waste 12.
+/// Layout: the line word (8 B), the line lock (1 B) and 7 B of padding, then
+/// the three 16 B (key, value) pairs. Slot i lives in line i / 3, lane i % 3;
+/// a key may sit in any lane of its predicted line (GplModel::LineOf), so a
+/// probe reads exactly one line of a 64-byte-aligned array and validates it
+/// once against the one word. 21⅓ B per slot against the 20 B payload; a
+/// 32 B padded slot would waste 12.
 ///
-/// `lock` sits in the padding after the words. Readers never look at it: it
+/// The pairs are GUARDED_BY the word: every write happens between
+/// word.Lock() and word.Unlock(). Concurrent readers use the two
+/// ALT_OPTIMISTIC_PATH accessors — the sanctioned seqlock escape — and must
+/// discard the loads unless word.Validate(w) subsequently succeeds.
+///
+/// `lock` sits in the padding after the word. Readers never look at it: it
 /// orders the writers that move a key between the line and ART-OPT — a
 /// conflict insert into a full line, a write-back, a §III-F line move — so no
-/// key can end up in both (DESIGN.md §2.2).
+/// key can end up in both (DESIGN.md §2.2). A conflict insert holds it across
+/// its ART insert, which readers must not wait on.
 ///
 /// All-zero bytes are the initial state (every lane EMPTY, key 0, value 0,
 /// line unlocked), which is what lets a zero-filled slab slice serve as a
 /// slot array.
 struct alignas(64) SlotLine {
-  static constexpr uint32_t kLanes = 3;
+  static constexpr uint32_t kLanes = LineWord::kLanes;
 
   struct Pair {
     std::atomic<Key> key{0};
     std::atomic<Value> value{0};
   };
 
-  SlotWord word[kLanes];
+  LineWord word;
   SpinLock lock;
-  Pair pair[kLanes];
+  Pair pair[kLanes] GUARDED_BY(word);
 
-  SlotRef Lane(uint32_t lane) {
-    return SlotRef{word[lane], pair[lane].key, pair[lane].value};
+  /// Write lane `lane`'s pair; its state is published by word.Unlock.
+  void Store(uint32_t lane, Key k, Value v) REQUIRES(word) {
+    pair[lane].key.store(k, std::memory_order_relaxed);
+    pair[lane].value.store(v, std::memory_order_relaxed);
+  }
+
+  /// Optimistic (seqlock) read of lane `lane`'s key, validated by caller:
+  /// only valid if the caller's bracketing word.Read()/word.Validate() pair
+  /// succeeds.
+  Key OptimisticKey(uint32_t lane) const ALT_OPTIMISTIC_PATH ALT_REQUIRES_EPOCH {
+    return pair[lane].key.load(std::memory_order_relaxed);
+  }
+
+  /// Optimistic (seqlock) read of lane `lane`'s value, validated by caller:
+  /// same bracketing word.Read()/word.Validate() contract.
+  Value OptimisticValue(uint32_t lane) const ALT_OPTIMISTIC_PATH ALT_REQUIRES_EPOCH {
+    return pair[lane].value.load(std::memory_order_relaxed);
   }
 };
 
@@ -255,16 +264,21 @@ class alignas(64) GplModel {
   }
 
   /// Slot line `l`. Mutable even on a const model: slot state is concurrent
-  /// state, guarded per lane by its word, not part of the model's constness.
+  /// state, guarded by the line's word, not part of the model's constness.
   SlotLine& line(uint32_t l) const { return lines_[l]; }
 
-  /// Lane view of slot `i` (line i / 3, lane i % 3).
-  SlotRef slot(uint32_t i) const {
-    return lines_[i / SlotLine::kLanes].Lane(i % SlotLine::kLanes);
+  /// The first lane of line `l` in state `st` according to the line word
+  /// `w`, or SlotLine::kLanes if none; a ragged last line's unused lanes
+  /// never match.
+  uint32_t FirstLane(uint32_t l, uint64_t w, SlotState st) const {
+    for (uint32_t lane = 0; lane < LanesIn(l); ++lane) {
+      if (LineWord::StateOf(w, lane) == st) return lane;
+    }
+    return SlotLine::kLanes;
   }
 
   /// Batched read path stage hook: pull line `l` before it is probed. One
-  /// prefetch suffices — all three lanes' words and pairs share it.
+  /// prefetch suffices — the word and all three pairs share it.
   void PrefetchLine(uint32_t l) const { PrefetchRead(&lines_[l]); }
 
   /// Fast-pointer-buffer entry index for this model's key range (§III-C).
@@ -299,8 +313,8 @@ class alignas(64) GplModel {
   /// Collect occupied (key, value) pairs with key in [lo, hi], ascending,
   /// stopping after `limit` appended pairs. Starts at LineOf(lo) — valid
   /// because lines are in key order — sorts each line's up-to-three keys, and
-  /// stops after the line holding a key beyond `hi`. Lanes are read under
-  /// their version words; the result is per-slot atomic.
+  /// stops after the line holding a key beyond `hi`. Each line is read under
+  /// one validation of its word; the result is per-line atomic.
   void CollectRange(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
                     size_t limit = ~size_t{0}) const ALT_REQUIRES_EPOCH;
 

@@ -1,6 +1,6 @@
 // Batched point-lookup path (AMAC-style group prefetching).
 //
-// LookupBatch keeps up to `batch_group_width` lookups in flight as explicit
+// LookupBatch keeps up to kGroupWidth lookups in flight as explicit
 // state machines (BatchCursor). Each pipeline stage performs the small amount
 // of compute that depends on an already-prefetched line, issues the prefetch
 // for the *next* dependent line, and yields to the other cursors in the group,
@@ -8,7 +8,7 @@
 //
 // Stages: kLocate (directory search; lines prefetched at issue) →
 // kModel (model header → line prediction, slot line prefetched) → kProbe
-// (optimistic read of the line's lanes) → kFpEntry (fast-pointer entry, hint
+// (one optimistic read of the line) → kFpEntry (fast-pointer entry, hint
 // node lines prefetched) → kArtInit / kArtStep (resumable OLC descent, one
 // tree level per step; see ArtTree::DescentStep).
 //
@@ -38,13 +38,18 @@ using metrics::Counter;
 /// OLC restarts tolerated per cursor before giving up on the pipelined
 /// descent (the scalar fallback has an unbounded retry loop of its own).
 constexpr int kMaxDescentRestarts = 16;
+
+/// In-flight lookups per group. Widths past the CPU's miss-level
+/// parallelism (~10-16 outstanding L1 misses) add bookkeeping without hiding
+/// more latency (EXPERIMENTS.md).
+constexpr size_t kGroupWidth = 16;
 }  // namespace
 
 struct AltIndex::BatchCursor {
   enum class Stage : uint8_t {
     kLocate,   ///< resolve directory → model (directory lines prefetched)
     kModel,    ///< read model header, predict + prefetch the line
-    kProbe,    ///< optimistic read of the line's lanes
+    kProbe,    ///< one optimistic read of the line
     kFpEntry,  ///< read the fast-pointer entry (prefetched), validate coverage
     kArtInit,  ///< begin the OLC descent at hint or root
     kArtStep,  ///< advance the descent one node per touch
@@ -54,7 +59,7 @@ struct AltIndex::BatchCursor {
   Key key = 0;
   uint32_t index = 0;  ///< position in the caller's out/found arrays
 
-  ArtRoute route;  ///< routed model; line + lane words revalidate an ART miss
+  ArtRoute route;  ///< routed model; the line and its word revalidate an ART miss
 
   int32_t fpi = -1;
   FastPointerBuffer::Ref hint{};
@@ -174,7 +179,7 @@ bool AltIndex::BatchStep(BatchCursor& c, Value* out, bool* found,
         case Probe::kGoArt:
           // Secondary search. The scalar path's tombstone write-back is an
           // opportunistic repair, not needed for result correctness — the
-          // batch path skips it rather than taking a slot lock mid-pipeline.
+          // batch path skips it rather than taking a line lock mid-pipeline.
           return route_to_art();
       }
       return fallback();  // unreachable
@@ -249,12 +254,9 @@ size_t AltIndex::LookupBatch(const Key* keys, size_t n, Value* out,
   EpochGuard g(*epoch_);
   trace::Span span("lookup_batch", "read", n);
 
-  const uint32_t width = std::max(
-      1u, std::min(options_.batch_group_width, AltOptions::kMaxBatchGroupWidth));
-
   BatchStatsDelta st;
-  BatchCursor cursors[AltOptions::kMaxBatchGroupWidth];
-  bool active[AltOptions::kMaxBatchGroupWidth] = {};
+  BatchCursor cursors[kGroupWidth];
+  bool active[kGroupWidth] = {};
   size_t next = 0;  ///< next key index to issue
   size_t live = 0;  ///< cursors currently in flight
 
@@ -270,7 +272,7 @@ size_t AltIndex::LookupBatch(const Key* keys, size_t n, Value* out,
     ModelDirectory::PrefetchLocate(*directory_.snapshot(), c.key);
   };
 
-  const size_t group = std::min<size_t>(width, n);
+  const size_t group = std::min(kGroupWidth, n);
   for (size_t i = 0; i < group; ++i) issue(i);
 
   // Round-robin over the in-flight group; a retired cursor is immediately

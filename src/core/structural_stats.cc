@@ -4,7 +4,7 @@
 // distributions, the conflict ratio, the ART node census, and the fast pointer
 // and retraining counters.
 //
-// Quiescent-only, like MemoryUsage: the walkers read per-slot words and node
+// Quiescent-only, like MemoryUsage: the walkers read line words and node
 // headers without retry loops, so run them while no writer is active. The
 // component byte fields reuse the exact expressions MemoryUsage() sums, so
 // `total_bytes == MemoryUsage()` at a quiescent point by construction (the
@@ -151,17 +151,21 @@ Status AltIndex::CheckPlacementInvariant() const {
   for (const auto& slot : snap->models) {
     for (const GplModel* m = slot.load(std::memory_order_acquire); m != nullptr;) {
       for (uint32_t l = 0; l < m->num_lines(); ++l) {
+        const SlotLine& line = m->line(l);
+        const uint64_t w = line.word.Read();
+        const size_t first = lane_keys.size();
         for (uint32_t lane = 0; lane < m->LanesIn(l); ++lane) {
-          const SlotRef s = m->line(l).Lane(lane);
-          const uint32_t w = s.word.Read();
-          if (SlotWord::StateOf(w) != SlotState::kOccupied) continue;
-          const Key k = s.OptimisticKey();
-          if (!s.word.Validate(w)) return Status::Internal("index not quiescent");
+          if (LineWord::StateOf(w, lane) == SlotState::kOccupied) {
+            lane_keys.push_back(line.OptimisticKey(lane));
+          }
+        }
+        if (!line.word.Validate(w)) return Status::Internal("index not quiescent");
+        for (size_t i = first; i < lane_keys.size(); ++i) {
+          const Key k = lane_keys[i];
           if (m->LineOf(k) != l || k >= m->coverage_end()) {
             return Status::Internal(where(k) + " sits in line " + std::to_string(l) +
                                     ", not in its predicted line");
           }
-          lane_keys.push_back(k);
         }
       }
       const Expansion* e = m->expansion();
@@ -187,11 +191,9 @@ Status AltIndex::CheckPlacementInvariant() const {
       continue;
     }
     const uint32_t l = m->LineOf(k);
-    for (uint32_t lane = 0; lane < m->LanesIn(l); ++lane) {
-      if (SlotWord::StateOf(m->line(l).word[lane].Read()) == SlotState::kEmpty) {
-        return Status::Internal(where(k) + " sits in ART-OPT beside an EMPTY lane of " +
-                                "line " + std::to_string(l));
-      }
+    if (m->FirstLane(l, m->line(l).word.Read(), SlotState::kEmpty) != SlotLine::kLanes) {
+      return Status::Internal(where(k) + " sits in ART-OPT beside an EMPTY lane of " +
+                              "line " + std::to_string(l));
     }
   }
   return Status::OK();

@@ -52,7 +52,7 @@ struct ShardedOptions {
 /// single-threaded, before anything else; all other operations are
 /// thread-safe. Point operations dispatch to exactly one shard and inherit
 /// its per-key linearizability. Scan walks the shards in key order, each
-/// shard's part being one AltIndex::Scan, so it keeps that per-slot-atomic
+/// shard's part being one AltIndex::Scan, so it keeps that per-line-atomic
 /// contract.
 class ShardedAltIndex final : public ConcurrentIndex {
  public:

@@ -48,37 +48,38 @@ TEST_F(DebugChecksDeathTest, SpinLockUnlockWithoutLockAborts) {
   EXPECT_DEATH(l.unlock(), "spinlock: unlock-without-lock");
 }
 
-// --- version-lock protocol checker: SlotWord (GPL slot seqlock) ---
+// --- version-lock protocol checker: LineWord (GPL slot line seqlock) ---
 
-TEST_F(DebugChecksDeathTest, SlotWordDoubleLockAborts) {
-  SlotWord word;
-  const uint32_t w = word.Lock();
-  EXPECT_DEATH(word.Lock(), "slot-word: double-lock");
-  word.Unlock(w, SlotState::kOccupied);
+TEST_F(DebugChecksDeathTest, LineWordDoubleLockAborts) {
+  LineWord word;
+  const uint64_t w = word.Lock();
+  EXPECT_DEATH(word.Lock(), "line-word: double-lock");
+  word.Unlock(LineWord::WithState(w, 0, SlotState::kOccupied));
 }
 
-TEST_F(DebugChecksDeathTest, SlotWordUnlockWithoutLockAborts) {
-  SlotWord word;
-  EXPECT_DEATH(word.Unlock(0, SlotState::kOccupied),
-               "slot-word: unlock-without-lock");
+TEST_F(DebugChecksDeathTest, LineWordUnlockWithoutLockAborts) {
+  LineWord word;
+  EXPECT_DEATH(word.Unlock(LineWord::WithState(0, 0, SlotState::kOccupied)),
+               "line-word: unlock-without-lock");
 }
 
-TEST_F(DebugChecksDeathTest, SlotWordStaleUnlockTokenAborts) {
-  SlotWord word;
-  const uint32_t w = word.Lock();
+TEST_F(DebugChecksDeathTest, LineWordStaleUnlockTokenAborts) {
+  LineWord word;
+  const uint64_t w = word.Lock();
   // Publishing from a stale token would rewind the sequence number and let a
   // racing reader validate a torn snapshot.
-  EXPECT_DEATH(word.Unlock(w + (1u << 3), SlotState::kOccupied),
-               "slot-word: Unlock without the lock held or with a stale token");
-  word.Unlock(w, SlotState::kOccupied);
+  EXPECT_DEATH(word.Unlock(LineWord::WithState(w + (uint64_t{1} << 7), 0,
+                                               SlotState::kOccupied)),
+               "line-word: Unlock without the lock held or with a stale token");
+  word.Unlock(LineWord::WithState(w, 0, SlotState::kOccupied));
 }
 
-TEST_F(DebugChecksDeathTest, SlotWordReadWhileWriteHeldAborts) {
-  SlotWord word;
-  const uint32_t w = word.Lock();
+TEST_F(DebugChecksDeathTest, LineWordReadWhileWriteHeldAborts) {
+  LineWord word;
+  const uint64_t w = word.Lock();
   // Read() spins until the lock bit clears; self-read would hang forever.
-  EXPECT_DEATH(word.Read(), "slot-word: Read while this thread holds");
-  word.Unlock(w, SlotState::kOccupied);
+  EXPECT_DEATH(word.Read(), "line-word: Read while this thread holds");
+  word.Unlock(w);
 }
 
 // --- version-lock protocol checker: OptLock (ART optimistic lock coupling) ---
@@ -149,7 +150,7 @@ TEST(DebugChecksTest, DrainAllQuietWhenQuiescent) {
 
 TEST(DebugChecksTest, CheckersStayQuietUnderConcurrentChurn) {
   // Mixed concurrent churn over the full index exercises every checked lock
-  // (slot words, spin locks, ART optimistic locks, born-locked SMO nodes) and
+  // (line words, spin locks, ART optimistic locks, born-locked SMO nodes) and
   // the epoch-pinned hot paths; any false positive aborts the test binary.
   AltIndex index;
   constexpr size_t kBulk = 20000;

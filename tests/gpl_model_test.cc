@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <thread>
@@ -15,59 +16,84 @@
 namespace alt {
 namespace {
 
-// ---------------------------------------------------------------------------
-// SlotWord
-// ---------------------------------------------------------------------------
-
-TEST(SlotWordTest, InitialStateEmpty) {
-  SlotWord w;
-  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kEmpty);
+// Writes slot i (line i / 3, lane i % 3) under its line word.
+void SetSlot(const GplModel& m, uint32_t i, SlotState st, Key k = 0, Value v = 0) {
+  SlotLine& line = m.line(i / SlotLine::kLanes);
+  const uint32_t lane = i % SlotLine::kLanes;
+  const uint64_t lw = line.word.Lock();
+  line.Store(lane, k, v);
+  line.word.Unlock(LineWord::WithState(lw, lane, st));
 }
 
-TEST(SlotWordTest, LockUnlockTransitionsState) {
-  SlotWord w;
-  uint32_t lw = w.Lock();
-  EXPECT_EQ(SlotWord::StateOf(lw), SlotState::kEmpty);
-  w.Unlock(lw, SlotState::kOccupied);
-  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kOccupied);
-  lw = w.Lock();
-  w.Unlock(lw, SlotState::kTombstone);
-  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kTombstone);
-  lw = w.Lock();
-  w.Unlock(lw, SlotState::kMigrated);
-  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kMigrated);
+// ---------------------------------------------------------------------------
+// LineWord
+// ---------------------------------------------------------------------------
+
+TEST(LineWordTest, InitialStateEmpty) {
+  LineWord w;
+  EXPECT_EQ(w.Read(), 0u);
+  for (uint32_t lane = 0; lane < LineWord::kLanes; ++lane) {
+    EXPECT_EQ(LineWord::StateOf(w.Read(), lane), SlotState::kEmpty);
+  }
 }
 
-TEST(SlotWordTest, ValidateDetectsIntermediateWriter) {
-  SlotWord w;
-  const uint32_t r = w.Read();
+TEST(LineWordTest, LockUnlockTransitionsOneLane) {
+  LineWord w;
+  for (const SlotState st : {SlotState::kOccupied, SlotState::kTombstone,
+                             SlotState::kMigrated, SlotState::kEmpty}) {
+    for (uint32_t lane = 0; lane < LineWord::kLanes; ++lane) {
+      const uint64_t before = w.Read();
+      const uint64_t lw = w.Lock();
+      EXPECT_EQ(lw, before);
+      w.Unlock(LineWord::WithState(lw, lane, st));
+      const uint64_t after = w.Read();
+      for (uint32_t other = 0; other < LineWord::kLanes; ++other) {
+        EXPECT_EQ(LineWord::StateOf(after, other),
+                  other == lane ? st : LineWord::StateOf(before, other))
+            << "lane " << lane << " other " << other;
+      }
+    }
+  }
+}
+
+TEST(LineWordTest, ValidateDetectsIntermediateWriter) {
+  LineWord w;
+  const uint64_t r = w.Read();
   EXPECT_TRUE(w.Validate(r));
-  const uint32_t lw = w.Lock();
-  w.Unlock(lw, SlotState::kOccupied);
+  const uint64_t lw = w.Lock();
+  EXPECT_FALSE(w.Validate(r));  // locked
+  w.Unlock(LineWord::WithState(lw, 2, SlotState::kOccupied));
   EXPECT_FALSE(w.Validate(r));
 }
 
-TEST(SlotWordTest, SequenceMonotonicAcrossSameStateUnlocks) {
-  SlotWord w;
-  const uint32_t r0 = w.Read();
-  uint32_t lw = w.Lock();
-  w.Unlock(lw, SlotState::kEmpty);  // same state, still bumps the version
-  EXPECT_FALSE(w.Validate(r0));
-  EXPECT_EQ(SlotWord::StateOf(w.Read()), SlotState::kEmpty);
+TEST(LineWordTest, SequenceMonotonicAcrossUnchangedUnlocks) {
+  LineWord w;
+  uint64_t prev = w.Read();
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t lw = w.Lock();
+    w.Unlock(lw);  // same states, still bumps the version
+    const uint64_t now = w.Read();
+    ASSERT_FALSE(w.Validate(prev));
+    ASSERT_GT(now, prev);
+    for (uint32_t lane = 0; lane < LineWord::kLanes; ++lane) {
+      ASSERT_EQ(LineWord::StateOf(now, lane), SlotState::kEmpty);
+    }
+    prev = now;
+  }
 }
 
-TEST(SlotWordTest, ConcurrentLockersSerialize) {
-  SlotWord w;
+TEST(LineWordTest, ConcurrentLockersSerialize) {
+  LineWord w;
   std::atomic<int> inside{0};
   std::atomic<bool> overlap{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 3000; ++i) {
-        const uint32_t lw = w.Lock();
+        const uint64_t lw = w.Lock();
         if (inside.fetch_add(1) != 0) overlap.store(true);
         inside.fetch_sub(1);
-        w.Unlock(lw, SlotWord::StateOf(lw));
+        w.Unlock(lw);
       }
     });
   }
@@ -106,25 +132,17 @@ TEST(GplModelTest, ZeroSlopeAlwaysSlotZero) {
 
 TEST(GplModelTest, CollectRangeReturnsSortedOccupied) {
   GplModel m(0, 1.0, 100, 50);
-  for (uint32_t i = 0; i < 100; i += 2) {
-    const SlotRef s = m.slot(i);
-    const uint32_t lw = s.word.Lock();
-    s.key.store(i, std::memory_order_relaxed);
-    s.value.store(i * 10, std::memory_order_relaxed);
-    s.word.Unlock(lw, SlotState::kOccupied);
-  }
+  for (uint32_t i = 0; i < 100; i += 2) SetSlot(m, i, SlotState::kOccupied, i, i * 10);
   // A tombstone and a migrated slot must be skipped.
-  {
-    const SlotRef s = m.slot(4);
-    const uint32_t lw = s.word.Lock();
-    s.word.Unlock(lw, SlotState::kTombstone);
-  }
+  SetSlot(m, 4, SlotState::kTombstone, 4, 40);
+  SetSlot(m, 8, SlotState::kMigrated, 8, 80);
   std::vector<std::pair<Key, Value>> out;
   m.CollectRange(0, 50, &out);
   ASSERT_FALSE(out.empty());
   for (size_t i = 1; i < out.size(); ++i) EXPECT_LT(out[i - 1].first, out[i].first);
   for (const auto& [k, v] : out) {
     EXPECT_NE(k, 4u) << "tombstoned key leaked into scan";
+    EXPECT_NE(k, 8u) << "migrated key leaked into scan";
     EXPECT_EQ(v, k * 10);
     EXPECT_LE(k, 50u);
   }
@@ -135,12 +153,7 @@ TEST(GplModelTest, CountSlotStates) {
   size_t before[4] = {0, 0, 0, 0};
   m.CountSlotStates(before);
   EXPECT_EQ(before[static_cast<int>(SlotState::kOccupied)], 0u);
-  for (uint32_t i = 0; i < 10; ++i) {
-    const SlotRef s = m.slot(i);
-    const uint32_t lw = s.word.Lock();
-    s.key.store(i, std::memory_order_relaxed);
-    s.word.Unlock(lw, SlotState::kOccupied);
-  }
+  for (uint32_t i = 0; i < 10; ++i) SetSlot(m, i, SlotState::kOccupied, i);
   size_t after[4] = {0, 0, 0, 0};
   m.CountSlotStates(after);
   EXPECT_EQ(after[static_cast<int>(SlotState::kOccupied)], 10u);
@@ -158,31 +171,24 @@ TEST(GplModelTest, ExpansionInstallIsExclusive) {
 }
 
 // ---------------------------------------------------------------------------
-// Slot lines: three slots per 64 B line, one word per lane (DESIGN.md §10.2)
+// Slot lines: three slots per 64 B line under one word (DESIGN.md §10.2)
 // ---------------------------------------------------------------------------
 
 static_assert(sizeof(SlotLine) == 64 && alignof(SlotLine) == 64, "one line per SlotLine");
 static_assert(SlotLine::kLanes == 3, "three lanes per line");
+static_assert(offsetof(SlotLine, word) == 0 && offsetof(SlotLine, pair) == 16,
+              "the word, then the pairs after 8 B of lock and padding");
 
-void SetState(const SlotRef& s, SlotState state) {
-  const uint32_t lw = s.word.Lock();
-  s.word.Unlock(lw, state);
-}
-
-TEST(SlotLineTest, SlotIAddressesLineIOver3LaneIMod3) {
+TEST(SlotLineTest, LinesAreConsecutiveCacheLines) {
   for (const uint32_t n : {1u, 2u, 3u, 4u, 100u, 101u}) {
     GplModel m(0, 1.0, n, 0);
     EXPECT_EQ(m.num_lines(), (n + 2) / 3) << "n=" << n;
     EXPECT_EQ(m.MemoryBytes(), sizeof(GplModel) + 64u * m.num_lines()) << "n=" << n;
-    const auto base = reinterpret_cast<uintptr_t>(&m.slot(0).word);
+    const auto base = reinterpret_cast<uintptr_t>(&m.line(0));
     EXPECT_EQ(base % 64, 0u) << "n=" << n;
-    for (uint32_t i = 0; i < n; ++i) {
-      const SlotRef s = m.slot(i);
-      const uintptr_t line = base + 64 * (i / 3);
-      const uintptr_t lane = i % 3;
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(&s.word), line + 4 * lane) << i;
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(&s.key), line + 16 + 16 * lane) << i;
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(&s.value), line + 24 + 16 * lane) << i;
+    for (uint32_t l = 0; l < m.num_lines(); ++l) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(&m.line(l)), base + 64 * l) << l;
+      EXPECT_EQ(m.LanesIn(l), std::min(3u, n - 3 * l)) << l;
     }
   }
 }
@@ -193,11 +199,7 @@ TEST(SlotLineTest, RaggedTailLanesStayEmpty) {
     GplModel m(0, 1.0, n, 0);
     ASSERT_NE(n % 3, 0u);
     for (uint32_t i = 0; i < n; ++i) {
-      const SlotRef s = m.slot(i);
-      const uint32_t lw = s.word.Lock();
-      s.key.store(~Key{0} - i, std::memory_order_relaxed);
-      s.value.store(~Value{0} - i, std::memory_order_relaxed);
-      s.word.Unlock(lw, SlotState::kOccupied);
+      SetSlot(m, i, SlotState::kOccupied, ~Key{0} - i, ~Value{0} - i);
     }
     EpochGuard g;
     size_t counts[4] = {0, 0, 0, 0};
@@ -205,70 +207,17 @@ TEST(SlotLineTest, RaggedTailLanesStayEmpty) {
     EXPECT_EQ(counts[static_cast<int>(SlotState::kOccupied)], n) << "n=" << n;
     EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3], n) << "n=" << n;
     // The unused lanes are inside the last line but are no slot: never
-    // written, they still hold the all-zero EMPTY state.
-    for (uint32_t i = n; i < 3 * m.num_lines(); ++i) {
-      const SlotRef s = m.slot(i);
-      EXPECT_EQ(s.word.Read(), 0u) << "lane " << i;
-      EXPECT_EQ(s.OptimisticKey(), 0u) << "lane " << i;
-      EXPECT_EQ(s.OptimisticValue(), 0u) << "lane " << i;
+    // written, they still hold EMPTY and zero pairs, and FirstLane never
+    // offers them.
+    const uint32_t last = m.num_lines() - 1;
+    const SlotLine& line = m.line(last);
+    const uint64_t w = line.word.Read();
+    EXPECT_EQ(m.FirstLane(last, w, SlotState::kEmpty), SlotLine::kLanes) << "n=" << n;
+    for (uint32_t lane = m.LanesIn(last); lane < SlotLine::kLanes; ++lane) {
+      EXPECT_EQ(LineWord::StateOf(w, lane), SlotState::kEmpty) << "lane " << lane;
+      EXPECT_EQ(line.OptimisticKey(lane), 0u) << "lane " << lane;
+      EXPECT_EQ(line.OptimisticValue(lane), 0u) << "lane " << lane;
     }
-  }
-}
-
-TEST(SlotLineTest, LaneWritersNeverTearLaneReaders) {
-  // One line, three writers, one per lane, each rewriting its pair under its
-  // own word until the readers are done; readers validate every lane. A pair
-  // is (key, key * 7 + lane), so a reader that accepted a key from one write
-  // and a value from another, or a pair from the neighbouring lane, fails.
-  GplModel m(0, 1.0, 3, 0);
-  ASSERT_EQ(m.num_lines(), 1u);
-  constexpr uint64_t kValidatedPerLane = 5000;  // per reader
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> last_round[3] = {};
-  std::vector<std::thread> writers;
-  for (uint32_t lane = 0; lane < 3; ++lane) {
-    writers.emplace_back([&, lane] {
-      const SlotRef s = m.slot(lane);
-      uint64_t r = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const Key k = ++r * 3 + lane;
-        const uint32_t lw = s.word.Lock();
-        s.key.store(k, std::memory_order_relaxed);
-        s.value.store(k * 7 + lane, std::memory_order_relaxed);
-        s.word.Unlock(lw, SlotState::kOccupied);
-      }
-      last_round[lane].store(r);
-    });
-  }
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&] {
-      EpochGuard g;
-      uint64_t ok[3] = {0, 0, 0};
-      while (std::min({ok[0], ok[1], ok[2]}) < kValidatedPerLane) {
-        for (uint32_t lane = 0; lane < 3; ++lane) {
-          const SlotRef s = m.slot(lane);
-          const uint32_t w = s.word.Read();
-          if (SlotWord::StateOf(w) != SlotState::kOccupied) continue;
-          const Key k = s.OptimisticKey();
-          const Value v = s.OptimisticValue();
-          if (!s.word.Validate(w)) continue;
-          ASSERT_EQ(k % 3, lane);
-          ASSERT_EQ(v, k * 7 + lane);
-          ++ok[lane];
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  stop.store(true);
-  for (auto& th : writers) th.join();
-  EpochGuard g;
-  for (uint32_t lane = 0; lane < 3; ++lane) {
-    const SlotRef s = m.slot(lane);
-    const Key k = last_round[lane].load() * 3 + lane;
-    EXPECT_EQ(s.OptimisticKey(), k);
-    EXPECT_EQ(s.OptimisticValue(), k * 7 + lane);
   }
 }
 
@@ -281,7 +230,7 @@ TEST(SlotScanTest, CountsMatchManualLoop) {
     size_t expect[4] = {0, 0, 0, 0};
     for (uint32_t i = 0; i < n; ++i) {
       const auto s = static_cast<SlotState>(rng.Next() % 4);
-      SetState(model.slot(i), s);
+      SetSlot(model, i, s);
       expect[static_cast<size_t>(s)]++;
     }
     EpochGuard g;
@@ -305,23 +254,21 @@ TEST(SlotScanTest, CollectRangeMatchesReference) {
   std::vector<std::pair<Key, Value>> resident;
   for (int i = 0; i < 600; ++i) {
     const Key k = 1000 + rng.Next() % 1000;
-    const SlotRef s = model.slot(model.Predict(k));
-    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
-    const uint32_t w = s.word.Lock();
-    s.key.store(k, std::memory_order_relaxed);
-    s.value.store(k * 3, std::memory_order_relaxed);
-    s.word.Unlock(w, SlotState::kOccupied);
+    const uint32_t p = model.Predict(k);
+    const uint64_t w = model.line(p / 3).word.Read();
+    if (LineWord::StateOf(w, p % 3) != SlotState::kEmpty) continue;
+    SetSlot(model, p, SlotState::kOccupied, k, k * 3);
   }
   for (uint32_t i = 0; i < n; i += 17) {
-    const SlotRef s = model.slot(i);
-    if (SlotWord::StateOf(s.word.Read()) != SlotState::kEmpty) continue;
-    SetState(s, SlotState::kTombstone);
+    const uint64_t w = model.line(i / 3).word.Read();
+    if (LineWord::StateOf(w, i % 3) != SlotState::kEmpty) continue;
+    SetSlot(model, i, SlotState::kTombstone);
   }
   EpochGuard g;
   for (uint32_t i = 0; i < n; ++i) {
-    const SlotRef s = model.slot(i);
-    if (SlotWord::StateOf(s.word.Read()) == SlotState::kOccupied) {
-      resident.emplace_back(s.OptimisticKey(), s.OptimisticValue());
+    const SlotLine& line = model.line(i / 3);
+    if (LineWord::StateOf(line.word.Read(), i % 3) == SlotState::kOccupied) {
+      resident.emplace_back(line.OptimisticKey(i % 3), line.OptimisticValue(i % 3));
     }
   }
   for (const auto& [lo, hi] : std::vector<std::pair<Key, Key>>{

@@ -87,24 +87,22 @@ TEST_F(LookupBatchTest, MixedHitMissArtResidentTombstone) {
   ExpectBatchMatchesScalar(index, queries);
 }
 
-TEST_F(LookupBatchTest, AllGroupWidthsAgree) {
+TEST_F(LookupBatchTest, AllCallWidthsAgree) {
+  // LookupBatch keeps 16 lookups in flight: calls below, at and past that
+  // width cover partial groups and groups refilled as cursors retire.
   auto keys = GenerateKeys(Dataset::kFb, 20000, 5);
   std::vector<Value> vals(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) vals[i] = ValueFor(keys[i]);
-
-  for (uint32_t width : {1u, 2u, 5u, 16u, 64u, 1000u}) {
-    AltOptions opts;
-    opts.batch_group_width = width;  // 1000 exercises the clamp
-    AltIndex index(opts);
-    ASSERT_TRUE(index.BulkLoad(keys.data(), vals.data(), keys.size()).ok());
+  AltIndex index;
+  ASSERT_TRUE(index.BulkLoad(keys.data(), vals.data(), keys.size()).ok());
+  for (const size_t width : {1u, 2u, 5u, 16u, 17u, 64u, 1000u}) {
     std::vector<Key> queries;
     Rng rng(width);
-    for (int i = 0; i < 1500; ++i) {
+    for (size_t i = 0; i < width; ++i) {
       const Key k = keys[rng.NextBounded(keys.size())];
       queries.push_back((i % 3 == 0) ? k + 1 : k);
     }
     ExpectBatchMatchesScalar(index, queries);
-    EpochManager::Global().DrainAll();
   }
 }
 

@@ -84,10 +84,10 @@ void ExpectArtHoldsExactlyTheConflicts(const AltIndex& index, EpochManager& epoc
       ASSERT_TRUE(index.art().Lookup(k, &v)) << "conflict " << k << " missing from ART";
       EXPECT_EQ(v, ValueFor(k));
     } else {
-      const SlotRef s = models[m]->line(l).Lane(rank);
-      ASSERT_EQ(SlotWord::StateOf(s.word.Read()), SlotState::kOccupied) << k;
-      ASSERT_EQ(s.OptimisticKey(), k);
-      ASSERT_EQ(s.OptimisticValue(), ValueFor(k));
+      const SlotLine& line = models[m]->line(l);
+      ASSERT_EQ(LineWord::StateOf(line.word.Read(), rank), SlotState::kOccupied) << k;
+      ASSERT_EQ(line.OptimisticKey(rank), k);
+      ASSERT_EQ(line.OptimisticValue(rank), ValueFor(k));
       ASSERT_FALSE(index.art().Lookup(k, &v)) << k << " is in its line and ART";
     }
   }
@@ -121,7 +121,7 @@ void ExpectOneAlignedZeroFilledSlab(const AltIndex& index, EpochManager& epoch,
   std::vector<std::pair<const char*, const char*>> ranges;
   for (const GplModel* m : models) {
     ASSERT_EQ(m->slab(), slab);
-    const auto* lo = reinterpret_cast<const char*>(&m->slot(0).word);
+    const auto* lo = reinterpret_cast<const char*>(&m->line(0));
     const char* hi = lo + GplModel::SlotArrayBytes(m->num_slots());
     EXPECT_EQ(reinterpret_cast<uintptr_t>(lo) % 64, 0u);
     EXPECT_GE(lo, slab->base());
@@ -131,18 +131,23 @@ void ExpectOneAlignedZeroFilledSlab(const AltIndex& index, EpochManager& epoch,
   std::sort(ranges.begin(), ranges.end());
   for (size_t i = 1; i < ranges.size(); ++i) EXPECT_LE(ranges[i - 1].second, ranges[i].first);
 
-  // Slots the load did not fill are still all-zero (kEmpty, key 0, value 0).
+  // Lines the load did not fill are still all-zero (every lane kEmpty, key
+  // 0, value 0), and so are the unfilled lanes' pairs of the other lines.
   EpochGuard g(epoch);
   size_t empty = 0;
   for (const GplModel* m : models) {
-    for (uint32_t i = 0; i < m->num_slots(); ++i) {
-      const SlotRef s = m->slot(i);
-      const uint32_t w = s.word.Read();
-      if (SlotWord::StateOf(w) != SlotState::kEmpty) continue;
-      ++empty;
-      ASSERT_EQ(w, 0u);
-      ASSERT_EQ(s.OptimisticKey(), 0u);
-      ASSERT_EQ(s.OptimisticValue(), 0u);
+    for (uint32_t l = 0; l < m->num_lines(); ++l) {
+      const SlotLine& line = m->line(l);
+      const uint64_t w = line.word.Read();
+      if (m->FirstLane(l, w, SlotState::kOccupied) == SlotLine::kLanes) {
+        ASSERT_EQ(w, 0u);
+      }
+      for (uint32_t lane = 0; lane < m->LanesIn(l); ++lane) {
+        if (LineWord::StateOf(w, lane) != SlotState::kEmpty) continue;
+        ++empty;
+        ASSERT_EQ(line.OptimisticKey(lane), 0u);
+        ASSERT_EQ(line.OptimisticValue(lane), 0u);
+      }
     }
   }
   EXPECT_GT(empty, 0u);
@@ -206,16 +211,15 @@ TEST(SlotSlabTest, ModelInSlabWorksRegardlessOfBacking) {
   {
     GplModel model(0, 1.0, n, 0, ~Key{0}, slab);
     EXPECT_EQ(model.slab(), slab);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(&model.slot(0).word) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(&model.line(0)) % 64, 0u);
     EpochGuard g;
     size_t counts[4] = {0, 0, 0, 0};
     model.CountSlotStates(counts);
     EXPECT_EQ(counts[static_cast<int>(SlotState::kOccupied)], 0u);
-    const SlotRef s = model.slot(model.Predict(12345));
-    const uint32_t w = s.word.Lock();
-    s.key.store(12345, std::memory_order_relaxed);
-    s.value.store(99, std::memory_order_relaxed);
-    s.word.Unlock(w, SlotState::kOccupied);
+    SlotLine& line = model.line(model.LineOf(12345));
+    const uint64_t w = line.word.Lock();
+    line.Store(0, 12345, 99);
+    line.word.Unlock(LineWord::WithState(w, 0, SlotState::kOccupied));
     size_t after[4] = {0, 0, 0, 0};
     model.CountSlotStates(after);
     EXPECT_EQ(after[static_cast<int>(SlotState::kOccupied)], 1u);
@@ -402,7 +406,7 @@ TEST(SlotSlabTest, ForcedRetrainOfSlabModelKeepsLookupsAndBytesExact) {
   ASSERT_TRUE(index.BulkLoad(pairs).ok());
   const GplModel* first = Models(index).front();
   ASSERT_NE(first->slab(), nullptr);
-  const char* old_lo = reinterpret_cast<const char*>(&first->slot(0).word);
+  const char* old_lo = reinterpret_cast<const char*>(&first->line(0));
   const size_t old_bytes = GplModel::SlotArrayBytes(first->num_slots());
 
   for (Key k = 0; k < kBulk; ++k) {
@@ -511,7 +515,7 @@ TEST(SlotSlabDeathTest, ReadPastLastSlotIsCaught) {
   auto index = LoadOsm(2000, &epoch);
   const GplModel* m = Models(*index).front();
   ASSERT_NE(m->slab(), nullptr);
-  EXPECT_DEATH((void)m->slot(3 * m->num_lines()).word.Read(), "use-after-poison");
+  EXPECT_DEATH((void)m->line(m->num_lines()).word.Read(), "use-after-poison");
 #endif
 }
 
